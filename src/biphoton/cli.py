@@ -3,8 +3,7 @@ verify invariants.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or configuration
 error, 3 violated numerical contract. All outputs are deterministic:
-identical inputs give byte-identical CSV, SVG and reports, independent of
-the worker count.
+identical inputs give byte-identical CSV, SVG and reports.
 """
 
 from __future__ import annotations
@@ -24,7 +23,14 @@ from .presets import (
     preset,
     run_sweep,
 )
-from .scan import DEFAULT_SCAN_MAX, DEFAULT_SCAN_MIN, DEFAULT_SCAN_STEPS, ScanResult, scan_delay
+from .scan import (
+    DEFAULT_SCAN_MAX,
+    DEFAULT_SCAN_MIN,
+    DEFAULT_SCAN_STEPS,
+    MAX_SCAN_STEPS,
+    ScanResult,
+    scan_delay,
+)
 from .verify import format_report, run_all_checks
 
 _FLOAT_KEYS_TOP = (
@@ -202,9 +208,7 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, label = _load_config(args)
-    result = scan_delay(
-        config, args.d_min, args.d_max, args.steps, workers=args.workers
-    )
+    result = scan_delay(config, args.d_min, args.d_max, args.steps)
     out = Path(args.out) if args.out else Path(f"{label}_scan.csv")
     write_scan_csv(out, result)
 
@@ -243,7 +247,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         d_max=args.d_max,
         steps=args.steps,
     )
-    rows = run_sweep(spec, workers=args.workers)
+    rows = run_sweep(spec)
     out = Path(args.out) if args.out else Path(f"{label}_{args.axis}_sweep.csv")
     write_sweep_csv(out, rows)
     print(f"preset={label} axis={args.axis} rows={len(rows)} csv={out}")
@@ -273,9 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d-max", type=float, default=DEFAULT_SCAN_MAX, dest="d_max",
                        help="scan end (fs)")
         p.add_argument("--steps", type=int, default=DEFAULT_SCAN_STEPS,
-                       help="number of delay points")
-        p.add_argument("--workers", type=int, default=None,
-                       help="parallel delay evaluation (values are unchanged)")
+                       help=f"number of delay points (3 to {MAX_SCAN_STEPS})")
         p.add_argument("--out", type=str, default=None, help="CSV output path")
 
     run_parser = sub.add_parser("run", help="scan one configuration and write CSV")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .elements import ElementChain, QuartzRod, RodAxis
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ContractViolation
 from .scan import (
     DEFAULT_SCAN_MAX,
     DEFAULT_SCAN_MIN,
@@ -180,15 +180,19 @@ class SweepRow:
     baseline: float
 
 
-def run_sweep(spec: SweepSpec, workers: int | None = None) -> list[SweepRow]:
-    """One delay scan per swept value, rows in input order."""
+def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+    """One delay scan per swept value, rows in input order.
+
+    The package's own errors name the row they came from; any other
+    exception propagates unchanged.
+    """
     setter = SWEEP_AXES[spec.axis]
     rows = []
     for index, value in enumerate(spec.values):
         try:
             config = setter(spec.base, value)
-            result = scan_delay(config, spec.d_min, spec.d_max, spec.steps, workers=workers)
-        except Exception as exc:
+            result = scan_delay(config, spec.d_min, spec.d_max, spec.steps)
+        except (ConfigurationError, ContractViolation) as exc:
             raise type(exc)(f"sweep row {index} ({spec.axis}={value}): {exc}") from exc
         rows.append(
             SweepRow(

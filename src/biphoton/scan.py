@@ -1,26 +1,33 @@
 """Coincidence rates, trombone-delay scans and time-domain diagnostics.
 
 The rate is the uniform-weight grid sum R = sum |A(nu_a, nu_b)|^2 w^2 of
-the assembled coincidence amplitude. Evaluating it point by point along a
-delay scan through the expanded form
+the assembled coincidence amplitude, expanded over pairs of paths:
 
     R = sum_p |c_p|^2 T(p,p) + sum_{p<q} 2 Re[c_p conj(c_q) T(p,q)],
-    T(p,q) = sum_ij f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a} e^{i nu_j D_b} w^2
+    T(p,q) = sum_ij f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a} e^{i nu_j D_b} w^2.
 
-turns each delay point into one matrix-vector product against kernels that
-are fixed for the whole scan. Every term, including the d-independent
-diagonal ones, goes through the same reduction routine so that identical
-summands cancel exactly. An ideal dip bottoms out at a rate of exactly
-zero rather than at rounding noise when two things hold: the amplitude is
-bitwise exchange symmetric, so all pair sums read one kernel and come out
-bitwise equal, and the path coefficients are exact, |c_rr| == |c_tt| bit
-for bit, which the degree-exact analyzer trig of ``elements`` gives at
-multiples of 45 deg.
+The trombone delay d rides on the arm-1 photon, so it shifts D_a of an
+unswapped path and D_b of a swapped one, and drops out of T(p,p). On the
+uniform grid nu_i - nu_j = (i - j) h, so with the delay differences
+D_a0, D_b0 of the paths at d = 0 and s = swap_q - swap_p in {-1, 0, 1},
+
+    T(p,q)(d) = sum_k C_k e^{i s d k h},
+    C_k = w^2 sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a0} e^{i nu_j D_b0}.
+
+A scan therefore costs one O(n^2) diagonal reduction per distinct pair
+and O(n) per delay point. Every term, the d-independent self terms
+included, is evaluated by the same routine, so identical summands cancel
+exactly. An ideal dip bottoms out at a rate of exactly zero rather than
+at rounding noise when two things hold: the amplitude is bitwise exchange
+symmetric, so at d = 0 the cross pair of two equal-rod paths reads the
+very diagonal sums of the self pairs, and the path coefficients are
+exact, |c_rr| == |c_tt| bit for bit, which the degree-exact analyzer trig
+of ``elements`` gives at multiples of 45 deg.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
@@ -44,78 +51,138 @@ DEFAULT_WING_FACTOR = 3.0
 DEFAULT_SCAN_MIN = -1500.0
 DEFAULT_SCAN_MAX = 1500.0
 DEFAULT_SCAN_STEPS = 151
+#: Largest number of delay points one scan accepts. Memory grows only
+#: linearly with it, but the bound keeps a mistyped count from asking for
+#: gigabytes or running for hours.
+MAX_SCAN_STEPS = 100_000
+
+# Complex elements per block of the diagonal reduction and of the phase
+# table, so that working memory stays O(n) whatever n and the step count.
+_BLOCK = 1 << 14
 
 
 class RateKernel:
-    """Per-scan cache of the quadratic forms behind the rate sum.
+    """Per-amplitude cache of the pair sums behind the rate.
 
-    A bitwise exchange-symmetric amplitude makes swapping the identity, so
-    every pair of paths reads one and the same kernel; only an asymmetric
-    amplitude gets a kernel per combination of swap flags.
-
-    Thread-safe once warmed: all cached arrays are read-only, so delay
-    points may be evaluated concurrently.
+    Each distinct pair of paths costs one diagonal reduction of its kernel
+    f_p conj(f_q), cached under the swap flags and the delay differences
+    at d = 0; each delay point then costs O(n). A bitwise
+    exchange-symmetric amplitude makes swapping the identity, so every
+    pair reads one and the same kernel; an asymmetric amplitude builds two,
+    for an unswapped first path, and reads the other two combinations of
+    swap flags as their transposes.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude):
         self.jsa = jsa
         self.grid = jsa.grid
         self._values = jsa.values
-        self._values_t: np.ndarray | None = None
-        self._pair_kernels: dict[tuple[bool, bool], tuple[np.ndarray, np.ndarray | None]] = {}
+        self._pair_kernels: dict[tuple[bool, bool], np.ndarray] = {}
+        self._diagonals: dict[tuple[bool, bool, float, float], np.ndarray] = {}
+        n = self.grid.n
+        # k h for the diagonals k = i - j = 1 - n, ..., n - 1.
+        self._lags = np.arange(1 - n, n) * self.grid.weight
 
     @cached_property
     def _symmetric(self) -> bool:
         """Whether swapping the amplitude's arguments is the identity, bit for bit."""
         return bool(np.array_equal(self._values, self._values.T))
 
-    def _base(self, swapped: bool) -> np.ndarray:
-        if not swapped:
-            return self._values
-        if self._values_t is None:
-            self._values_t = np.ascontiguousarray(self._values.T)
-        return self._values_t
+    def _shared(self, swap_p: bool, swap_q: bool) -> tuple[bool, bool]:
+        """The swap flags whose kernel serves the pair (swap_p, swap_q)."""
+        if (swap_p or swap_q) and self._symmetric:
+            return (False, False)
+        return (swap_p, swap_q)
 
-    def _kernel(self, swap_p: bool, swap_q: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def _kernel(self, swap_p: bool, swap_q: bool) -> np.ndarray:
         key = (swap_p, swap_q)
         cached = self._pair_kernels.get(key)
         if cached is None:
             # The cache is filled under the flags asked for, but a symmetric
             # amplitude builds its one kernel from the flags dropped.
-            shared = (False, False) if any(key) and self._symmetric else key
+            shared = self._shared(swap_p, swap_q)
             cached = self._pair_kernels.get(shared)
             if cached is None:
-                m = self._base(shared[0]) * np.conj(self._base(shared[1]))
-                m_imag = np.ascontiguousarray(m.imag) if np.any(m.imag) else None
-                cached = (np.ascontiguousarray(m.real), m_imag)
+                if shared[0]:
+                    # f^T conj(g^T) is (f conj(g))^T: a view, no second array.
+                    cached = self._kernel(False, not shared[1]).T
+                else:
+                    base_q = self._values.T if shared[1] else self._values
+                    cached = np.conj(base_q, order="C")
+                    cached *= self._values
             self._pair_kernels[key] = self._pair_kernels[shared] = cached
         return cached
 
-    def pair_sum(self, p: PathAmplitude, q: PathAmplitude) -> complex:
-        """T(p, q) above; with p == q this is the path's squared norm."""
-        m_real, m_imag = self._kernel(p.swapped, q.swapped)
-        nu = self.grid.points
-        pa = np.exp(1j * nu * (p.delay_a - q.delay_a))
-        pb = np.exp(1j * nu * (p.delay_b - q.delay_b))
-        yr = np.einsum("ij,j->i", m_real, pb.real)
-        yi = np.einsum("ij,j->i", m_real, pb.imag)
-        if m_imag is not None:
-            yr = yr - np.einsum("ij,j->i", m_imag, pb.imag)
-            yi = yi + np.einsum("ij,j->i", m_imag, pb.real)
-        total = np.dot(pa, yr + 1j * yi)
-        return complex(total) * self.grid.weight**2
+    def pair_sum(self, p: PathAmplitude, q: PathAmplitude) -> np.ndarray:
+        """The diagonal sums C_k of T(p, q) above, for paths p, q taken at
+        d = 0; index k + n - 1 holds diagonal k = i - j."""
+        kernel = self._kernel(p.swapped, q.swapped)
+        swaps = self._shared(p.swapped, q.swapped)
+        delta_a, delta_b = p.delay_a - q.delay_a, p.delay_b - q.delay_b
+        key = (*swaps, delta_a, delta_b)
+        sums = self._diagonals.get(key)
+        if sums is None:
+            if swaps[0]:
+                # Transposing the kernel swaps the roles of the two ports and
+                # turns diagonal k into diagonal -k.
+                sums = self._diagonal_sums(kernel.T, delta_b, delta_a)[::-1]
+            else:
+                sums = self._diagonal_sums(kernel, delta_a, delta_b)
+            self._diagonals[key] = sums
+        return sums
 
-    def rate(self, paths: Sequence[PathAmplitude]) -> float:
+    def _diagonal_sums(self, kernel: np.ndarray, delta_a: float, delta_b: float) -> np.ndarray:
+        n = self.grid.n
+        nu = self.grid.points
+        phase_a = np.exp(1j * nu * delta_a)
+        phase_b = np.exp(1j * nu[::-1] * delta_b)
+        # Rows [start, stop) with their columns reversed land in a zero-padded
+        # buffer of row length n + rows; read with row length n + rows - 1,
+        # row r shifts right by r, so column sums are the anti-diagonal sums
+        # of the reversed block, i.e. the diagonals i - j of the kernel.
+        rows = min(n, max(1, _BLOCK // n))
+        width = n + rows - 1
+        buffer = np.zeros((rows, width + 1), dtype=np.complex128)
+        sums = np.zeros(2 * n - 1, dtype=np.complex128)
+        for start in range(0, n, rows):
+            stop = min(n, start + rows)
+            block = buffer[: stop - start]
+            np.multiply(kernel[start:stop, ::-1], phase_b, out=block[:, :n])
+            block[:, :n] *= phase_a[start:stop, None]
+            sheared = block.reshape(-1)[: (stop - start) * width].reshape(stop - start, width)
+            sums[start : start + width] += sheared.sum(axis=0)[: 2 * n - 1 - start]
+        return sums * self.grid.weight**2
+
+    def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        """sum_k C_k e^{i x k h} for each slope x = s d, one row per slope.
+
+        Each row is reduced on its own, so a slope gives the same bits
+        wherever it sits in ``slopes``.
+        """
+        out = np.empty(len(slopes), dtype=np.complex128)
+        rows = max(1, _BLOCK // len(sums))
+        for start in range(0, len(slopes), rows):
+            phase = np.exp(1j * np.multiply.outer(slopes[start : start + rows], self._lags))
+            phase *= sums
+            out[start : start + rows] = phase.sum(axis=1)
+        return out
+
+    def rate(self, paths: Sequence[PathAmplitude], delays) -> np.ndarray:
+        """Rates at each trombone delay in ``delays`` for ``paths``, the
+        coincidence paths at d = 0."""
+        delays = np.asarray(delays, dtype=float)
+        total = np.zeros(delays.shape)
         # |c|^2 is formed as c conj(c), the same product as the cross terms,
         # so two paths with equal pair sums and c_q = -c_p cancel exactly.
-        total = 0.0
+        at_rest = np.zeros(1)
         for p in paths:
             weight = (p.coefficient * p.coefficient.conjugate()).real
-            total += weight * self.pair_sum(p, p).real
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                cross = paths[i].coefficient * np.conj(paths[j].coefficient)
-                total += 2.0 * (cross * self.pair_sum(paths[i], paths[j])).real
+            total += weight * self._at(self.pair_sum(p, p), at_rest)[0].real
+        for i, p in enumerate(paths):
+            for q in paths[i + 1 :]:
+                cross = p.coefficient * np.conj(q.coefficient)
+                slope = int(q.swapped) - int(p.swapped)
+                total += 2.0 * (cross * self._at(self.pair_sum(p, q), slope * delays)).real
         return total
 
 
@@ -138,7 +205,7 @@ def coincidence_rate(
     """
     if jsa is None:
         jsa = _config_jsa(config)
-    return RateKernel(jsa).rate(_paths_at(config, d))
+    return float(RateKernel(jsa).rate(_paths_at(config, 0.0), [d])[0])
 
 
 def amplitude_rate(amp: CoincidenceAmplitude) -> float:
@@ -200,7 +267,6 @@ def scan_delay(
     steps: int = DEFAULT_SCAN_STEPS,
     *,
     jsa: JointSpectralAmplitude | None = None,
-    workers: int | None = None,
     flat_threshold: float = DEFAULT_FLAT_THRESHOLD,
     wing_factor: float = DEFAULT_WING_FACTOR,
 ) -> ScanResult:
@@ -210,27 +276,20 @@ def scan_delay(
     interference width of the spectral model; the scan range must reach the
     wings. A curve whose largest relative deviation from the baseline stays
     below flat_threshold is classified flat, otherwise dip or peak by the
-    dominant deviation. Delay points are independent; ``workers`` evaluates
-    them concurrently with results ordered by index, without changing any
-    value.
+    dominant deviation. ``steps`` runs from 3 to ``MAX_SCAN_STEPS``.
     """
+    if not (math.isfinite(d_min) and math.isfinite(d_max)):
+        raise ConfigurationError(f"scan edges must be finite, got {d_min}, {d_max}")
     if not d_min < d_max:
         raise ConfigurationError(f"need d_min < d_max, got {d_min} >= {d_max}")
-    if steps < 3:
-        raise ConfigurationError(f"need at least 3 delay steps, got {steps}")
+    if not 3 <= steps <= MAX_SCAN_STEPS:
+        raise ConfigurationError(
+            f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {steps}"
+        )
     if jsa is None:
         jsa = _config_jsa(config)
-    kernel = RateKernel(jsa)
     delays = np.linspace(d_min, d_max, steps)
-    path_sets = [_paths_at(config, d) for d in delays]
-    if workers is not None and workers > 1:
-        # The kernel cache is thread-safe only once warmed; one serial rate
-        # fills it, so every thread reads the same kernel arrays.
-        kernel.rate(path_sets[0])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rates = np.fromiter(pool.map(kernel.rate, path_sets), dtype=float, count=steps)
-    else:
-        rates = np.fromiter((kernel.rate(p) for p in path_sets), dtype=float, count=steps)
+    rates = RateKernel(jsa).rate(_paths_at(config, 0.0), delays)
 
     wing = wing_factor * interference_width(config.spectral)
     wing_mask = np.abs(delays) > wing

@@ -91,13 +91,27 @@ class SpectralParams:
             "pump_coherence_time",
             "filter_fwhm",
             "filter_center",
+            "asymmetry_ratio",
         ):
             value = getattr(self, name)
-            if not (value > 0):
-                raise ConfigurationError(f"{name} must be positive, got {value}")
-        if not (self.asymmetry_ratio > 0):
+            if not (value > 0 and math.isfinite(value)):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        # Finite inputs can still give widths that underflow to 0 or overflow
+        # to inf once squared, which would divide by zero downstream.
+        try:
+            derived = (
+                4.0 * self.sigma1**2,
+                4.0 * self.sigma2**2,
+                interference_width(self),
+                pump_ridge_sigma(self),
+                self.signal_center_frequency,
+            )
+        except ArithmeticError:
+            derived = (math.nan,)
+        if not all(x > 0 and math.isfinite(x) for x in derived):
             raise ConfigurationError(
-                f"asymmetry_ratio must be positive, got {self.asymmetry_ratio}"
+                "spectral parameters out of range: a derived width or frequency "
+                f"underflows to 0 or overflows to inf in {self!r}"
             )
 
     @property
@@ -165,14 +179,19 @@ def _construct_grid(params: SpectralParams, n: int, span_sigma: float) -> Freque
     )
 
 
-def build_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> FrequencyGrid:
-    """Validating grid constructor: n a power of two >= 64, span >= 4 sigma."""
+def _check_grid_request(n: int, span_sigma: float) -> None:
     if n < _MIN_GRID_N or (n & (n - 1)) != 0:
         raise ConfigurationError(f"grid n must be a power of two >= {_MIN_GRID_N}, got {n}")
-    if span_sigma < _MIN_SPAN_SIGMA:
+    if not (span_sigma >= _MIN_SPAN_SIGMA and math.isfinite(span_sigma)):
         raise ConfigurationError(
-            f"grid span must cover at least +-{_MIN_SPAN_SIGMA} sigma, got {span_sigma}"
+            f"grid span must be finite and cover at least +-{_MIN_SPAN_SIGMA} sigma, "
+            f"got {span_sigma}"
         )
+
+
+def build_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> FrequencyGrid:
+    """Validating grid constructor: n a power of two >= 64, span >= 4 sigma."""
+    _check_grid_request(n, span_sigma)
     return _construct_grid(params, n, span_sigma)
 
 
@@ -213,15 +232,16 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
     if forced is not None:
         return _construct_grid(params, forced, span_sigma)
 
-    if n < _MIN_GRID_N or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"grid n must be a power of two >= {_MIN_GRID_N}, got {n}")
-    if span_sigma < _MIN_SPAN_SIGMA:
-        raise ConfigurationError(
-            f"grid span must cover at least +-{_MIN_SPAN_SIGMA} sigma, got {span_sigma}"
-        )
+    _check_grid_request(n, span_sigma)
 
     max_spacing = _RIDGE_SAMPLING_FACTOR * pump_ridge_sigma(params)
-    needed = int(math.ceil(2.0 * span_sigma * params.sigma_max / max_spacing)) + 1
+    intervals = 2.0 * span_sigma * params.sigma_max / max_spacing
+    if not intervals < _MAX_GRID_N:
+        raise ConfigurationError(
+            f"resolving the pump ridge needs n > {_MAX_GRID_N}; "
+            "for very long pump coherence times use the closed-form reference instead"
+        )
+    needed = int(math.ceil(intervals)) + 1
     n_eff = n
     while n_eff < needed:
         n_eff *= 2

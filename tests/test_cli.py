@@ -45,13 +45,6 @@ class TestRun:
         assert run_cli(capsys, "run", "fig3a_dip", "--steps", "41", "--out", str(b))[0] == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_workers_do_not_change_bytes(self, tmp_path, capsys):
-        a = tmp_path / "serial.csv"
-        b = tmp_path / "threads.csv"
-        run_cli(capsys, "run", "fig3a_dip", "--steps", "41", "--out", str(a))
-        run_cli(capsys, "run", "fig3a_dip", "--steps", "41", "--out", str(b), "--workers", "4")
-        assert a.read_bytes() == b.read_bytes()
-
     def test_svg_output(self, tmp_path, capsys):
         svg1 = tmp_path / "a.svg"
         svg2 = tmp_path / "b.svg"
@@ -73,6 +66,24 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run")
         assert code == 2
         assert "preset" in stderr
+
+    @pytest.mark.parametrize("flags", [
+        ("--steps", "2000000000"),
+        ("--steps", "2"),
+        ("--d-max", "inf"),
+        ("--d-min", "nan"),
+    ])
+    def test_bad_scan_window_exits_2(self, tmp_path, capsys, flags):
+        code, _, stderr = run_cli(
+            capsys, "run", "fig3a_dip", *flags, "--out", str(tmp_path / "scan.csv")
+        )
+        assert code == 2
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_removed_workers_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["run", "fig3a_dip", "--workers", "4"])
+        assert info.value.code == 2
 
     def test_contract_violation_exits_3(self, capsys, monkeypatch):
         import biphoton.cli as cli_module
@@ -157,6 +168,22 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "run", "--config", str(tmp_path / "absent.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("line", [
+        "pump_coherence_time = inf",
+        "pump_coherence_time = nan",
+        "pump_coherence_time = 1e200",
+        "filter_fwhm = 1e-300",
+        "asymmetry_ratio = 1e300",
+        "filter_center = 1e200",
+        "grid_span_sigma = inf",
+        "grid_span_sigma = 1e308",
+    ])
+    def test_degenerate_values_exit_2(self, tmp_path, capsys, line):
+        path = self.write(tmp_path, line + "\n")
+        code, _, stderr = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert stderr.startswith("error:")
+
     def test_bad_axis_value_exits_2(self, tmp_path, capsys):
         path = self.write(tmp_path, "qr1_axis = diagonal\n")
         code, _, stderr = run_cli(capsys, "run", "--config", str(path))
@@ -185,6 +212,14 @@ class TestSweep:
         )
         assert code == 2
         assert "axis" in stderr
+
+    def test_bad_row_exits_2_with_its_index(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            capsys, "sweep", "fig4c", "--axis", "pump_coherence_time",
+            "--values", "120,inf", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert "sweep row 1 (pump_coherence_time=inf)" in stderr
 
     def test_bad_values_exit_2(self, capsys):
         code, _, _ = run_cli(

@@ -7,6 +7,7 @@ import pytest
 
 from biphoton import (
     ConfigurationError,
+    ContractViolation,
     ExperimentConfig,
     GridSpec,
     RodAxis,
@@ -114,6 +115,33 @@ class TestRunSweep:
                          values=(1.0, -2.0), steps=31)
         with pytest.raises(ConfigurationError, match="row 1"):
             run_sweep(spec)
+
+    def test_contract_violations_keep_their_type_and_row(self, monkeypatch):
+        import biphoton.presets as presets_module
+
+        def broken(*args, **kwargs):
+            raise ContractViolation("synthetic breakage")
+
+        monkeypatch.setattr(presets_module, "scan_delay", broken)
+        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=(1.5,))
+        with pytest.raises(ContractViolation, match=r"row 0 \(asymmetry_ratio=1.5\): synthetic"):
+            run_sweep(spec)
+
+    def test_other_exceptions_propagate_unchanged(self, monkeypatch):
+        import biphoton.presets as presets_module
+
+        class TwoArgumentError(Exception):
+            def __init__(self, code, reason):
+                super().__init__(code, reason)
+
+        def broken(*args, **kwargs):
+            raise TwoArgumentError(7, "disk full")
+
+        monkeypatch.setattr(presets_module, "scan_delay", broken)
+        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=(1.5,))
+        with pytest.raises(TwoArgumentError) as info:
+            run_sweep(spec)
+        assert info.value.args == (7, "disk full")
 
 
 def test_auto_resolution_handles_long_pump_coherence():

@@ -10,11 +10,14 @@ from biphoton import (
     ConfigurationError,
     ContractViolation,
     GridSpec,
+    JointSpectralAmplitude,
+    PathAmplitude,
     ScanResult,
     SpectralParams,
     amplitude_rate,
     arrival_time_joint,
     assemble_amplitude,
+    build_grid,
     coincidence_rate,
     enumerate_paths,
     gaussian_jsa,
@@ -24,7 +27,7 @@ from biphoton import (
     time_joint_density,
     visibility,
 )
-from biphoton.scan import RateKernel, _paths_at
+from biphoton.scan import MAX_SCAN_STEPS, RateKernel, _paths_at
 
 
 class TestCoincidenceRate:
@@ -72,11 +75,6 @@ class TestScanDelay:
         result = scan_delay(preset("fig4c"))
         assert result.kind == "flat"
         assert result.visibility <= 0.02
-
-    def test_parallel_evaluation_is_bitwise_identical(self, fig3a_dip):
-        serial = scan_delay(fig3a_dip, -600.0, 600.0, 41)
-        threaded = scan_delay(fig3a_dip, -600.0, 600.0, 41, workers=4)
-        assert np.array_equal(serial.rates, threaded.rates)
 
     def test_rejects_bad_window(self, fig3a_dip):
         with pytest.raises(ConfigurationError):
@@ -190,31 +188,98 @@ class TestRateKernel:
         assert not np.array_equal(built[0][0], built[1][0])
 
 
+class TestPairSums:
+    """The diagonal form of the pair sums against the assembled amplitude,
+    on a chirped, asymmetric amplitude whose kernels are complex and whose
+    rates are not even in the delay."""
+
+    @pytest.fixture(scope="class")
+    def chirped(self):
+        params = SpectralParams(asymmetry_ratio=1.5)
+        jsa = gaussian_jsa(params, build_grid(params, n=64))
+        nu = jsa.grid.points
+        chirp = np.exp(1j * 4000.0 * nu[:, None] ** 2 + 1j * 150.0 * nu[None, :])
+        return JointSpectralAmplitude(jsa.grid, jsa.values * chirp)
+
+    @pytest.mark.parametrize("name", ["fig3a_dip", "fig3b_peak", "fig4c"])
+    def test_rates_match_assembled_amplitude(self, chirped, name):
+        config = replace(preset(name), analyzer1=30.0, analyzer2=75.0, pair_phase=0.7)
+        delays = (-700.0, -90.0, 0.0, 250.0, 1100.0)
+        rates = RateKernel(chirped).rate(_paths_at(config, 0.0), delays)
+        direct = [
+            amplitude_rate(assemble_amplitude(_paths_at(config, d), chirped)) for d in delays
+        ]
+        level = sum(abs(p.coefficient) ** 2 for p in _paths_at(config, 0.0))
+        assert np.abs(rates - direct).max() <= 1e-12 * level
+        assert abs(direct[1] - amplitude_rate(
+            assemble_amplitude(_paths_at(config, 90.0), chirped)
+        )) > 1e-6 * level
+
+    def test_swapped_pairs_match_direct_sums(self, chirped):
+        paths = [
+            PathAmplitude("x", 1.0, delay_a, delay_b, swapped)
+            for delay_a, delay_b in ((0.0, 0.0), (120.0, -340.0), (-55.0, 610.0))
+            for swapped in (False, True)
+        ]
+        kernel = RateKernel(chirped)
+        nu = chirped.grid.points
+        lags = (np.arange(nu.size)[:, None] - np.arange(nu.size)[None, :]).ravel()
+        for p in paths:
+            for q in paths:
+                f_p = chirped.values.T if p.swapped else chirped.values
+                f_q = chirped.values.T if q.swapped else chirped.values
+                summand = f_p * np.conj(f_q)
+                summand = summand * np.exp(1j * nu[:, None] * (p.delay_a - q.delay_a))
+                summand = summand * np.exp(1j * nu[None, :] * (p.delay_b - q.delay_b))
+                direct = np.bincount(lags + nu.size - 1, weights=summand.real.ravel())
+                direct = direct + 1j * np.bincount(
+                    lags + nu.size - 1, weights=summand.imag.ravel()
+                )
+                sums = kernel.pair_sum(p, q) / chirped.grid.weight**2
+                assert np.abs(sums - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+class TestScanBounds:
+    def test_rejects_too_many_steps_before_building_anything(self, fig3a_dip, monkeypatch):
+        import biphoton.scan as scan_module
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the step count must be checked first")
+
+        monkeypatch.setattr(scan_module, "build_jsa", unexpected)
+        monkeypatch.setattr(scan_module.np, "linspace", unexpected)
+        with pytest.raises(ConfigurationError, match=str(MAX_SCAN_STEPS)):
+            scan_delay(fig3a_dip, steps=MAX_SCAN_STEPS + 1)
+        with pytest.raises(ConfigurationError):
+            scan_delay(fig3a_dip, steps=2_000_000_000)
+
+    @pytest.mark.parametrize("edges", [(-math.inf, 1500.0), (-1500.0, math.inf),
+                                       (math.nan, 1500.0)])
+    def test_rejects_non_finite_edges(self, fig3a_dip, edges):
+        with pytest.raises(ConfigurationError):
+            scan_delay(fig3a_dip, *edges)
+
+
 class TestRateInvariants:
     def test_outcome_completeness(self, fig3a_dip, default_jsa):
         kernel = RateKernel(default_jsa)
         delays = (-900.0, -250.0, 0.0, 250.0, 900.0)
-        totals = []
-        for d in delays:
-            total = 0.0
-            for off1 in (0.0, 90.0):
-                for off2 in (0.0, 90.0):
-                    config = replace(fig3a_dip, analyzer1=30.0 + off1, analyzer2=75.0 + off2)
-                    total += kernel.rate(_paths_at(config, d))
-            totals.append(total)
-        mean = sum(totals) / len(totals)
-        assert max(abs(t - mean) for t in totals) / mean < 1e-6
+        totals = np.zeros(len(delays))
+        for off1 in (0.0, 90.0):
+            for off2 in (0.0, 90.0):
+                config = replace(fig3a_dip, analyzer1=30.0 + off1, analyzer2=75.0 + off2)
+                totals += kernel.rate(_paths_at(config, 0.0), delays)
+        mean = totals.mean()
+        assert np.abs(totals - mean).max() / mean < 1e-6
 
     def test_dip_peak_complementarity(self, default_jsa):
         dip = preset("fig3a_dip")
         peak = preset("fig3a_peak")
         kernel = RateKernel(default_jsa)
-        sums = [
-            kernel.rate(_paths_at(dip, d)) + kernel.rate(_paths_at(peak, d))
-            for d in (-700.0, -90.0, 0.0, 90.0, 700.0)
-        ]
-        mean = sum(sums) / len(sums)
-        assert max(abs(s - mean) for s in sums) / mean < 1e-6
+        delays = (-700.0, -90.0, 0.0, 90.0, 700.0)
+        sums = kernel.rate(_paths_at(dip, 0.0), delays) + kernel.rate(_paths_at(peak, 0.0), delays)
+        mean = sums.mean()
+        assert np.abs(sums - mean).max() / mean < 1e-6
 
     @pytest.mark.parametrize("name", ["fig3a_dip", "fig3b_dip"])
     @pytest.mark.parametrize("scale", [1.0, 2.0, 3.7, 7.25])

@@ -118,6 +118,36 @@ class TestSpectralParams:
         with pytest.raises(ConfigurationError):
             SpectralParams(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"pump_coherence_time": math.inf},
+            {"pump_coherence_time": math.nan},
+            {"filter_center": -math.inf},
+            {"signal_center_wavelength": math.inf},
+            {"asymmetry_ratio": math.nan},
+        ],
+    )
+    def test_rejects_non_finite_values(self, kwargs):
+        with pytest.raises(ConfigurationError, match="finite"):
+            SpectralParams(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # Widths that underflow to 0 or overflow once squared.
+            {"filter_fwhm": 1e-300},
+            {"filter_center": 1e200},
+            {"pump_coherence_time": 1e200},
+            {"asymmetry_ratio": 1e300},
+            {"asymmetry_ratio": 1e-300},
+            {"signal_center_wavelength": 1e-320},
+        ],
+    )
+    def test_rejects_degenerate_widths(self, kwargs):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            SpectralParams(**kwargs)
+
 
 class TestGrid:
     def test_default_construction(self, default_params):
@@ -143,6 +173,19 @@ class TestGrid:
     def test_undersized_span_rejected(self, default_params):
         with pytest.raises(ConfigurationError):
             build_grid(default_params, span_sigma=3.0)
+
+    @pytest.mark.parametrize("span", [math.inf, math.nan])
+    def test_non_finite_span_rejected(self, default_params, span):
+        with pytest.raises(ConfigurationError):
+            build_grid(default_params, span_sigma=span)
+        with pytest.raises(ConfigurationError):
+            auto_grid(default_params, span_sigma=span)
+
+    def test_unresolvable_ridge_rejected(self):
+        # A ridge some 1e149 grid steps narrower than the span.
+        params = SpectralParams(pump_coherence_time=1e150)
+        with pytest.raises(ConfigurationError, match="8192"):
+            auto_grid(params)
 
     def test_auto_grid_keeps_default_resolution(self, default_params):
         assert auto_grid(default_params).n == 256
