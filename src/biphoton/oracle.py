@@ -110,8 +110,11 @@ def _cross_factor(params: SpectralParams, delta_a: float, delta_b: float) -> flo
     """G of the module docstring, in [0, 1]."""
     s = 1.0 / (4.0 * params.sigma1**2) + 1.0 / (4.0 * params.sigma2**2)
     tau2 = params.pump_coherence_time**2
-    sum_term = (delta_a + delta_b) ** 2 / (8.0 * (2.0 * tau2 + s))
-    diff_term = (delta_a - delta_b) ** 2 / (8.0 * s)
+    # x * x saturates to inf for huge delays, where ** 2 raises OverflowError;
+    # exp(-inf) is then exactly 0.
+    total, diff = delta_a + delta_b, delta_a - delta_b
+    sum_term = total * total / (8.0 * (2.0 * tau2 + s))
+    diff_term = diff * diff / (8.0 * s)
     return _exchange_overlap(params) * math.exp(-sum_term) * math.exp(-diff_term)
 
 

@@ -22,7 +22,6 @@ from .scan import (
     DEFAULT_SCAN_MAX,
     DEFAULT_SCAN_MIN,
     DEFAULT_SCAN_STEPS,
-    ScanResult,
     scan_delay,
 )
 from .spectral import FrequencyGrid, SpectralParams, auto_grid
@@ -228,8 +227,3 @@ def pump_coherence_sweep(
         raise ConfigurationError("pump coherence times must be strictly ascending")
     spec = SweepSpec(base=base, axis="pump_coherence_time", values=values, steps=steps)
     return [row.visibility for row in run_sweep(spec)]
-
-
-def preset_scan(name: str, **kwargs) -> ScanResult:
-    """Convenience: scan a named preset with the default window."""
-    return scan_delay(preset(name), **kwargs)

@@ -12,17 +12,27 @@ uniform grid nu_i - nu_j = (i - j) h, so with the delay differences
 D_a0, D_b0 of the paths at d = 0 and s = swap_q - swap_p in {-1, 0, 1},
 
     T(p,q)(d) = sum_k C_k e^{i s d k h},
-    C_k = w^2 sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a0} e^{i nu_j D_b0}.
+    C_k = w^2 sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a0} e^{i nu_j D_b0}
+        = w^2 e^{i k h D_a0} sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_j (D_a0 + D_b0)},
+
+since nu_i = nu_j + k h on diagonal k: one phase per column before the
+reduction and one per diagonal after it. The kernel f_p conj(f_q) of a
+real amplitude is real, and so are the C_k of a pair with no delay
+differences, every self pair among them.
 
 A scan therefore costs one O(n^2) diagonal reduction per distinct pair
-and O(n) per delay point. Every term, the d-independent self terms
-included, is evaluated by the same routine, so identical summands cancel
-exactly. An ideal dip bottoms out at a rate of exactly zero rather than
-at rounding noise when two things hold: the amplitude is bitwise exchange
-symmetric, so at d = 0 the cross pair of two equal-rod paths reads the
-very diagonal sums of the self pairs, and the path coefficients are
-exact, |c_rr| == |c_tt| bit for bit, which the degree-exact analyzer trig
-of ``elements`` gives at multiples of 45 deg.
+and O(n) per delay point. The grid sums repeat in each port delay with
+period 2 pi / h, so delays at which a rate would read an alias of the
+interference term are refused before anything is built.
+
+Every term, the d-independent self terms included, is evaluated by the
+same routine, so identical summands cancel exactly. An ideal dip bottoms
+out at a rate of exactly zero rather than at rounding noise when two
+things hold: the amplitude is bitwise exchange symmetric, so at d = 0 the
+cross pair of two equal-rod paths reads the very diagonal sums of the
+self pairs, and the path coefficients are exact, |c_rr| == |c_tt| bit for
+bit, which the degree-exact analyzer trig of ``elements`` gives at
+multiples of 45 deg.
 """
 
 from __future__ import annotations
@@ -85,8 +95,16 @@ class RateKernel:
 
     @cached_property
     def _symmetric(self) -> bool:
-        """Whether swapping the amplitude's arguments is the identity, bit for bit."""
-        return bool(np.array_equal(self._values, self._values.T))
+        """Whether swapping the amplitude's arguments is the identity, bit for bit.
+
+        Bands of 64 rows are compared with the matching bands of columns,
+        on and above the diagonal only, so the transposed reads stay in
+        cache.
+        """
+        v = self._values
+        return all(
+            np.array_equal(v[i : i + 64, i:], v[i:, i : i + 64].T) for i in range(0, len(v), 64)
+        )
 
     def _shared(self, swap_p: bool, swap_q: bool) -> tuple[bool, bool]:
         """The swap flags whose kernel serves the pair (swap_p, swap_q)."""
@@ -108,8 +126,13 @@ class RateKernel:
                     cached = self._kernel(False, not shared[1]).T
                 else:
                     base_q = self._values.T if shared[1] else self._values
-                    cached = np.conj(base_q, order="C")
-                    cached *= self._values
+                    # Conjugation is the identity on a real amplitude, which
+                    # therefore takes a single pass.
+                    if np.iscomplexobj(base_q):
+                        cached = np.conj(base_q, order="C")
+                        cached *= self._values
+                    else:
+                        cached = self._values * base_q
             self._pair_kernels[key] = self._pair_kernels[shared] = cached
         return cached
 
@@ -133,38 +156,56 @@ class RateKernel:
 
     def _diagonal_sums(self, kernel: np.ndarray, delta_a: float, delta_b: float) -> np.ndarray:
         n = self.grid.n
-        nu = self.grid.points
-        phase_a = np.exp(1j * nu * delta_a)
-        phase_b = np.exp(1j * nu[::-1] * delta_b)
+        # On diagonal k, nu_i = nu_j + k h, so the port phases factor as
+        # e^{i k h D_a} e^{i nu_j (D_a + D_b)}: one phase per column before
+        # the reduction and one per diagonal after it. A real kernel whose
+        # column phase vanishes stays real.
+        column = delta_a + delta_b
+        if column:
+            phase_b = np.exp(1j * self.grid.points[::-1] * column)
+            dtype = np.complex128
+        else:
+            dtype = kernel.dtype
         # Rows [start, stop) with their columns reversed land in a zero-padded
         # buffer of row length n + rows; read with row length n + rows - 1,
         # row r shifts right by r, so column sums are the anti-diagonal sums
         # of the reversed block, i.e. the diagonals i - j of the kernel.
         rows = min(n, max(1, _BLOCK // n))
         width = n + rows - 1
-        buffer = np.zeros((rows, width + 1), dtype=np.complex128)
-        sums = np.zeros(2 * n - 1, dtype=np.complex128)
+        buffer = np.zeros((rows, width + 1), dtype=dtype)
+        sums = np.zeros(2 * n - 1, dtype=dtype)
         for start in range(0, n, rows):
             stop = min(n, start + rows)
             block = buffer[: stop - start]
-            np.multiply(kernel[start:stop, ::-1], phase_b, out=block[:, :n])
-            block[:, :n] *= phase_a[start:stop, None]
+            if column:
+                np.multiply(kernel[start:stop, ::-1], phase_b, out=block[:, :n])
+            else:
+                block[:, :n] = kernel[start:stop, ::-1]
             sheared = block.reshape(-1)[: (stop - start) * width].reshape(stop - start, width)
             sums[start : start + width] += sheared.sum(axis=0)[: 2 * n - 1 - start]
+        if delta_a:
+            sums = sums * np.exp(1j * self._lags * delta_a)
         return sums * self.grid.weight**2
 
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """sum_k C_k e^{i x k h} for each slope x = s d, one row per slope.
 
-        Each row is reduced on its own, so a slope gives the same bits
+        The phase table is evaluated for the lags k >= 0 and read as its
+        conjugate for -k, which gives the same bits as evaluating every
+        lag. Each row is reduced on its own, so a slope gives the same bits
         wherever it sits in ``slopes``.
         """
+        n = self.grid.n
         out = np.empty(len(slopes), dtype=np.complex128)
         rows = max(1, _BLOCK // len(sums))
+        phase = np.empty((min(rows, len(slopes)), 2 * n - 1), dtype=np.complex128)
         for start in range(0, len(slopes), rows):
-            phase = np.exp(1j * np.multiply.outer(slopes[start : start + rows], self._lags))
-            phase *= sums
-            out[start : start + rows] = phase.sum(axis=1)
+            chunk = slopes[start : start + rows]
+            table = phase[: len(chunk)]
+            np.exp(1j * np.multiply.outer(chunk, self._lags[n - 1 :]), out=table[:, n - 1 :])
+            np.conjugate(table[:, : n - 1 : -1], out=table[:, : n - 1])
+            table *= sums
+            out[start : start + rows] = table.sum(axis=1)
         return out
 
     def rate(self, paths: Sequence[PathAmplitude], delays) -> np.ndarray:
@@ -194,6 +235,74 @@ def _config_jsa(config: "ExperimentConfig") -> JointSpectralAmplitude:
     return build_jsa(config.spectral, config.frequency_grid())
 
 
+def _check_alias(
+    config: "ExperimentConfig",
+    paths: Sequence[PathAmplitude],
+    period: float,
+    d_min: float,
+    d_max: float,
+) -> None:
+    """Refuse trombone delays in [d_min, d_max] at which the grid rate
+    reads an alias.
+
+    On a grid of spacing h the pair sum T(p, q) is periodic in each port
+    delay difference with period 2 pi / h: besides the Gaussian cross
+    factor G at (D_a, D_b) it holds images of G shifted by whole periods
+    in either port. With u = D_a + D_b, which the trombone leaves fixed,
+    and v = D_a - D_b, which it moves by 2 s d,
+    G = exp(-u^2 / (8 (2 tau_p^2 + s)) - v^2 / (8 s)) (docs/closed_form.md).
+    A pair of paths passes when, over the whole scan, each port delay
+    difference stays within one period and every image up to two periods
+    away in each port keeps an exponent of at least DEFAULT_WING_FACTOR^2,
+    so it adds at most e^-9 (1.2e-4) of the cross term. For matched rods
+    the binding image is one period away in both ports with opposite
+    signs, and the bound reads |d| <= 2 pi / h - DEFAULT_WING_FACTOR times the
+    interference width; along u the pump width sets it instead.
+    """
+    spectral = config.spectral
+    scale_v = 4.0 * interference_width(spectral) ** 2
+    scale_u = 16.0 * spectral.pump_coherence_time**2 + scale_v
+    floor = DEFAULT_WING_FACTOR**2
+    for i, p in enumerate(paths):
+        for q in paths[i + 1 :]:
+            delta_a, delta_b = p.delay_a - q.delay_a, p.delay_b - q.delay_b
+            slope = int(q.swapped) - int(p.swapped)
+            ends = [(delta_a + slope * d, delta_b - slope * d) for d in (d_min, d_max)]
+            reach = max(abs(x) for end in ends for x in end)
+            if reach < period:
+                u = delta_a + delta_b
+                v_lo, v_hi = sorted(a - b for a, b in ends)
+                nearest = math.inf
+                for m_a in range(-2, 3):
+                    for m_b in range(-2, 3):
+                        if m_a or m_b:
+                            shift = (m_a - m_b) * period
+                            v = min(max(-shift, v_lo), v_hi) + shift
+                            u_image = u + (m_a + m_b) * period
+                            nearest = min(nearest, u_image * u_image / scale_u + v * v / scale_v)
+            if not (reach < period and nearest >= floor):
+                raise ConfigurationError(
+                    f"trombone delays in [{d_min:g}, {d_max:g}] fs alias on this grid: paths "
+                    f"{p.label}/{q.label} reach port delay differences of {reach:.6g} fs, "
+                    f"and the rate repeats every {period:.6g} fs; shorten the delays or "
+                    "the rods, or raise grid_n"
+                )
+
+
+def _checked_inputs(
+    config: "ExperimentConfig", d_min: float, d_max: float, jsa: JointSpectralAmplitude | None
+) -> tuple[tuple[PathAmplitude, ...], JointSpectralAmplitude]:
+    """The paths at d = 0 and the amplitude for trombone delays in
+    [d_min, d_max]; the delays are checked against aliasing before the
+    amplitude is built."""
+    paths = _paths_at(config, 0.0)
+    grid = config.frequency_grid() if jsa is None else jsa.grid
+    _check_alias(config, paths, 2.0 * math.pi / grid.weight, d_min, d_max)
+    if jsa is None:
+        jsa = build_jsa(config.spectral, grid)
+    return paths, jsa
+
+
 def coincidence_rate(
     config: "ExperimentConfig", d: float, jsa: JointSpectralAmplitude | None = None
 ) -> float:
@@ -203,9 +312,8 @@ def coincidence_rate(
     Passing a precomputed ``jsa`` (for this config's spectral parameters)
     skips rebuilding it; delays enter through phases only.
     """
-    if jsa is None:
-        jsa = _config_jsa(config)
-    return float(RateKernel(jsa).rate(_paths_at(config, 0.0), [d])[0])
+    paths, jsa = _checked_inputs(config, d, d, jsa)
+    return float(RateKernel(jsa).rate(paths, [d])[0])
 
 
 def amplitude_rate(amp: CoincidenceAmplitude) -> float:
@@ -286,10 +394,9 @@ def scan_delay(
         raise ConfigurationError(
             f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {steps}"
         )
-    if jsa is None:
-        jsa = _config_jsa(config)
+    paths, jsa = _checked_inputs(config, d_min, d_max, jsa)
     delays = np.linspace(d_min, d_max, steps)
-    rates = RateKernel(jsa).rate(_paths_at(config, 0.0), delays)
+    rates = RateKernel(jsa).rate(paths, delays)
 
     wing = wing_factor * interference_width(config.spectral)
     wing_mask = np.abs(delays) > wing

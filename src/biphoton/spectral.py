@@ -255,7 +255,7 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
 
 @dataclass(frozen=True)
 class JointSpectralAmplitude:
-    """Complex pair amplitude f(nu1, nu2) on a shared grid.
+    """Pair amplitude f(nu1, nu2) on a shared grid, real or complex.
 
     Axis 0 is the photon sent into arm 1, axis 1 the photon in arm 2.
     """
@@ -267,17 +267,30 @@ class JointSpectralAmplitude:
         self.values.setflags(write=False)
 
 
+def _sum_squares(values: np.ndarray) -> float:
+    """sum |v|^2 over all elements; a complex array is read as its
+    interleaved real and imaginary parts, so no part is copied out."""
+    flat = np.ravel(values)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    return float(np.einsum("i,i->", flat, flat))
+
+
+def _unit_scale(values: np.ndarray, weight: float) -> float:
+    """The L2 norm that normalize divides by; refuses zero and non-finite."""
+    norm = math.sqrt(_sum_squares(values)) * weight
+    if norm == 0.0 or not math.isfinite(norm):
+        raise ContractViolation("cannot normalize a zero or non-finite amplitude")
+    return norm
+
+
 def l2_norm(jsa: JointSpectralAmplitude) -> float:
     """sqrt of sum |f|^2 w^2 with the grid's uniform quadrature weight."""
-    v = jsa.values
-    total = (v.real**2 + v.imag**2).sum()
-    return float(np.sqrt(total)) * jsa.grid.weight
+    return math.sqrt(_sum_squares(jsa.values)) * jsa.grid.weight
 
 
 def normalize(jsa: JointSpectralAmplitude) -> JointSpectralAmplitude:
-    norm = l2_norm(jsa)
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ContractViolation("cannot normalize a zero or non-finite amplitude")
+    norm = _unit_scale(jsa.values, jsa.grid.weight)
     return JointSpectralAmplitude(grid=jsa.grid, values=jsa.values / norm)
 
 
@@ -289,8 +302,16 @@ def gaussian_jsa(
     f(nu1, nu2) = N * exp(-(nu1+nu2)^2 tau_p^2 / 2)
                     * exp(-nu1^2 / (4 sigma1^2)) * exp(-nu2^2 / (4 sigma2^2))
 
-    With asymmetry_ratio = 1 the construction is exactly exchange symmetric,
-    down to the floating-point representation.
+    The model is real, so the values are float64. The pump factor depends
+    on nu1 + nu2 only and takes 2n - 1 distinct values on the grid: it is
+    evaluated once per sum s_m = nu[min(m, n-1)] + nu[max(0, m-n+1)] and
+    read as the n x n Hankel matrix p[i + j], a strided view that copies
+    nothing. The filter outer product is formed first and multiplied by
+    that view in place, then divided by the norm in place, so the build
+    makes O(n) calls to exp and holds one n x n array.
+
+    With asymmetry_ratio = 1 the construction is exactly exchange
+    symmetric, down to the floating-point representation.
     """
     if grid is None:
         grid = auto_grid(params)
@@ -302,9 +323,12 @@ def gaussian_jsa(
     nu = grid.points
     g1 = np.exp(-(nu**2) / (4.0 * params.sigma1**2))
     g2 = np.exp(-(nu**2) / (4.0 * params.sigma2**2))
-    pump = np.exp(-0.5 * (params.pump_coherence_time * (nu[:, None] + nu[None, :])) ** 2)
-    values = (pump * np.outer(g1, g2)).astype(np.complex128)
-    return normalize(JointSpectralAmplitude(grid=grid, values=values))
+    sums = np.concatenate((nu + nu[0], nu[1:] + nu[-1]))
+    pump = np.exp(-0.5 * (params.pump_coherence_time * sums) ** 2)
+    values = np.outer(g1, g2)
+    values *= np.lib.stride_tricks.sliding_window_view(pump, grid.n)
+    values /= _unit_scale(values, grid.weight)
+    return JointSpectralAmplitude(grid=grid, values=values)
 
 
 def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> JointSpectralAmplitude:

@@ -80,6 +80,14 @@ class TestRun:
         assert code == 2
         assert not (tmp_path / "scan.csv").exists()
 
+    def test_delays_past_the_alias_bound_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        code, _, stderr = run_cli(capsys, "run", "fig3a_dip", "--d-max", "15000",
+                                  "--out", str(out))
+        assert code == 2
+        assert "alias" in stderr
+        assert not out.exists()
+
     def test_removed_workers_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["run", "fig3a_dip", "--workers", "4"])
@@ -184,6 +192,14 @@ class TestConfigFile:
         assert code == 2
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("rod_length", ["1e150", "1e300"])
+    def test_huge_mixed_rods_exit_2(self, tmp_path, capsys, rod_length):
+        path = self.write(tmp_path, f"preset = fig4c\nrod_length = {rod_length}\n")
+        code, _, stderr = run_cli(capsys, "run", "--config", str(path),
+                                  "--out", str(tmp_path / "scan.csv"))
+        assert code == 2
+        assert "alias" in stderr
+
     def test_bad_axis_value_exits_2(self, tmp_path, capsys):
         path = self.write(tmp_path, "qr1_axis = diagonal\n")
         code, _, stderr = run_cli(capsys, "run", "--config", str(path))
@@ -212,6 +228,15 @@ class TestSweep:
         )
         assert code == 2
         assert "axis" in stderr
+
+    def test_aliased_row_exits_2_with_its_index(self, tmp_path, capsys):
+        code, _, stderr = run_cli(
+            capsys, "sweep", "fig4c", "--axis", "rod_length",
+            "--values", "20,1e300", "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert "sweep row 1" in stderr
+        assert "alias" in stderr
 
     def test_bad_row_exits_2_with_its_index(self, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -147,3 +147,13 @@ def test_engine_matches_oracle_spot_checks():
         engine = coincidence_rate(config, d)
         reference = oracle_rate(config, d)
         assert engine == pytest.approx(reference, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("rod_length", [1e150, 1e300])
+def test_huge_rod_delays_saturate_the_cross_factor(rod_length):
+    # |Delta_a + Delta_b| is past 1e154, where squaring with ** overflows.
+    config = replace(preset("fig4c"), rod_length=rod_length)
+    terms = oracle_terms(config, 0.0)
+    assert terms.overlap == 0.0
+    assert oracle_rate(config, 0.0) == terms.baseline
+    assert math.isfinite(oracle_rate(config, 0.0))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    PRESET_NAMES,
     ConfigurationError,
     ContractViolation,
     GridSpec,
@@ -21,13 +22,15 @@ from biphoton import (
     coincidence_rate,
     enumerate_paths,
     gaussian_jsa,
+    interference_width,
+    oracle_rate,
     preset,
     refine_check,
     scan_delay,
     time_joint_density,
     visibility,
 )
-from biphoton.scan import MAX_SCAN_STEPS, RateKernel, _paths_at
+from biphoton.scan import DEFAULT_WING_FACTOR, MAX_SCAN_STEPS, RateKernel, _paths_at
 
 
 class TestCoincidenceRate:
@@ -186,6 +189,101 @@ class TestRateKernel:
         built = [kernel._kernel(*swaps) for swaps in self.SWAPS]
         assert len({id(k) for k in built}) == len(self.SWAPS)
         assert not np.array_equal(built[0][0], built[1][0])
+
+
+class TestRealEngine:
+    """A real amplitude runs through the same code as a complex one, with
+    the phases factored out of the kernel."""
+
+    def test_phase_table_matches_a_full_exp_table(self, default_jsa):
+        kernel = RateKernel(default_jsa)
+        n = default_jsa.grid.n
+        lags = np.arange(1 - n, n) * default_jsa.grid.weight
+        slopes = np.concatenate([np.linspace(-1500.0, 1500.0, 151), [0.0, -0.0, 2.5e4]])
+        rr, tt = _paths_at(preset("fig4c"), 0.0)
+        for p, q in ((rr, rr), (rr, tt), (tt, rr)):
+            sums = kernel.pair_sum(p, q)
+            table = np.exp(1j * np.multiply.outer(slopes, lags))
+            assert np.array_equal(kernel._at(sums, slopes), (table * sums).sum(axis=1))
+
+    @pytest.mark.parametrize("rho", [1.0, 2.0])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_real_and_complex_amplitudes_give_the_same_rates(self, name, rho):
+        config = replace(preset(name), spectral=SpectralParams(asymmetry_ratio=rho))
+        jsa = gaussian_jsa(config.spectral)
+        as_complex = JointSpectralAmplitude(jsa.grid, jsa.values.astype(np.complex128))
+        paths = _paths_at(config, 0.0)
+        delays = np.linspace(-1500.0, 1500.0, 61)
+        real = RateKernel(jsa).rate(paths, delays)
+        complex_ = RateKernel(as_complex).rate(paths, delays)
+        level = sum(abs(p.coefficient) ** 2 for p in paths)
+        assert np.abs(real - complex_).max() <= 1e-13 * level
+
+    def test_real_amplitude_keeps_self_sums_real(self, default_jsa):
+        kernel = RateKernel(default_jsa)
+        rr, tt = _paths_at(preset("fig4c"), 0.0)
+        assert kernel._kernel(False, False).dtype == np.float64
+        assert kernel.pair_sum(rr, rr).dtype == np.float64
+        assert kernel.pair_sum(rr, tt).dtype == np.complex128
+
+
+class TestAliasBound:
+    """Delays whose grid rate would read an image of the interference term
+    one alias period 2 pi / h away are refused."""
+
+    @staticmethod
+    def period(config):
+        return 2.0 * math.pi / config.frequency_grid().weight
+
+    def test_matched_rods_accept_up_to_three_widths_below_the_period(self, fig3a_dip):
+        edge = self.period(fig3a_dip) - DEFAULT_WING_FACTOR * interference_width(
+            fig3a_dip.spectral
+        )
+        for d in (edge - 1.0, -(edge - 1.0)):
+            assert coincidence_rate(fig3a_dip, d) == pytest.approx(
+                oracle_rate(fig3a_dip, d), rel=1e-3
+            )
+        for d in (edge + 1.0, -(edge + 1.0), 13548.07):
+            with pytest.raises(ConfigurationError, match="alias"):
+                coincidence_rate(fig3a_dip, d)
+
+    def test_scan_is_refused_before_building_anything(self, fig3a_dip, monkeypatch):
+        import biphoton.scan as scan_module
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the delays must be checked first")
+
+        monkeypatch.setattr(scan_module, "build_jsa", unexpected)
+        with pytest.raises(ConfigurationError, match="alias"):
+            scan_delay(fig3a_dip, -1500.0, 15000.0)
+
+    def test_long_pump_half_period_image(self):
+        # Near the pump-ridge sampling limit the image one period away in
+        # both ports is only a few pump widths off along nu1 + nu2, so even
+        # matched rods alias at half a period (by about 2% here).
+        config = replace(preset("fig3a_dip"), spectral=SpectralParams(pump_coherence_time=6300.0))
+        half = self.period(config) / 2.0
+        with pytest.raises(ConfigurationError, match="alias"):
+            coincidence_rate(config, -half)
+        with pytest.raises(ConfigurationError, match="alias"):
+            scan_delay(config, -30000.0, 1500.0)
+
+    def test_mixed_rods_alias_along_the_pump_direction(self):
+        # fig4c shifts the sum of the port delays by twice the rod delay. At
+        # 378 mm the image one period away in both ports lies within a pump
+        # width of it, and the grid rate read 0.12 where the closed form
+        # gives 0.25.
+        spectral = SpectralParams(pump_coherence_time=1000.0)
+        near = replace(preset("fig4c"), spectral=spectral, rod_length=200.0)
+        assert coincidence_rate(near, 0.0) == pytest.approx(oracle_rate(near, 0.0), rel=1e-3)
+        with pytest.raises(ConfigurationError, match="alias"):
+            coincidence_rate(replace(near, rod_length=378.0), 0.0)
+
+    @pytest.mark.parametrize("rod_length", [1e150, 1e300])
+    def test_huge_rods_are_refused(self, rod_length):
+        config = replace(preset("fig4c"), rod_length=rod_length)
+        with pytest.raises(ConfigurationError, match="alias"):
+            scan_delay(config)
 
 
 class TestPairSums:

@@ -213,6 +213,31 @@ class TestGaussianJsa:
         assert np.array_equal(v, v.T)
         assert np.abs(v - v.T).max() <= 1e-12
 
+    def test_exchange_symmetric_exactly_on_a_refined_grid(self):
+        v = gaussian_jsa(SpectralParams(pump_coherence_time=6300.0)).values
+        assert v.shape == (1024, 1024)
+        assert np.array_equal(v, v.T)
+
+    # The Hankel pump sums nu1 + nu2 as nu[a] + nu[b] with a + b = i + j,
+    # which rounds differently from nu[i] + nu[j]; tau_p^2 amplifies that
+    # in the exponent, hence the looser bound for the longest pump.
+    @pytest.mark.parametrize("tau_p,bound", [(60.0, 1e-14), (120.0, 1e-14), (630.0, 1e-14),
+                                             (6300.0, 1e-13)])
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    def test_real_and_equal_to_the_direct_formula(self, rho, tau_p, bound):
+        params = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
+        jsa = gaussian_jsa(params)
+        assert jsa.values.dtype == np.float64
+        nu = jsa.grid.points
+        direct = (
+            np.exp(-0.5 * (tau_p * (nu[:, None] + nu[None, :])) ** 2)
+            * np.exp(-(nu[:, None] ** 2) / (4.0 * params.sigma1**2))
+            * np.exp(-(nu[None, :] ** 2) / (4.0 * params.sigma2**2))
+        )
+        direct /= math.sqrt(float((direct**2).sum())) * jsa.grid.weight
+        assert np.abs(jsa.values - direct).max() <= bound * direct.max()
+        assert l2_norm(jsa) == pytest.approx(1.0, abs=1e-14)
+
     def test_asymmetric_is_not_symmetric(self):
         jsa = gaussian_jsa(SpectralParams(asymmetry_ratio=2.0))
         assert not np.array_equal(jsa.values, jsa.values.T)
@@ -264,6 +289,14 @@ class TestNormalize:
         scaled = JointSpectralAmplitude(default_jsa.grid, default_jsa.values * 17.5)
         renormalized = normalize(scaled)
         assert abs(l2_norm(renormalized) - 1.0) < 1e-12
+
+    def test_complex_amplitude_counts_both_parts(self, default_jsa):
+        nu = default_jsa.grid.points
+        chirp = np.exp(1j * 3000.0 * nu[:, None] ** 2)
+        chirped = JointSpectralAmplitude(default_jsa.grid, default_jsa.values * chirp)
+        assert l2_norm(chirped) == pytest.approx(1.0, abs=1e-14)
+        scaled = JointSpectralAmplitude(chirped.grid, chirped.values * 4.5)
+        assert l2_norm(normalize(scaled)) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_amplitude_rejected(self, default_jsa):
         zero = JointSpectralAmplitude(default_jsa.grid, np.zeros_like(default_jsa.values))
