@@ -6,6 +6,22 @@ import pytest
 
 from biphoton.cli import main, parse_config_file
 from biphoton.elements import RodAxis
+from biphoton.presets import PRESET_NAMES
+
+# Default outputs pinned byte for byte: a change that moves any of them
+# changes what users get from the documented commands.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_RUNS = [
+    *((("run", name), (f"{name}.csv", f"{name}.svg")) for name in PRESET_NAMES),
+    (
+        ("sweep", "fig4c", "--axis", "pump_coherence_time", "--values", "60,120,630,6300"),
+        ("fig4c_pump_coherence_time_sweep.csv",),
+    ),
+    (
+        ("sweep", "fig3a_dip", "--axis", "asymmetry_ratio", "--values", "1,1.5,2"),
+        ("fig3a_dip_asymmetry_ratio_sweep.csv",),
+    ),
+]
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +120,16 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "fig3a_dip")
         assert code == 3
         assert "contract" in stderr
+
+
+@pytest.mark.parametrize("argv, files", GOLDEN_RUNS, ids=lambda x: "-".join(x[:3]))
+def test_outputs_match_golden_bytes(tmp_path, capsys, argv, files):
+    flags = ["--out", str(tmp_path / files[0])]
+    if len(files) > 1:
+        flags += ["--svg", str(tmp_path / files[1])]
+    assert run_cli(capsys, *argv, *flags)[0] == 0
+    for name in files:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestConfigFile:
