@@ -8,18 +8,16 @@ survives without the photons ever overlapping on the beamsplitter.
 """
 
 from .elements import (
-    ElementChain,
     Polarization,
     Port,
     QuartzRod,
     RodAxis,
     analyzer_projection,
-    hwp_action,
     pbs_action,
     quartz_group_delay,
     rod_delays,
 )
-from .errors import ConfigurationError, ContractViolation, UnsupportedModelError
+from .errors import ConfigurationError, ContractViolation
 from .oracle import OracleTerms, oracle_rate, oracle_terms, oracle_visibility
 from .pathsum import (
     CoincidenceAmplitude,
@@ -36,7 +34,6 @@ from .presets import (
     SweepRow,
     SweepSpec,
     preset,
-    pump_coherence_sweep,
     run_sweep,
 )
 from .scan import (
@@ -58,7 +55,6 @@ from .spectral import (
     build_grid,
     build_jsa,
     coherence_time_from_filter,
-    gaussian_jsa,
     interference_width,
     jsa_swap_distance,
     l2_norm,
@@ -72,7 +68,6 @@ __all__ = [
     "CoincidenceAmplitude",
     "ConfigurationError",
     "ContractViolation",
-    "ElementChain",
     "ExperimentConfig",
     "FrequencyGrid",
     "GridSpec",
@@ -90,7 +85,6 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "TimeJointDensity",
-    "UnsupportedModelError",
     "amplitude_rate",
     "analyzer_projection",
     "arrival_time_joint",
@@ -101,8 +95,6 @@ __all__ = [
     "coherence_time_from_filter",
     "coincidence_rate",
     "enumerate_paths",
-    "gaussian_jsa",
-    "hwp_action",
     "interference_width",
     "jsa_swap_distance",
     "l2_norm",
@@ -113,7 +105,6 @@ __all__ = [
     "path_overlap",
     "pbs_action",
     "preset",
-    "pump_coherence_sweep",
     "quartz_group_delay",
     "refine_check",
     "rod_delays",

@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .elements import RodAxis
 from .errors import ConfigurationError, ContractViolation
 from .oracle import oracle_rate
 from .presets import (
+    CONFIG_KEYS,
     PRESET_NAMES,
     ExperimentConfig,
     SweepSpec,
     preset,
     run_sweep,
+    with_value,
 )
 from .scan import (
     DEFAULT_SCAN_MAX,
@@ -33,32 +34,22 @@ from .scan import (
 )
 from .verify import format_report, run_all_checks
 
-_FLOAT_KEYS_TOP = (
-    "rod_length",
-    "hwp_angle",
-    "analyzer1",
-    "analyzer2",
-    "trombone_delay",
-    "pair_phase",
-)
-_FLOAT_KEYS_SPECTRAL = (
-    "pump_center_wavelength",
-    "signal_center_wavelength",
-    "pump_coherence_time",
-    "filter_fwhm",
-    "filter_center",
-    "asymmetry_ratio",
-)
-_AXIS_KEYS = ("qr1_axis", "qr2_axis")
 
-
-def _parse_axis(value: str) -> RodAxis:
-    lowered = value.strip().lower()
-    if lowered in ("vertical", "v"):
-        return RodAxis.VERTICAL
-    if lowered in ("horizontal", "h"):
-        return RodAxis.HORIZONTAL
-    raise ConfigurationError(f"rod axis must be 'vertical' or 'horizontal', got {value!r}")
+def _parse_value(key: str, text: str) -> RodAxis | float | int:
+    """The text of a config value, read as the type of its key's field."""
+    kind = CONFIG_KEYS[key][2]
+    if kind is RodAxis:
+        lowered = text.strip().lower()
+        if lowered in ("vertical", "v"):
+            return RodAxis.VERTICAL
+        if lowered in ("horizontal", "h"):
+            return RodAxis.HORIZONTAL
+        raise ConfigurationError(f"rod axis must be 'vertical' or 'horizontal', got {text!r}")
+    try:
+        return kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{key} must be {noun}, got {text!r}") from None
 
 
 def parse_config_file(path: str | Path) -> ExperimentConfig:
@@ -92,44 +83,14 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
             config = preset(value)
             break
 
-    def parse_float(lineno: int, key: str, value: str) -> float:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigurationError(f"{path}:{lineno}: {key} must be a number, got {value!r}") from None
-
     for lineno, key, value in entries:
+        if key == "preset":
+            continue
+        if key not in CONFIG_KEYS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key == "preset":
-                continue
-            elif key in _AXIS_KEYS:
-                config = replace(config, **{key: _parse_axis(value)})
-            elif key in _FLOAT_KEYS_TOP:
-                config = replace(config, **{key: parse_float(lineno, key, value)})
-            elif key in _FLOAT_KEYS_SPECTRAL:
-                config = replace(
-                    config,
-                    spectral=replace(config.spectral, **{key: parse_float(lineno, key, value)}),
-                )
-            elif key == "jsa_model":
-                config = replace(config, spectral=replace(config.spectral, jsa_model=value))
-            elif key == "grid_n":
-                try:
-                    n = int(value)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: grid_n must be an integer, got {value!r}"
-                    ) from None
-                config = replace(config, grid=replace(config.grid, n=n))
-            elif key == "grid_span_sigma":
-                config = replace(
-                    config, grid=replace(config.grid, span_sigma=parse_float(lineno, key, value))
-                )
-            else:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            config = with_value(config, key, _parse_value(key, value))
         except ConfigurationError as exc:
-            if str(exc).startswith(str(path)):
-                raise
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     return config
 

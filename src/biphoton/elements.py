@@ -1,10 +1,12 @@
 """Optical elements as actions on one photon's polarization and timing.
 
 Polarization is the {H, V} basis; each element either adds a
-polarization-dependent group delay (quartz rod, trombone) or mixes / routes
-the basis states (half-wave plate, polarizing beamsplitter, analyzer).
-Common-mode delays are gauged to zero throughout, only delay differences
-are observable in coincidence rates.
+polarization-dependent group delay (quartz rod, trombone) or routes or
+projects the basis states (polarizing beamsplitter, analyzer). The
+half-wave plate of arm 1 sits at 45 deg, where it swaps H and V with
+coefficient 1; ``pathsum`` applies that swap directly. Common-mode delays
+are gauged to zero throughout, only delay differences are observable in
+coincidence rates.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .constants import SPEED_OF_LIGHT_NM_PER_FS
 from .errors import ConfigurationError
 
 
@@ -43,42 +42,28 @@ QUARTZ_REFERENCE_LENGTH_MM = 20.0
 QUARTZ_REFERENCE_DELAY_FS = 630.0
 _DELAY_PER_MM = QUARTZ_REFERENCE_DELAY_FS / QUARTZ_REFERENCE_LENGTH_MM
 
-#: Equivalent group-index difference of the calibration, about 9.44e-3,
-#: consistent with quartz birefringence.
-DEFAULT_GROUP_INDEX_DIFF = (
-    QUARTZ_REFERENCE_DELAY_FS * SPEED_OF_LIGHT_NM_PER_FS / (QUARTZ_REFERENCE_LENGTH_MM * 1e6)
-)
-
 
 @dataclass(frozen=True)
 class QuartzRod:
     """Birefringent rod; length in mm.
 
     axis VERTICAL means H is the fast polarization (V is delayed), axis
-    HORIZONTAL the reverse. length 0 stands for a removed rod. A custom
-    group_index_diff replaces the default calibration.
+    HORIZONTAL the reverse. length 0 stands for a removed rod.
     """
 
     axis: RodAxis
     length: float = 20.0
-    group_index_diff: float | None = None
 
     def __post_init__(self) -> None:
         if self.length < 0:
             raise ConfigurationError(f"rod length must be >= 0 mm, got {self.length}")
-        if self.group_index_diff is not None and self.group_index_diff <= 0:
-            raise ConfigurationError(
-                f"group_index_diff must be positive, got {self.group_index_diff}"
-            )
 
 
 def quartz_group_delay(rod: QuartzRod) -> float:
     """Relative group delay (fs) between slow and fast polarization."""
     if rod.length <= 0:
         raise ConfigurationError(f"group delay needs a positive rod length, got {rod.length} mm")
-    if rod.group_index_diff is None:
-        return rod.length * _DELAY_PER_MM
-    return rod.length * 1e6 * rod.group_index_diff / SPEED_OF_LIGHT_NM_PER_FS
+    return rod.length * _DELAY_PER_MM
 
 
 def rod_delays(rod: QuartzRod) -> tuple[float, float]:
@@ -89,23 +74,6 @@ def rod_delays(rod: QuartzRod) -> tuple[float, float]:
     if rod.axis is RodAxis.VERTICAL:
         return (0.0, delay)
     return (delay, 0.0)
-
-
-def hwp_action(pol: Polarization, angle_deg: float) -> tuple[tuple[Polarization, float], ...]:
-    """Half-wave plate at angle_deg: output components with real coefficients.
-
-    H -> cos(2t) H + sin(2t) V and V -> sin(2t) H - cos(2t) V. Components
-    whose coefficient vanishes (to within 1e-12) are dropped, so at 45 deg
-    the action is the pure flip H <-> V with coefficient +1.
-    """
-    two_theta = np.deg2rad(2.0 * angle_deg)
-    c = float(np.cos(two_theta))
-    s = float(np.sin(two_theta))
-    if pol is Polarization.H:
-        parts = ((Polarization.H, c), (Polarization.V, s))
-    else:
-        parts = ((Polarization.H, s), (Polarization.V, -c))
-    return tuple((p, coeff) for p, coeff in parts if abs(coeff) > 1e-12)
 
 
 def pbs_action(input_arm: int, pol: Polarization) -> tuple[Port, complex]:
@@ -150,20 +118,3 @@ def analyzer_projection(pol: Polarization, theta_deg: float) -> float:
     """
     cos_t, sin_t = cos_sin_deg(theta_deg)
     return cos_t if pol is Polarization.H else sin_t
-
-
-@dataclass(frozen=True)
-class ElementChain:
-    """The fixed interferometer layout.
-
-    Arm 1 holds its rod, then the trombone delay, then the half-wave plate;
-    arm 2 holds only its rod. The two arms meet on the single polarizing
-    beamsplitter, whose ports A and B carry one analyzer each.
-    """
-
-    arm1_rod: QuartzRod
-    arm2_rod: QuartzRod
-    trombone_delay: float
-    hwp_angle: float
-    analyzer_port_a: float
-    analyzer_port_b: float

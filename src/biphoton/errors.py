@@ -14,8 +14,3 @@ class ContractViolation(RuntimeError):
     """An internal numerical contract was broken: mismatched grids,
     unnormalized amplitudes where normalization is required, zero-norm
     inputs to normalized quantities."""
-
-
-class UnsupportedModelError(ContractViolation):
-    """The closed-form reference only covers the double-Gaussian spectral
-    model; any other model name refuses rather than approximates."""

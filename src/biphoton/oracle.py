@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .elements import QuartzRod, cos_sin_deg, rod_delays
-from .errors import ContractViolation, UnsupportedModelError
+from .errors import ContractViolation
 from .spectral import SpectralParams
 
 if TYPE_CHECKING:
@@ -51,13 +51,6 @@ class OracleTerms:
     @property
     def baseline(self) -> float:
         return self.rr_weight + self.tt_weight
-
-
-def _require_gaussian(params: SpectralParams) -> None:
-    if params.jsa_model != "gaussian":
-        raise UnsupportedModelError(
-            f"the closed form covers only the 'gaussian' model, got {params.jsa_model!r}"
-        )
 
 
 def _coefficients(config: "ExperimentConfig") -> tuple[complex, complex]:
@@ -119,7 +112,6 @@ def _cross_factor(params: SpectralParams, delta_a: float, delta_b: float) -> flo
 
 
 def oracle_terms(config: "ExperimentConfig", d: float) -> OracleTerms:
-    _require_gaussian(config.spectral)
     c_rr, c_tt = _coefficients(config)
     delta_a, delta_b = _delay_differences(config, d)
     overlap = _cross_factor(config.spectral, delta_a, delta_b)
@@ -150,7 +142,6 @@ def oracle_visibility(config: "ExperimentConfig") -> float:
     2 |c_rr c_tt| G(d*) / (|c_rr|^2 + |c_tt|^2) at the extremal delay d*;
     for balanced coefficients this is G(d*) itself.
     """
-    _require_gaussian(config.spectral)
     c_rr, c_tt = _coefficients(config)
     baseline = _weight(c_rr) + _weight(c_tt)
     if baseline == 0.0:

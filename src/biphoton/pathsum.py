@@ -1,7 +1,8 @@
 """Two-photon path enumeration and the coincidence amplitude on the grid.
 
 A coincidence needs one photon at each beamsplitter output. With the
-half-wave plate flipping every photon in arm 1, each source term routes to
+half-wave plate at 45 deg flipping every photon in arm 1 (H <-> V with
+coefficient 1), each source term routes to
 exactly one coincidence path: either both photons reflect (label ``rr``) or
 both transmit (``tt``). The coincidence amplitude is indexed by output port,
 
@@ -22,8 +23,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elements import Polarization, Port, analyzer_projection, hwp_action, pbs_action, rod_delays
-from .errors import ConfigurationError, ContractViolation
+from .elements import (
+    Polarization,
+    Port,
+    QuartzRod,
+    analyzer_projection,
+    pbs_action,
+    rod_delays,
+)
+from .errors import ContractViolation
 from .spectral import FrequencyGrid, JointSpectralAmplitude
 
 if TYPE_CHECKING:
@@ -89,27 +97,23 @@ class CoincidenceAmplitude:
         self.values.setflags(write=False)
 
 
-def enumerate_paths(config: "ExperimentConfig") -> tuple[PathAmplitude, ...]:
-    """The coincidence paths of a configuration, in fixed source-term order.
+def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmplitude, ...]:
+    """The coincidence paths of a configuration at trombone delay d (fs),
+    in fixed source-term order.
 
     Terms whose photons leave through the same port produce no coincidence
     and are skipped; so are paths whose analyzer projections kill the
     coefficient outright. An empty result is a valid outcome, not an error.
     """
-    chain = config.element_chain()
-    if chain.hwp_angle != 45.0:
-        raise ConfigurationError(
-            f"path enumeration requires the half-wave plate at 45 deg, got {chain.hwp_angle}"
-        )
-    rod1_h, rod1_v = rod_delays(chain.arm1_rod)
-    rod2_h, rod2_v = rod_delays(chain.arm2_rod)
+    rod1_h, rod1_v = rod_delays(QuartzRod(config.qr1_axis, config.rod_length))
+    rod2_h, rod2_v = rod_delays(QuartzRod(config.qr2_axis, config.rod_length))
 
     paths = []
     for term in PairState(config.pair_phase).terms:
-        # Arm 1: rod delay by the source polarization, trombone, then HWP.
-        delay1 = (rod1_h if term.pol1 is Polarization.H else rod1_v) + chain.trombone_delay
-        flipped = hwp_action(term.pol1, chain.hwp_angle)
-        (pol1_out, hwp_coeff), = flipped
+        # Arm 1: rod delay by the source polarization, trombone, then the
+        # half-wave plate, which swaps H and V with coefficient 1.
+        delay1 = (rod1_h if term.pol1 is Polarization.H else rod1_v) + d
+        pol1_out = Polarization.V if term.pol1 is Polarization.H else Polarization.H
         port1, pbs1 = pbs_action(1, pol1_out)
 
         # Arm 2: rod only.
@@ -133,11 +137,10 @@ def enumerate_paths(config: "ExperimentConfig") -> tuple[PathAmplitude, ...]:
 
         coefficient = (
             term.amplitude
-            * hwp_coeff
             * pbs1
             * pbs2
-            * analyzer_projection(pol_a, chain.analyzer_port_a)
-            * analyzer_projection(pol_b, chain.analyzer_port_b)
+            * analyzer_projection(pol_a, config.analyzer_port_a)
+            * analyzer_projection(pol_b, config.analyzer_port_b)
         )
         if coefficient == 0:
             continue

@@ -13,10 +13,9 @@ generous wings for baseline estimation; it is not a measured quantity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields, is_dataclass, replace
 
-from .elements import ElementChain, QuartzRod, RodAxis
+from .elements import RodAxis
 from .errors import ConfigurationError, ContractViolation
 from .scan import (
     DEFAULT_SCAN_MAX,
@@ -40,29 +39,27 @@ class GridSpec:
 class ExperimentConfig:
     """Full interferometer description.
 
-    Units: rod_length in mm, angles in degrees, trombone_delay in fs,
-    pair_phase in radians. Defaults are the reference setup: 20 mm rods,
-    half-wave plate at 45 deg, both analyzers at 45 deg, 120 fs pump
-    coherence, 20 nm filters at 780 nm from a 390 nm pump.
+    Units: rod_length in mm, analyzer angles in degrees, pair_phase in
+    radians. The half-wave plate of arm 1 is fixed at 45 deg, and the
+    trombone delay is not part of the configuration: scans and rates take
+    it as an argument. Defaults are the reference setup: 20 mm rods, both
+    analyzers at 45 deg, 120 fs pump coherence, 20 nm filters at 780 nm.
     """
 
     qr1_axis: RodAxis = RodAxis.VERTICAL
     qr2_axis: RodAxis = RodAxis.VERTICAL
     rod_length: float = 20.0
-    hwp_angle: float = 45.0
     analyzer1: float = 45.0
     analyzer2: float = 45.0
-    trombone_delay: float = 0.0
     pair_phase: float = 0.0
     spectral: SpectralParams = SpectralParams()
     grid: GridSpec = GridSpec()
 
     def __post_init__(self) -> None:
-        for name in ("rod_length", "hwp_angle", "analyzer1", "analyzer2",
-                     "trombone_delay", "pair_phase"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.rod_length < 0:
             raise ConfigurationError(f"rod_length must be >= 0 mm, got {self.rod_length}")
 
@@ -75,16 +72,6 @@ class ExperimentConfig:
     def analyzer_port_b(self) -> float:
         """Analyzer angle at port B, which feeds detector D1."""
         return self.analyzer1
-
-    def element_chain(self) -> ElementChain:
-        return ElementChain(
-            arm1_rod=QuartzRod(self.qr1_axis, self.rod_length),
-            arm2_rod=QuartzRod(self.qr2_axis, self.rod_length),
-            trombone_delay=self.trombone_delay,
-            hwp_angle=self.hwp_angle,
-            analyzer_port_a=self.analyzer_port_a,
-            analyzer_port_b=self.analyzer_port_b,
-        )
 
     def frequency_grid(self) -> FrequencyGrid:
         return auto_grid(self.spectral, self.grid.n, self.grid.span_sigma)
@@ -123,30 +110,42 @@ def preset(name: str) -> ExperimentConfig:
         ) from None
 
 
-def _set_spectral(field_name: str) -> Callable[[ExperimentConfig, float], ExperimentConfig]:
-    def setter(config: ExperimentConfig, value: float) -> ExperimentConfig:
-        return replace(config, spectral=replace(config.spectral, **{field_name: value}))
+def _config_keys() -> dict[str, tuple[str | None, str, type]]:
+    """The keys of ExperimentConfig's own fields, of its SpectralParams and,
+    prefixed ``grid_``, of its GridSpec, each mapped to (the field that
+    holds the nested dataclass or None, the field name, the value type)."""
+    default = ExperimentConfig()
+    groups = (
+        (None, default, ""),
+        ("spectral", default.spectral, ""),
+        ("grid", default.grid, "grid_"),
+    )
+    return {
+        prefix + f.name: (group, f.name, type(getattr(owner, f.name)))
+        for group, owner, prefix in groups
+        for f in fields(owner)
+        if not is_dataclass(getattr(owner, f.name))
+    }
 
-    return setter
+
+#: Every settable configuration value, as read from the dataclass fields.
+CONFIG_KEYS = _config_keys()
+
+#: The keys a sweep may vary: every real-valued key outside the grid.
+SWEEP_AXES = tuple(
+    key for key, (group, _, kind) in CONFIG_KEYS.items() if kind is float and group != "grid"
+)
 
 
-def _set_top(field_name: str) -> Callable[[ExperimentConfig, float], ExperimentConfig]:
-    def setter(config: ExperimentConfig, value: float) -> ExperimentConfig:
-        return replace(config, **{field_name: value})
-
-    return setter
-
-
-SWEEP_AXES: dict[str, Callable[[ExperimentConfig, float], ExperimentConfig]] = {
-    "asymmetry_ratio": _set_spectral("asymmetry_ratio"),
-    "pump_coherence_time": _set_spectral("pump_coherence_time"),
-    "filter_fwhm": _set_spectral("filter_fwhm"),
-    "filter_center": _set_spectral("filter_center"),
-    "rod_length": _set_top("rod_length"),
-    "pair_phase": _set_top("pair_phase"),
-    "analyzer1": _set_top("analyzer1"),
-    "analyzer2": _set_top("analyzer2"),
-}
+def with_value(config: ExperimentConfig, key: str, value) -> ExperimentConfig:
+    """``config`` with the value of one config key replaced."""
+    try:
+        group, name, _ = CONFIG_KEYS[key]
+    except KeyError:
+        raise ConfigurationError(f"unknown key {key!r}") from None
+    if group is None:
+        return replace(config, **{name: value})
+    return replace(config, **{group: replace(getattr(config, group), **{name: value})})
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     The package's own errors name the row they came from; any other
     exception propagates unchanged.
     """
-    setter = SWEEP_AXES[spec.axis]
     rows = []
     for index, value in enumerate(spec.values):
         try:
-            config = setter(spec.base, value)
+            config = with_value(spec.base, spec.axis, value)
             result = scan_delay(config, spec.d_min, spec.d_max, spec.steps)
         except (ConfigurationError, ContractViolation) as exc:
             raise type(exc)(f"sweep row {index} ({spec.axis}={value}): {exc}") from exc
@@ -203,27 +201,3 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             )
         )
     return rows
-
-
-def pump_coherence_sweep(
-    base: ExperimentConfig | None = None,
-    values: Sequence[float] = (),
-    steps: int = DEFAULT_SCAN_STEPS,
-) -> list[float]:
-    """Scan visibility versus pump coherence time (fs), ascending values.
-
-    On the mixed-rod geometry this traces the recovery of interference as
-    the pump pulse outlives the rod group delay and stops timestamping the
-    pair emission.
-    """
-    if base is None:
-        base = preset("fig4c")
-    values = tuple(values)
-    if not values:
-        raise ConfigurationError("pump_coherence_sweep needs at least one value")
-    if any(v <= 0 for v in values):
-        raise ConfigurationError("pump coherence times must be positive")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigurationError("pump coherence times must be strictly ascending")
-    spec = SweepSpec(base=base, axis="pump_coherence_time", values=values, steps=steps)
-    return [row.visibility for row in run_sweep(spec)]

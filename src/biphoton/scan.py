@@ -38,7 +38,7 @@ multiples of 45 deg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -227,14 +227,6 @@ class RateKernel:
         return total
 
 
-def _paths_at(config: "ExperimentConfig", d: float) -> tuple[PathAmplitude, ...]:
-    return enumerate_paths(replace(config, trombone_delay=float(d)))
-
-
-def _config_jsa(config: "ExperimentConfig") -> JointSpectralAmplitude:
-    return build_jsa(config.spectral, config.frequency_grid())
-
-
 def _check_alias(
     config: "ExperimentConfig",
     paths: Sequence[PathAmplitude],
@@ -295,7 +287,7 @@ def _checked_inputs(
     """The paths at d = 0 and the amplitude for trombone delays in
     [d_min, d_max]; the delays are checked against aliasing before the
     amplitude is built."""
-    paths = _paths_at(config, 0.0)
+    paths = enumerate_paths(config)
     grid = config.frequency_grid() if jsa is None else jsa.grid
     _check_alias(config, paths, 2.0 * math.pi / grid.weight, d_min, d_max)
     if jsa is None:
@@ -475,6 +467,35 @@ def time_joint_density(amp: CoincidenceAmplitude) -> TimeJointDensity:
     return TimeJointDensity(times=times, density=density, mean_a=mean_a, mean_b=mean_b, total=total)
 
 
+def _check_time_window(
+    config: "ExperimentConfig", paths: Sequence[PathAmplitude], half_window: float
+) -> None:
+    """Refuse paths whose arrival times would wrap around the time window.
+
+    The transform of a grid of spacing h places a path at (D_a, D_b) in the
+    periodic window [-pi/h, pi/h) and wraps whatever lies beyond. For the
+    Gaussian model each port's marginal density falls off as
+    exp(-(t - D)^2 / w^2) with w^2 = tau_p^2 + 1 / (2 sigma^2), sigma that of
+    the photon at the port: the pump width enters along t_a + t_b and so
+    reaches both ports. A path passes when each port delay stays
+    DEFAULT_WING_FACTOR times w inside the window, so that less than 1.1e-5
+    of its density (erfc(3) / 2) wraps.
+    """
+    spectral = config.spectral
+    tau2 = spectral.pump_coherence_time**2
+    sigmas = (spectral.sigma1, spectral.sigma2)
+    for p in paths:
+        # A swapped path has the photon of arm 1 at port B.
+        for delay, sigma in zip((p.delay_a, p.delay_b), sigmas[::-1] if p.swapped else sigmas):
+            reach = abs(delay) + DEFAULT_WING_FACTOR * math.sqrt(tau2 + 0.5 / sigma**2)
+            if not reach < half_window:
+                raise ConfigurationError(
+                    f"arrival times of path {p.label} reach {reach:.6g} fs, past the time "
+                    f"window of +-{half_window:.6g} fs on this grid; shorten the delays or "
+                    "the rods, or raise grid_n"
+                )
+
+
 def arrival_time_joint(
     config: "ExperimentConfig", d: float, jsa: JointSpectralAmplitude | None = None
 ) -> TimeJointDensity:
@@ -482,16 +503,20 @@ def arrival_time_joint(
 
     The marginal means locate each detector's photon in time; their
     difference reveals which detector fires first, independently of whether
-    the rate curve shows interference.
+    the rate curve shows interference. Delays whose arrival times would
+    wrap around the time window of the grid are refused before anything is
+    built.
     """
-    if jsa is None:
-        jsa = _config_jsa(config)
-    if jsa.grid.n < 128:
+    grid = config.frequency_grid() if jsa is None else jsa.grid
+    if grid.n < 128:
         raise ConfigurationError(
-            f"arrival-time diagnostics need grid n >= 128, got {jsa.grid.n}"
+            f"arrival-time diagnostics need grid n >= 128, got {grid.n}"
         )
-    amp = assemble_amplitude(_paths_at(config, d), jsa)
-    return time_joint_density(amp)
+    paths = enumerate_paths(config, d)
+    _check_time_window(config, paths, math.pi / grid.weight)
+    if jsa is None:
+        jsa = build_jsa(config.spectral, grid)
+    return time_joint_density(assemble_amplitude(paths, jsa))
 
 
 def refine_check(config: "ExperimentConfig", d: float) -> float:
@@ -507,5 +532,5 @@ def refine_check(config: "ExperimentConfig", d: float) -> float:
     fine = _construct_grid(config.spectral, 2 * grid.n, grid.span_sigma)
     coarse_rate = coincidence_rate(config, d, jsa=build_jsa(config.spectral, grid))
     fine_rate = coincidence_rate(config, d, jsa=build_jsa(config.spectral, fine))
-    scale = sum(abs(p.coefficient) ** 2 for p in _paths_at(config, d))
+    scale = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config, d))
     return abs(coarse_rate - fine_rate) / max(fine_rate, 1e-6 * scale, 1e-30)

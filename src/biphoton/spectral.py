@@ -22,15 +22,12 @@ analytically integrable, which is what makes the closed-form reference in
 from __future__ import annotations
 
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT_NM_PER_FS
 from .errors import ConfigurationError, ContractViolation
-
-GRID_ENV_VAR = "BIPHOTON_GRID_N"
 
 _MIN_GRID_N = 64
 _MAX_GRID_N = 8192
@@ -68,34 +65,24 @@ def sigma_from_coherence_time(t_c: float) -> float:
 class SpectralParams:
     """Spectral description of the pump, the pair and the detection filters.
 
-    pump_center_wavelength / signal_center_wavelength are in nm,
     pump_coherence_time in fs, filter_fwhm / filter_center in nm.
     asymmetry_ratio scales the two photons' marginal widths as
     sigma1 = ratio * sigma_f and sigma2 = sigma_f / ratio, a one-parameter
     handle on the spectral distinction between the two rays; 1 means the
-    pair is exchange symmetric.
+    pair is exchange symmetric. Rates depend on detunings only, so the
+    optical center frequencies do not enter.
     """
 
-    pump_center_wavelength: float = 390.0
-    signal_center_wavelength: float = 780.0
     pump_coherence_time: float = 120.0
     filter_fwhm: float = 20.0
     filter_center: float = 780.0
     asymmetry_ratio: float = 1.0
-    jsa_model: str = "gaussian"
 
     def __post_init__(self) -> None:
-        for name in (
-            "pump_center_wavelength",
-            "signal_center_wavelength",
-            "pump_coherence_time",
-            "filter_fwhm",
-            "filter_center",
-            "asymmetry_ratio",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+                raise ConfigurationError(f"{f.name} must be positive and finite, got {value}")
         # Finite inputs can still give widths that underflow to 0 or overflow
         # to inf once squared, which would divide by zero downstream.
         try:
@@ -104,13 +91,12 @@ class SpectralParams:
                 4.0 * self.sigma2**2,
                 interference_width(self),
                 pump_ridge_sigma(self),
-                self.signal_center_frequency,
             )
         except ArithmeticError:
             derived = (math.nan,)
         if not all(x > 0 and math.isfinite(x) for x in derived):
             raise ConfigurationError(
-                "spectral parameters out of range: a derived width or frequency "
+                "spectral parameters out of range: a derived width "
                 f"underflows to 0 or overflows to inf in {self!r}"
             )
 
@@ -136,10 +122,6 @@ class SpectralParams:
         the support, so it does not enter the span requirement."""
         return max(self.sigma1, self.sigma2)
 
-    @property
-    def signal_center_frequency(self) -> float:
-        return 2.0 * math.pi * SPEED_OF_LIGHT_NM_PER_FS / self.signal_center_wavelength
-
 
 @dataclass(frozen=True)
 class FrequencyGrid:
@@ -149,7 +131,6 @@ class FrequencyGrid:
     zero; weight is the uniform quadrature weight (the spacing).
     """
 
-    center: float
     span_sigma: float
     n: int
     points: np.ndarray = field(repr=False)
@@ -170,13 +151,7 @@ def _construct_grid(params: SpectralParams, n: int, span_sigma: float) -> Freque
     half = span_sigma * params.sigma_max
     points = np.linspace(-half, half, n)
     weight = 2.0 * half / (n - 1)
-    return FrequencyGrid(
-        center=params.signal_center_frequency,
-        span_sigma=span_sigma,
-        n=n,
-        points=points,
-        weight=weight,
-    )
+    return FrequencyGrid(span_sigma=span_sigma, n=n, points=points, weight=weight)
 
 
 def _check_grid_request(n: int, span_sigma: float) -> None:
@@ -202,24 +177,6 @@ def pump_ridge_sigma(params: SpectralParams) -> float:
     return 1.0 / math.sqrt(2.0 * params.pump_coherence_time**2 + s)
 
 
-def grid_override_n() -> int | None:
-    """Grid size forced through the environment, for testing only.
-
-    The override bypasses validation and automatic refinement so that
-    deliberately broken resolutions can be exercised end to end.
-    """
-    raw = os.environ.get(GRID_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"{GRID_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if n < 2:
-        raise ConfigurationError(f"{GRID_ENV_VAR} must be >= 2, got {n}")
-    return n
-
-
 def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> FrequencyGrid:
     """Grid used by the engine: the requested size, raised to the next power
     of two whenever the pump ridge would otherwise be undersampled.
@@ -228,10 +185,6 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
     anti-diagonal ridge; sampling it coarser than its width aliases the
     rates. The requested n acts as a floor, never a ceiling.
     """
-    forced = grid_override_n()
-    if forced is not None:
-        return _construct_grid(params, forced, span_sigma)
-
     _check_grid_request(n, span_sigma)
 
     max_spacing = _RIDGE_SAMPLING_FACTOR * pump_ridge_sigma(params)
@@ -294,9 +247,7 @@ def normalize(jsa: JointSpectralAmplitude) -> JointSpectralAmplitude:
     return JointSpectralAmplitude(grid=jsa.grid, values=jsa.values / norm)
 
 
-def gaussian_jsa(
-    params: SpectralParams, grid: FrequencyGrid | None = None
-) -> JointSpectralAmplitude:
+def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> JointSpectralAmplitude:
     """Double-Gaussian joint spectral amplitude, normalized to unit L2 norm.
 
     f(nu1, nu2) = N * exp(-(nu1+nu2)^2 tau_p^2 / 2)
@@ -329,13 +280,6 @@ def gaussian_jsa(
     values *= np.lib.stride_tricks.sliding_window_view(pump, grid.n)
     values /= _unit_scale(values, grid.weight)
     return JointSpectralAmplitude(grid=grid, values=values)
-
-
-def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> JointSpectralAmplitude:
-    """Model dispatch; only the double-Gaussian model exists."""
-    if params.jsa_model != "gaussian":
-        raise ConfigurationError(f"unknown jsa_model {params.jsa_model!r}; supported: 'gaussian'")
-    return gaussian_jsa(params, grid)
 
 
 def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:

@@ -16,11 +16,10 @@ import numpy as np
 
 from .elements import QuartzRod, RodAxis, quartz_group_delay
 from .oracle import oracle_rate
-from .pathsum import assemble_amplitude, path_overlap
+from .pathsum import assemble_amplitude, enumerate_paths, path_overlap
 from .presets import PRESET_NAMES, ExperimentConfig, preset
 from .scan import (
     RateKernel,
-    _paths_at,
     amplitude_rate,
     arrival_time_joint,
     coincidence_rate,
@@ -97,7 +96,7 @@ def check_parseval() -> CheckResult:
     for name, d in (("fig3a_peak", 0.0), ("fig3a_dip", 300.0), ("fig4c", 0.0)):
         config = preset(name)
         jsa = build_jsa(config.spectral, config.frequency_grid())
-        amp = assemble_amplitude(_paths_at(config, d), jsa)
+        amp = assemble_amplitude(enumerate_paths(config, d), jsa)
         rate = amplitude_rate(amp)
         density = time_joint_density(amp)
         worst = max(worst, abs(density.total - rate) / max(rate, 1e-12))
@@ -117,7 +116,7 @@ def check_outcome_completeness() -> CheckResult:
         for offset1 in (0.0, 90.0):
             for offset2 in (0.0, 90.0):
                 config = replace(base, analyzer1=theta1 + offset1, analyzer2=theta2 + offset2)
-                totals += kernel.rate(_paths_at(config, 0.0), delays)
+                totals += kernel.rate(enumerate_paths(config), delays)
         mean = float(totals.mean())
         worst = max(worst, float(np.abs(totals - mean).max()) / mean)
     return CheckResult("outcome_completeness", worst < 1e-6, worst, 1e-6)
@@ -129,7 +128,7 @@ def check_dip_peak_complementarity() -> CheckResult:
     peak = preset("fig3a_peak")
     jsa = build_jsa(dip.spectral, dip.frequency_grid())
     kernel = RateKernel(jsa)
-    totals = kernel.rate(_paths_at(dip, 0.0), delays) + kernel.rate(_paths_at(peak, 0.0), delays)
+    totals = kernel.rate(enumerate_paths(dip), delays) + kernel.rate(enumerate_paths(peak), delays)
     mean = float(totals.mean())
     worst = float(np.abs(totals - mean).max()) / mean
     return CheckResult("dip_peak_complementarity", worst < 1e-6, worst, 1e-6)
@@ -146,7 +145,7 @@ def check_visibility_overlap_identity() -> CheckResult:
         )
         jsa = build_jsa(config.spectral, config.frequency_grid())
         result = scan_delay(config, jsa=jsa)
-        overlap = abs(path_overlap(_paths_at(config, 0.0), jsa))
+        overlap = abs(path_overlap(enumerate_paths(config), jsa))
         worst = max(worst, abs(result.visibility - overlap))
     return CheckResult("visibility_overlap_identity", worst < 1e-6, worst, 1e-6)
 
@@ -191,7 +190,7 @@ def check_engine_oracle_lattice() -> CheckResult:
             kernel = RateKernel(jsa)
             for name in PRESET_NAMES:
                 config = replace(preset(name), spectral=spectral)
-                rates = kernel.rate(_paths_at(config, 0.0), delays)
+                rates = kernel.rate(enumerate_paths(config), delays)
                 for d, engine in zip(delays, rates):
                     reference = oracle_rate(config, d)
                     delta = abs(engine - reference) / max(reference, 1e-12)

@@ -1,6 +1,6 @@
 import pytest
 
-from biphoton import SpectralParams, gaussian_jsa, preset
+from biphoton import SpectralParams, build_jsa, preset
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +10,7 @@ def default_params():
 
 @pytest.fixture(scope="session")
 def default_jsa(default_params):
-    return gaussian_jsa(default_params)
+    return build_jsa(default_params)
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from biphoton.cli import main, parse_config_file
 from biphoton.elements import RodAxis
-from biphoton.presets import PRESET_NAMES
+from biphoton.presets import CONFIG_KEYS, PRESET_NAMES
 
 # Default outputs pinned byte for byte: a change that moves any of them
 # changes what users get from the documented commands.
@@ -158,18 +158,13 @@ class TestConfigFile:
             "qr1_axis = vertical\n"
             "qr2_axis = horizontal\n"
             "rod_length = 10\n"
-            "hwp_angle = 45\n"
             "analyzer1 = 45\n"
             "analyzer2 = -45\n"
-            "trombone_delay = 25\n"
             "pair_phase = 0.5\n"
-            "pump_center_wavelength = 390\n"
-            "signal_center_wavelength = 780\n"
             "pump_coherence_time = 130\n"
             "filter_fwhm = 10\n"
             "filter_center = 780\n"
             "asymmetry_ratio = 1.2\n"
-            "jsa_model = gaussian\n"
             "grid_n = 512\n"
             "grid_span_sigma = 7\n",
         )
@@ -177,7 +172,6 @@ class TestConfigFile:
         assert config.qr1_axis is RodAxis.VERTICAL
         assert config.qr2_axis is RodAxis.HORIZONTAL
         assert config.rod_length == 10.0
-        assert config.trombone_delay == 25.0
         assert config.pair_phase == 0.5
         assert config.spectral.pump_coherence_time == 130.0
         assert config.spectral.filter_fwhm == 10.0
@@ -185,12 +179,30 @@ class TestConfigFile:
         assert config.grid.n == 512
         assert config.grid.span_sigma == 7.0
 
-    def test_unknown_key_exits_2_with_line(self, tmp_path, capsys):
-        path = self.write(tmp_path, "rod_length = 20\nbogus_key = 1\n")
+    # The removed keys did nothing: the trombone delay is scanned, the
+    # half-wave plate sits at 45 deg, rates depend on detunings only, and
+    # the Gaussian is the one spectral model.
+    @pytest.mark.parametrize("key", [
+        "bogus_key",
+        "trombone_delay",
+        "hwp_angle",
+        "pump_center_wavelength",
+        "signal_center_wavelength",
+        "jsa_model",
+    ])
+    def test_unknown_key_exits_2_with_line(self, tmp_path, capsys, key):
+        path = self.write(tmp_path, f"rod_length = 20\n{key} = 1\n")
         code, _, stderr = run_cli(capsys, "run", "--config", str(path))
         assert code == 2
         assert ":2:" in stderr
-        assert "bogus_key" in stderr
+        assert key in stderr
+
+    def test_readme_lists_exactly_the_config_keys(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+        rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("|")]
+        listed = [key.strip() for row in rows[2:] for key in row.split(",")]
+        assert sorted(listed) == sorted([*CONFIG_KEYS, "preset"])
 
     def test_bad_number_exits_2(self, tmp_path, capsys):
         path = self.write(tmp_path, "rod_length = twenty\n")
@@ -253,7 +265,11 @@ class TestSweep:
             capsys, "sweep", "fig3a_dip", "--axis", "bogus", "--values", "1,2"
         )
         assert code == 2
-        assert "axis" in stderr
+        assert stderr == (
+            "error: unknown sweep axis 'bogus'; valid axes: analyzer1, analyzer2, "
+            "asymmetry_ratio, filter_center, filter_fwhm, pair_phase, "
+            "pump_coherence_time, rod_length\n"
+        )
 
     def test_aliased_row_exits_2_with_its_index(self, tmp_path, capsys):
         code, _, stderr = run_cli(
@@ -289,7 +305,13 @@ class TestVerify:
         assert "verdict=pass" in out1
 
     def test_forced_coarse_grid_fails_convergence(self, capsys, monkeypatch):
-        monkeypatch.setenv("BIPHOTON_GRID_N", "16")
+        import biphoton.presets as presets_module
+        from biphoton.spectral import _construct_grid
+
+        def coarse(params, n=256, span_sigma=6.0):
+            return _construct_grid(params, 16, span_sigma)
+
+        monkeypatch.setattr(presets_module, "auto_grid", coarse)
         code, stdout, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "check=grid_refinement status=FAIL" in stdout

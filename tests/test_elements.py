@@ -1,4 +1,4 @@
-"""Element actions: rod delays, wave plate, beamsplitter, analyzers."""
+"""Element actions: rod delays, beamsplitter, analyzers."""
 
 import math
 
@@ -12,7 +12,6 @@ from biphoton import (
     QuartzRod,
     RodAxis,
     analyzer_projection,
-    hwp_action,
     pbs_action,
     quartz_group_delay,
     rod_delays,
@@ -37,10 +36,6 @@ class TestQuartzDelay:
         with pytest.raises(ConfigurationError):
             QuartzRod(RodAxis.VERTICAL, -5.0)
 
-    def test_custom_group_index(self):
-        rod = QuartzRod(RodAxis.VERTICAL, 20.0, group_index_diff=9.443462427e-3)
-        assert quartz_group_delay(rod) == pytest.approx(630.0, rel=1e-9)
-
 
 class TestRodDelays:
     def test_vertical_axis_delays_v(self):
@@ -56,26 +51,6 @@ class TestRodDelays:
 
     def test_removed_rod(self):
         assert rod_delays(QuartzRod(RodAxis.VERTICAL, 0.0)) == (0.0, 0.0)
-
-
-class TestHalfWavePlate:
-    def test_flip_at_45(self):
-        assert hwp_action(H, 45.0) == ((V, 1.0),)
-        assert hwp_action(V, 45.0) == ((H, 1.0),)
-
-    def test_identity_axis(self):
-        assert hwp_action(H, 0.0) == ((H, 1.0),)
-
-    def test_general_angle_splits(self):
-        parts = dict(hwp_action(H, 22.5))
-        assert parts[H] == pytest.approx(math.cos(math.pi / 4))
-        assert parts[V] == pytest.approx(math.sin(math.pi / 4))
-
-    @pytest.mark.parametrize("angle", [0.0, 10.0, 22.5, 45.0, 77.0])
-    @pytest.mark.parametrize("pol", [H, V])
-    def test_unitary(self, pol, angle):
-        total = sum(c**2 for _, c in hwp_action(pol, angle))
-        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestPolarizingBeamsplitter:

@@ -9,10 +9,9 @@ import pytest
 from biphoton import (
     ContractViolation,
     SpectralParams,
-    UnsupportedModelError,
+    build_jsa,
     coincidence_rate,
     enumerate_paths,
-    gaussian_jsa,
     jsa_swap_distance,
     oracle_rate,
     oracle_terms,
@@ -39,7 +38,7 @@ def brute_force_rate(config, d, n=1601, span=9.0):
     f = f / math.sqrt(norm)
 
     total = np.zeros((n, n), dtype=complex)
-    for path in enumerate_paths(replace(config, trombone_delay=float(d))):
+    for path in enumerate_paths(config, d):
         base = f.T if path.swapped else f
         phases = np.exp(1j * (n1 * path.delay_a + n2 * path.delay_b))
         total = total + path.coefficient * base * phases
@@ -106,7 +105,7 @@ class TestOracleVisibility:
     def test_asymmetry_matches_swap_distance_and_overlap(self):
         config = replace(preset("fig3a_dip"), spectral=SpectralParams(asymmetry_ratio=2.0))
         v = oracle_visibility(config)
-        jsa = gaussian_jsa(config.spectral)
+        jsa = build_jsa(config.spectral)
         assert v == pytest.approx(1.0 - jsa_swap_distance(jsa), abs=1e-8)
         assert v == pytest.approx(abs(path_overlap(enumerate_paths(config), jsa)), abs=1e-9)
 
@@ -119,15 +118,6 @@ class TestOracleVisibility:
         assert terms.rr_weight == 0.0
         assert terms.cross == 0.0
         assert terms.tt_weight == pytest.approx(0.5, rel=1e-12)
-
-
-class TestModelGate:
-    def test_oracle_refuses_other_models(self, fig3a_dip):
-        config = replace(fig3a_dip, spectral=SpectralParams(jsa_model="sech"))
-        with pytest.raises(UnsupportedModelError):
-            oracle_rate(config, 0.0)
-        with pytest.raises(UnsupportedModelError):
-            oracle_visibility(config)
 
 
 def test_engine_matches_oracle_on_asymmetric_jsa():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from biphoton import (
-    ConfigurationError,
     ContractViolation,
     PairState,
     PathAmplitude,
@@ -15,8 +14,8 @@ from biphoton import (
     amplitude_rate,
     assemble_amplitude,
     build_grid,
+    build_jsa,
     enumerate_paths,
-    gaussian_jsa,
     path_overlap,
     preset,
 )
@@ -52,7 +51,7 @@ class TestEnumeratePaths:
         assert (tt.delay_a, tt.delay_b, tt.swapped) == (0.0, 630.0, True)
 
     def test_trombone_delay_enters_arm_one(self, fig3a_dip):
-        rr, tt = enumerate_paths(replace(fig3a_dip, trombone_delay=100.0))
+        rr, tt = enumerate_paths(fig3a_dip, 100.0)
         assert (rr.delay_a, rr.delay_b) == (100.0, 630.0)
         assert (tt.delay_a, tt.delay_b) == (0.0, 730.0)
 
@@ -97,10 +96,6 @@ class TestEnumeratePaths:
         assert (rr.delay_a, rr.delay_b) == (0.0, 0.0)
         assert (tt.delay_a, tt.delay_b) == (630.0, 630.0)
 
-    def test_requires_hwp_at_45(self, fig3a_dip):
-        with pytest.raises(ConfigurationError):
-            enumerate_paths(replace(fig3a_dip, hwp_angle=0.0))
-
 
 class TestAssemble:
     def test_single_path_rate(self, fig3a_dip, default_jsa):
@@ -132,7 +127,7 @@ class TestPathOverlap:
 
     def test_pump_clock_suppresses_overlap(self):
         config = preset("fig4c")
-        overlap = path_overlap(enumerate_paths(config), gaussian_jsa(config.spectral))
+        overlap = path_overlap(enumerate_paths(config), build_jsa(config.spectral))
         assert abs(overlap) < 0.02
 
     def test_identical_paths_overlap_exactly_one(self, default_jsa):

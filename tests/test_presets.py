@@ -14,22 +14,18 @@ from biphoton import (
     SpectralParams,
     SweepSpec,
     preset,
-    pump_coherence_sweep,
     run_sweep,
     scan_delay,
 )
+from biphoton.presets import CONFIG_KEYS, with_value
 
 
 class TestPresetFidelity:
     def test_defaults_are_the_reference_setup(self):
         config = ExperimentConfig()
         assert config.rod_length == 20.0
-        assert config.hwp_angle == 45.0
         assert (config.analyzer1, config.analyzer2) == (45.0, 45.0)
-        assert config.trombone_delay == 0.0
         assert config.pair_phase == 0.0
-        assert config.spectral.pump_center_wavelength == 390.0
-        assert config.spectral.signal_center_wavelength == 780.0
         assert config.spectral.pump_coherence_time == 120.0
         assert config.spectral.filter_fwhm == 20.0
         assert config.spectral.filter_center == 780.0
@@ -69,24 +65,35 @@ class TestPresetScans:
         assert scan_delay(rotated, steps=31).kind == "flat"
 
 
-class TestPumpCoherenceSweep:
-    def test_monotone_recovery(self):
-        values = (60.0, 120.0, 630.0, 6300.0)
-        visibilities = pump_coherence_sweep(values=values, steps=51)
+class TestConfigKeys:
+    def test_keys_come_from_the_dataclass_fields(self):
+        assert list(CONFIG_KEYS)[:2] == ["qr1_axis", "qr2_axis"]
+        assert CONFIG_KEYS["filter_fwhm"] == ("spectral", "filter_fwhm", float)
+        assert CONFIG_KEYS["grid_n"] == ("grid", "n", int)
+
+    def test_with_value_sets_each_level(self):
+        config = preset("fig4c")
+        assert with_value(config, "analyzer2", -45.0) == replace(config, analyzer2=-45.0)
+        assert with_value(config, "asymmetry_ratio", 2.0).spectral == SpectralParams(
+            asymmetry_ratio=2.0
+        )
+        assert with_value(config, "grid_n", 512).grid == GridSpec(n=512)
+
+    @pytest.mark.parametrize("key", ["grid", "spectral"])
+    def test_nested_dataclass_fields_are_not_keys(self, key):
+        with pytest.raises(ConfigurationError, match="unknown key"):
+            with_value(preset("fig3a_dip"), key, 1.0)
+
+
+class TestRunSweep:
+    def test_pump_coherence_recovers_fig4c_visibility(self):
+        spec = SweepSpec(base=preset("fig4c"), axis="pump_coherence_time",
+                         values=(60.0, 120.0, 630.0, 6300.0), steps=51)
+        visibilities = [row.visibility for row in run_sweep(spec)]
         assert all(b >= a for a, b in zip(visibilities, visibilities[1:]))
         assert visibilities[1] <= 0.02
         assert visibilities[-1] >= 0.9
 
-    def test_rejects_bad_value_lists(self):
-        with pytest.raises(ConfigurationError):
-            pump_coherence_sweep(values=())
-        with pytest.raises(ConfigurationError):
-            pump_coherence_sweep(values=(120.0, 60.0))
-        with pytest.raises(ConfigurationError):
-            pump_coherence_sweep(values=(-10.0, 60.0))
-
-
-class TestRunSweep:
     def test_asymmetry_sweep_decreases_visibility(self):
         spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio",
                          values=(1.0, 1.5, 2.0), steps=51)

@@ -20,11 +20,12 @@ from biphoton import (
     auto_grid,
     build_jsa,
     coincidence_rate,
+    enumerate_paths,
     oracle_rate,
     preset,
     scan_delay,
 )
-from biphoton.scan import RateKernel, _paths_at
+from biphoton.scan import RateKernel
 
 PROPERTY_SETTINGS = settings(
     max_examples=12,
@@ -58,7 +59,7 @@ def configs(draw):
 
 def _level(config) -> float:
     """The non-interfering rate: the sum of the squared path coefficients."""
-    return sum(abs(p.coefficient) ** 2 for p in _paths_at(config, 0.0))
+    return sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config))
 
 
 @PROPERTY_SETTINGS
@@ -79,7 +80,7 @@ def test_engine_matches_oracle(drawn, ds):
     # near a perfect dip the relative error of a cancelled difference
     # measures rounding, not the engine.
     config, jsa = drawn
-    rates = RateKernel(jsa).rate(_paths_at(config, 0.0), ds)
+    rates = RateKernel(jsa).rate(enumerate_paths(config), ds)
     floor = 1e-2 * _level(config)
     for d, engine in zip(ds, rates):
         reference = oracle_rate(config, d)
@@ -94,7 +95,7 @@ def test_dip_plus_peak_is_constant(drawn, ds):
     config, jsa = drawn
     kernel = RateKernel(jsa)
     peak = replace(config, analyzer2=config.analyzer2 - 90.0)
-    totals = kernel.rate(_paths_at(config, 0.0), ds) + kernel.rate(_paths_at(peak, 0.0), ds)
+    totals = kernel.rate(enumerate_paths(config), ds) + kernel.rate(enumerate_paths(peak), ds)
     level = _level(config) + _level(peak)
     assume(level > 0.0)
     assert np.ptp(totals) <= 1e-9 * level
@@ -113,5 +114,5 @@ def test_analyzer_completeness(drawn, ds):
             rotated = replace(
                 config, analyzer1=config.analyzer1 + turn1, analyzer2=config.analyzer2 + turn2
             )
-            totals += kernel.rate(_paths_at(rotated, 0.0), ds)
+            totals += kernel.rate(enumerate_paths(rotated), ds)
     assert totals == pytest.approx(np.full(len(ds), 1.0), rel=1e-9)

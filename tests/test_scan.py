@@ -19,9 +19,9 @@ from biphoton import (
     arrival_time_joint,
     assemble_amplitude,
     build_grid,
+    build_jsa,
     coincidence_rate,
     enumerate_paths,
-    gaussian_jsa,
     interference_width,
     oracle_rate,
     preset,
@@ -30,7 +30,7 @@ from biphoton import (
     time_joint_density,
     visibility,
 )
-from biphoton.scan import DEFAULT_WING_FACTOR, MAX_SCAN_STEPS, RateKernel, _paths_at
+from biphoton.scan import DEFAULT_WING_FACTOR, MAX_SCAN_STEPS, RateKernel
 
 
 class TestCoincidenceRate:
@@ -45,7 +45,7 @@ class TestCoincidenceRate:
 
     def test_single_path_rate_is_flat(self, fig3a_dip):
         config = replace(fig3a_dip, analyzer1=0.0, analyzer2=0.0)
-        jsa = gaussian_jsa(config.spectral)
+        jsa = build_jsa(config.spectral)
         rates = [coincidence_rate(config, d, jsa=jsa) for d in (-800.0, 0.0, 350.0, 1200.0)]
         spread = (max(rates) - min(rates)) / max(rates)
         assert spread < 1e-9
@@ -54,7 +54,7 @@ class TestCoincidenceRate:
         d = 300.0
         expanded = coincidence_rate(fig3a_dip, d, jsa=default_jsa)
         assembled = amplitude_rate(
-            assemble_amplitude(_paths_at(fig3a_dip, d), default_jsa)
+            assemble_amplitude(enumerate_paths(fig3a_dip, d), default_jsa)
         )
         assert expanded == pytest.approx(assembled, rel=1e-12)
 
@@ -136,14 +136,14 @@ class TestArrivalTimes:
 
     def test_parseval(self):
         config = preset("fig3a_peak")
-        jsa = gaussian_jsa(config.spectral)
-        amp = assemble_amplitude(_paths_at(config, 140.0), jsa)
+        jsa = build_jsa(config.spectral)
+        amp = assemble_amplitude(enumerate_paths(config, 140.0), jsa)
         density = time_joint_density(amp)
         assert density.total == pytest.approx(amplitude_rate(amp), rel=1e-6)
 
     def test_fig4c_paths_overlap_in_difference_but_not_pair_time(self):
         config = preset("fig4c")
-        jsa = gaussian_jsa(config.spectral)
+        jsa = build_jsa(config.spectral)
         centers = {}
         for path in enumerate_paths(config):
             density = time_joint_density(assemble_amplitude([path], jsa))
@@ -160,6 +160,41 @@ class TestArrivalTimes:
         coarse = replace(fig3a_dip, grid=GridSpec(n=64))
         with pytest.raises(ConfigurationError):
             arrival_time_joint(coarse, 0.0)
+
+    def test_long_rods_inside_the_time_window_read_their_delay(self):
+        density = arrival_time_joint(replace(preset("fig3a_peak"), rod_length=200.0), 0.0)
+        assert density.mean_b - density.mean_a == pytest.approx(6300.0, abs=1.0)
+
+    @pytest.mark.parametrize("rod_length, d", [(215.0, 0.0), (300.0, 0.0), (200.0, 500.0)])
+    def test_arrival_times_past_the_window_are_refused(self, monkeypatch, rod_length, d):
+        # The window of the default grid is +-6774 fs; these delays used to
+        # wrap around it and report the wrong detector firing first.
+        import biphoton.scan as scan_module
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the amplitude was built before the window check")
+
+        monkeypatch.setattr(scan_module, "build_jsa", unexpected)
+        config = replace(preset("fig3a_peak"), rod_length=rod_length)
+        with pytest.raises(ConfigurationError, match="time window"):
+            arrival_time_joint(config, d)
+
+    def test_pump_width_counts_against_the_window(self):
+        # 170 mm rods at tau_p = 630 fs: the port delay of 5355 fs sits 3
+        # filter-only widths (215 fs) inside the window but not 3 widths that
+        # include the pump, and the density wraps enough to read 13 fs short.
+        config = replace(
+            preset("fig3a_peak"), rod_length=170.0,
+            spectral=SpectralParams(pump_coherence_time=630.0),
+        )
+        with pytest.raises(ConfigurationError, match="time window"):
+            arrival_time_joint(config, 0.0)
+
+    def test_a_finer_grid_widens_the_window(self):
+        for rod_length in (215.0, 300.0):
+            config = replace(preset("fig3a_peak"), rod_length=rod_length, grid=GridSpec(n=512))
+            density = arrival_time_joint(config, 0.0)
+            assert density.mean_b - density.mean_a == pytest.approx(31.5 * rod_length, abs=1.0)
 
 
 class TestRefinement:
@@ -184,7 +219,7 @@ class TestRateKernel:
         assert all(k is built[0] for k in built)
 
     def test_asymmetric_jsa_keeps_separate_kernels(self):
-        jsa = gaussian_jsa(SpectralParams(asymmetry_ratio=2.0))
+        jsa = build_jsa(SpectralParams(asymmetry_ratio=2.0))
         kernel = RateKernel(jsa)
         built = [kernel._kernel(*swaps) for swaps in self.SWAPS]
         assert len({id(k) for k in built}) == len(self.SWAPS)
@@ -200,7 +235,7 @@ class TestRealEngine:
         n = default_jsa.grid.n
         lags = np.arange(1 - n, n) * default_jsa.grid.weight
         slopes = np.concatenate([np.linspace(-1500.0, 1500.0, 151), [0.0, -0.0, 2.5e4]])
-        rr, tt = _paths_at(preset("fig4c"), 0.0)
+        rr, tt = enumerate_paths(preset("fig4c"))
         for p, q in ((rr, rr), (rr, tt), (tt, rr)):
             sums = kernel.pair_sum(p, q)
             table = np.exp(1j * np.multiply.outer(slopes, lags))
@@ -210,9 +245,9 @@ class TestRealEngine:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_real_and_complex_amplitudes_give_the_same_rates(self, name, rho):
         config = replace(preset(name), spectral=SpectralParams(asymmetry_ratio=rho))
-        jsa = gaussian_jsa(config.spectral)
+        jsa = build_jsa(config.spectral)
         as_complex = JointSpectralAmplitude(jsa.grid, jsa.values.astype(np.complex128))
-        paths = _paths_at(config, 0.0)
+        paths = enumerate_paths(config)
         delays = np.linspace(-1500.0, 1500.0, 61)
         real = RateKernel(jsa).rate(paths, delays)
         complex_ = RateKernel(as_complex).rate(paths, delays)
@@ -221,7 +256,7 @@ class TestRealEngine:
 
     def test_real_amplitude_keeps_self_sums_real(self, default_jsa):
         kernel = RateKernel(default_jsa)
-        rr, tt = _paths_at(preset("fig4c"), 0.0)
+        rr, tt = enumerate_paths(preset("fig4c"))
         assert kernel._kernel(False, False).dtype == np.float64
         assert kernel.pair_sum(rr, rr).dtype == np.float64
         assert kernel.pair_sum(rr, tt).dtype == np.complex128
@@ -294,7 +329,7 @@ class TestPairSums:
     @pytest.fixture(scope="class")
     def chirped(self):
         params = SpectralParams(asymmetry_ratio=1.5)
-        jsa = gaussian_jsa(params, build_grid(params, n=64))
+        jsa = build_jsa(params, build_grid(params, n=64))
         nu = jsa.grid.points
         chirp = np.exp(1j * 4000.0 * nu[:, None] ** 2 + 1j * 150.0 * nu[None, :])
         return JointSpectralAmplitude(jsa.grid, jsa.values * chirp)
@@ -303,14 +338,14 @@ class TestPairSums:
     def test_rates_match_assembled_amplitude(self, chirped, name):
         config = replace(preset(name), analyzer1=30.0, analyzer2=75.0, pair_phase=0.7)
         delays = (-700.0, -90.0, 0.0, 250.0, 1100.0)
-        rates = RateKernel(chirped).rate(_paths_at(config, 0.0), delays)
+        rates = RateKernel(chirped).rate(enumerate_paths(config), delays)
         direct = [
-            amplitude_rate(assemble_amplitude(_paths_at(config, d), chirped)) for d in delays
+            amplitude_rate(assemble_amplitude(enumerate_paths(config, d), chirped)) for d in delays
         ]
-        level = sum(abs(p.coefficient) ** 2 for p in _paths_at(config, 0.0))
+        level = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config))
         assert np.abs(rates - direct).max() <= 1e-12 * level
         assert abs(direct[1] - amplitude_rate(
-            assemble_amplitude(_paths_at(config, 90.0), chirped)
+            assemble_amplitude(enumerate_paths(config, 90.0), chirped)
         )) > 1e-6 * level
 
     def test_swapped_pairs_match_direct_sums(self, chirped):
@@ -366,7 +401,7 @@ class TestRateInvariants:
         for off1 in (0.0, 90.0):
             for off2 in (0.0, 90.0):
                 config = replace(fig3a_dip, analyzer1=30.0 + off1, analyzer2=75.0 + off2)
-                totals += kernel.rate(_paths_at(config, 0.0), delays)
+                totals += kernel.rate(enumerate_paths(config), delays)
         mean = totals.mean()
         assert np.abs(totals - mean).max() / mean < 1e-6
 
@@ -375,7 +410,8 @@ class TestRateInvariants:
         peak = preset("fig3a_peak")
         kernel = RateKernel(default_jsa)
         delays = (-700.0, -90.0, 0.0, 90.0, 700.0)
-        sums = kernel.rate(_paths_at(dip, 0.0), delays) + kernel.rate(_paths_at(peak, 0.0), delays)
+        sums = kernel.rate(enumerate_paths(dip), delays)
+        sums += kernel.rate(enumerate_paths(peak), delays)
         mean = sums.mean()
         assert np.abs(sums - mean).max() / mean < 1e-6
 

@@ -13,7 +13,6 @@ from biphoton import (
     build_grid,
     build_jsa,
     coherence_time_from_filter,
-    gaussian_jsa,
     interference_width,
     jsa_swap_distance,
     l2_norm,
@@ -93,8 +92,6 @@ class TestSigmaConvention:
 class TestSpectralParams:
     def test_defaults(self):
         p = SpectralParams()
-        assert p.pump_center_wavelength == 390.0
-        assert p.signal_center_wavelength == 780.0
         assert p.pump_coherence_time == 120.0
         assert p.filter_fwhm == 20.0
         assert p.filter_center == 780.0
@@ -124,7 +121,7 @@ class TestSpectralParams:
             {"pump_coherence_time": math.inf},
             {"pump_coherence_time": math.nan},
             {"filter_center": -math.inf},
-            {"signal_center_wavelength": math.inf},
+            {"filter_fwhm": math.inf},
             {"asymmetry_ratio": math.nan},
         ],
     )
@@ -141,7 +138,7 @@ class TestSpectralParams:
             {"pump_coherence_time": 1e200},
             {"asymmetry_ratio": 1e300},
             {"asymmetry_ratio": 1e-300},
-            {"signal_center_wavelength": 1e-320},
+            {"filter_fwhm": 1e300},
         ],
     )
     def test_rejects_degenerate_widths(self, kwargs):
@@ -206,7 +203,7 @@ class TestGaussianJsa:
     @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
     def test_normalization_matrix(self, rho, tau_p):
         params = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
-        assert abs(l2_norm(gaussian_jsa(params)) - 1.0) < 1e-9
+        assert abs(l2_norm(build_jsa(params)) - 1.0) < 1e-9
 
     def test_exchange_symmetric_exactly(self, default_jsa):
         v = default_jsa.values
@@ -214,7 +211,7 @@ class TestGaussianJsa:
         assert np.abs(v - v.T).max() <= 1e-12
 
     def test_exchange_symmetric_exactly_on_a_refined_grid(self):
-        v = gaussian_jsa(SpectralParams(pump_coherence_time=6300.0)).values
+        v = build_jsa(SpectralParams(pump_coherence_time=6300.0)).values
         assert v.shape == (1024, 1024)
         assert np.array_equal(v, v.T)
 
@@ -226,7 +223,7 @@ class TestGaussianJsa:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     def test_real_and_equal_to_the_direct_formula(self, rho, tau_p, bound):
         params = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
-        jsa = gaussian_jsa(params)
+        jsa = build_jsa(params)
         assert jsa.values.dtype == np.float64
         nu = jsa.grid.points
         direct = (
@@ -239,7 +236,7 @@ class TestGaussianJsa:
         assert l2_norm(jsa) == pytest.approx(1.0, abs=1e-14)
 
     def test_asymmetric_is_not_symmetric(self):
-        jsa = gaussian_jsa(SpectralParams(asymmetry_ratio=2.0))
+        jsa = build_jsa(SpectralParams(asymmetry_ratio=2.0))
         assert not np.array_equal(jsa.values, jsa.values.T)
 
     @pytest.mark.parametrize("rho", [1.0, 2.0])
@@ -255,7 +252,7 @@ class TestGaussianJsa:
         gamma = b1 - b2
         expected = alpha / (2.0 * (alpha * beta - gamma**2))
 
-        jsa = gaussian_jsa(params)
+        jsa = build_jsa(params)
         nu = jsa.grid.points
         w2 = jsa.grid.weight**2
         density = np.abs(jsa.values) ** 2
@@ -266,7 +263,7 @@ class TestGaussianJsa:
     def test_cw_limit_concentrates_on_antidiagonal(self):
         params = SpectralParams(pump_coherence_time=1e5)
         grid = build_grid(params, n=256)
-        jsa = gaussian_jsa(params, grid)
+        jsa = build_jsa(params, grid)
         nu = grid.points
         total = np.abs(jsa.values) ** 2
         near = np.abs(nu[:, None] + nu[None, :]) <= 2.0 * grid.weight
@@ -276,12 +273,7 @@ class TestGaussianJsa:
         grid = build_grid(default_params, n=256, span_sigma=6.0)
         wide = SpectralParams(asymmetry_ratio=3.0)
         with pytest.raises(ConfigurationError):
-            gaussian_jsa(wide, grid)
-
-    def test_build_jsa_rejects_unknown_model(self, default_params):
-        bad = SpectralParams(jsa_model="sech")
-        with pytest.raises(ConfigurationError):
-            build_jsa(bad)
+            build_jsa(wide, grid)
 
 
 class TestNormalize:
@@ -310,20 +302,20 @@ class TestSwapDistance:
 
     def test_matches_closed_form(self):
         params = SpectralParams(asymmetry_ratio=2.0)
-        distance = jsa_swap_distance(gaussian_jsa(params))
+        distance = jsa_swap_distance(build_jsa(params))
         assert distance == pytest.approx(1.0 - swap_overlap_closed_form(params), abs=1e-8)
         assert 0.0 < distance < 1.0
 
     def test_increases_with_log_ratio(self):
         distances = [
-            jsa_swap_distance(gaussian_jsa(SpectralParams(asymmetry_ratio=rho)))
+            jsa_swap_distance(build_jsa(SpectralParams(asymmetry_ratio=rho)))
             for rho in (1.0, 1.25, 1.5, 2.0, 3.0)
         ]
         assert all(b > a for a, b in zip(distances, distances[1:]))
 
     def test_reciprocal_ratio_matches(self):
-        d_half = jsa_swap_distance(gaussian_jsa(SpectralParams(asymmetry_ratio=0.5)))
-        d_two = jsa_swap_distance(gaussian_jsa(SpectralParams(asymmetry_ratio=2.0)))
+        d_half = jsa_swap_distance(build_jsa(SpectralParams(asymmetry_ratio=0.5)))
+        d_two = jsa_swap_distance(build_jsa(SpectralParams(asymmetry_ratio=2.0)))
         assert d_half == pytest.approx(d_two, rel=1e-9)
 
     def test_unnormalized_rejected(self, default_jsa):
