@@ -13,6 +13,7 @@ generous wings for baseline estimation; it is not a measured quantity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .elements import RodAxis
@@ -58,7 +59,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if isinstance(value, numbers.Real) and not math.isfinite(value):
                 raise ConfigurationError(f"{f.name} must be finite, got {value}")
         if self.rod_length < 0:
             raise ConfigurationError(f"rod_length must be >= 0 mm, got {self.rod_length}")
