@@ -45,7 +45,6 @@ from .scan import (
     refine_check,
     scan_delay,
     time_joint_density,
-    visibility,
 )
 from .spectral import (
     FrequencyGrid,
@@ -112,5 +111,4 @@ __all__ = [
     "scan_delay",
     "sigma_from_coherence_time",
     "time_joint_density",
-    "visibility",
 ]

@@ -44,7 +44,7 @@ def _parse_value(key: str, text: str) -> RodAxis | float | int:
             return RodAxis.VERTICAL
         if lowered in ("horizontal", "h"):
             return RodAxis.HORIZONTAL
-        raise ConfigurationError(f"rod axis must be 'vertical' or 'horizontal', got {text!r}")
+        raise ConfigurationError(f"{key} must be 'vertical' or 'horizontal', got {text!r}")
     try:
         return kind(text)
     except ValueError:

@@ -68,12 +68,12 @@ def quartz_group_delay(rod: QuartzRod) -> float:
 
 def rod_delays(rod: QuartzRod) -> tuple[float, float]:
     """(delay_H, delay_V) in fs, with the fast polarization gauged to zero."""
-    if rod.length == 0:
-        return (0.0, 0.0)
-    delay = quartz_group_delay(rod)
+    delay = quartz_group_delay(rod) if rod.length != 0 else 0.0
     if rod.axis is RodAxis.VERTICAL:
         return (0.0, delay)
-    return (delay, 0.0)
+    if rod.axis is RodAxis.HORIZONTAL:
+        return (delay, 0.0)
+    raise ConfigurationError(f"rod axis must be a RodAxis, got {rod.axis!r}")
 
 
 def pbs_action(input_arm: int, pol: Polarization) -> tuple[Port, complex]:

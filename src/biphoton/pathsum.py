@@ -32,7 +32,7 @@ from .elements import (
     rod_delays,
 )
 from .errors import ContractViolation
-from .spectral import FrequencyGrid, JointSpectralAmplitude
+from .spectral import FrequencyGrid, JointSpectralAmplitude, _sum_squares
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -207,8 +207,8 @@ def path_overlap(
     a = _path_matrix(paths[0], jsa)
     b = _path_matrix(paths[1], jsa)
     w2 = grid.weight**2
-    norm_a = math.sqrt(float((a.real**2 + a.imag**2).sum()) * w2)
-    norm_b = math.sqrt(float((b.real**2 + b.imag**2).sum()) * w2)
+    norm_a = math.sqrt(_sum_squares(a) * w2)
+    norm_b = math.sqrt(_sum_squares(b) * w2)
     if norm_a == 0.0 or norm_b == 0.0:
         raise ContractViolation("path overlap is undefined for a zero-norm path")
     return complex(np.vdot(a, b)) * w2 / (norm_a * norm_b)

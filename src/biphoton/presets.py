@@ -24,7 +24,28 @@ from .scan import (
     DEFAULT_SCAN_STEPS,
     scan_delay,
 )
-from .spectral import FrequencyGrid, SpectralParams, auto_grid
+from .spectral import FrequencyGrid, SpectralParams, _is_real, auto_grid
+
+
+def _check_field_types(config) -> None:
+    """Refuse a field value that is not of the type of the field's default.
+
+    A float field takes any real number and an int field any integer,
+    numpy scalars included but bool in neither, and a real must be
+    finite; any other field takes instances of its default's class, so
+    a rod axis must be a RodAxis, not its name.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = type(f.default)
+        if kind is float or kind is int:
+            if not _is_real(value) or (kind is int and not isinstance(value, numbers.Integral)):
+                noun = "an integer" if kind is int else "a real number"
+                raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        elif not isinstance(value, kind):
+            raise ConfigurationError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,6 +55,9 @@ class GridSpec:
 
     n: int = 256
     span_sigma: float = 6.0
+
+    def __post_init__(self) -> None:
+        _check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -57,10 +81,7 @@ class ExperimentConfig:
     grid: GridSpec = GridSpec()
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, numbers.Real) and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        _check_field_types(self)
         if self.rod_length < 0:
             raise ConfigurationError(f"rod_length must be >= 0 mm, got {self.rod_length}")
 

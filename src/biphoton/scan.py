@@ -21,14 +21,28 @@ real amplitude is real, and so are the C_k of a pair with no delay
 differences, every self pair among them.
 
 A scan therefore costs one O(n^2) diagonal reduction per distinct pair
-and O(n) per delay point. The grid sums repeat in each port delay with
-period 2 pi / h, so delays at which a rate would read an alias of the
-interference term are refused before anything is built.
+and O(n) per delay point, in O(n) working memory: the reduction draws the
+kernel f_p conj(f_q) a block of rows at a time and never holds it whole.
+The rows come from one of two sources.
+
+* Factors, from ``build_jsa``: f = F / (sqrt(S) w) with
+  F(i, j) = g1[i] g2[j] P[i + j], so every kernel of F is
+  a(i) b(j) Q[i + j], where Q = P^2 and a, b are products of g1 and g2,
+  which trade places on a swapped path. The reduction runs on F and
+  divides by S = sum |F|^2 afterwards, so w^2 cancels; S is the total of
+  the zero-delay self sums of unswapped paths, which a scan needs anyway.
+* Dense values, of an amplitude a caller built: rows of f_p times rows
+  of conj(f_q), a swapped path reading columns, and the sums times w^2.
+
+The grid sums repeat in each port delay with period 2 pi / h, so delays
+at which a rate would read an alias of the interference term are refused
+before anything is built.
 
 Every term, the d-independent self terms included, is evaluated by the
 same routine, so identical summands cancel exactly. An ideal dip bottoms
 out at a rate of exactly zero rather than at rounding noise when two
-things hold: the amplitude is bitwise exchange symmetric, so at d = 0 the
+things hold: the amplitude is bitwise exchange symmetric (equal filter
+factors, or dense values equal to their transpose), so at d = 0 the
 cross pair of two equal-rod paths reads the very diagonal sums of the
 self pairs, and the path coefficients are exact, |c_rr| == |c_tt| bit for
 bit, which the degree-exact analyzer trig of ``elements`` gives at
@@ -49,6 +63,7 @@ from .pathsum import CoincidenceAmplitude, PathAmplitude, assemble_amplitude, en
 from .spectral import (
     JointSpectralAmplitude,
     _construct_grid,
+    _sum_squares,
     build_jsa,
     interference_width,
 )
@@ -76,18 +91,17 @@ class RateKernel:
 
     Each distinct pair of paths costs one diagonal reduction of its kernel
     f_p conj(f_q), cached under the swap flags and the delay differences
-    at d = 0; each delay point then costs O(n). A bitwise
-    exchange-symmetric amplitude makes swapping the identity, so every
-    pair reads one and the same kernel; an asymmetric amplitude builds two,
-    for an unswapped first path, and reads the other two combinations of
-    swap flags as their transposes.
+    at d = 0; each delay point then costs O(n). The reduction draws the
+    kernel a block of rows at a time and never holds it whole: from the
+    1-D factors of a ``build_jsa`` amplitude, or from the rows of a dense
+    amplitude's values. An amplitude that is exchange symmetric bit for
+    bit makes swapping the identity, so every pair reads the sums of
+    unswapped paths.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude):
         self.jsa = jsa
         self.grid = jsa.grid
-        self._values = jsa.values
-        self._pair_kernels: dict[tuple[bool, bool], np.ndarray] = {}
         self._diagonals: dict[tuple[bool, bool, float, float], np.ndarray] = {}
         n = self.grid.n
         # k h for the diagonals k = i - j = 1 - n, ..., n - 1.
@@ -97,75 +111,113 @@ class RateKernel:
     def _symmetric(self) -> bool:
         """Whether swapping the amplitude's arguments is the identity, bit for bit.
 
-        Bands of 64 rows are compared with the matching bands of columns,
-        on and above the diagonal only, so the transposed reads stay in
-        cache.
+        With factors that is g1 == g2. Dense values are compared in bands
+        of 64 rows with the matching bands of columns, on and above the
+        diagonal only, so the transposed reads stay in cache.
         """
-        v = self._values
+        if self.jsa.factors is not None:
+            g1, g2, _ = self.jsa.factors
+            return np.array_equal(g1, g2)
+        v = self.jsa.values
         return all(
             np.array_equal(v[i : i + 64, i:], v[i:, i : i + 64].T) for i in range(0, len(v), 64)
         )
 
-    def _shared(self, swap_p: bool, swap_q: bool) -> tuple[bool, bool]:
-        """The swap flags whose kernel serves the pair (swap_p, swap_q)."""
-        if (swap_p or swap_q) and self._symmetric:
-            return (False, False)
-        return (swap_p, swap_q)
-
-    def _kernel(self, swap_p: bool, swap_q: bool) -> np.ndarray:
-        key = (swap_p, swap_q)
-        cached = self._pair_kernels.get(key)
-        if cached is None:
-            # The cache is filled under the flags asked for, but a symmetric
-            # amplitude builds its one kernel from the flags dropped.
-            shared = self._shared(swap_p, swap_q)
-            cached = self._pair_kernels.get(shared)
-            if cached is None:
-                if shared[0]:
-                    # f^T conj(g^T) is (f conj(g))^T: a view, no second array.
-                    cached = self._kernel(False, not shared[1]).T
-                else:
-                    base_q = self._values.T if shared[1] else self._values
-                    # Conjugation is the identity on a real amplitude, which
-                    # therefore takes a single pass.
-                    if np.iscomplexobj(base_q):
-                        cached = np.conj(base_q, order="C")
-                        cached *= self._values
-                    else:
-                        cached = self._values * base_q
-            self._pair_kernels[key] = self._pair_kernels[shared] = cached
-        return cached
+    @cached_property
+    def _total(self) -> float:
+        """S = sum |F|^2 over the grid for the unnormalized product F of the
+        factors: the total of the zero-delay self sums of unswapped paths,
+        which are cached, normalized, on the way."""
+        raw = self._diagonal_sums(False, False, 0.0, 0.0)
+        total = float(raw.sum())
+        if not (total > 0.0 and math.isfinite(total)):
+            raise ContractViolation("cannot normalize a zero or non-finite amplitude")
+        self._diagonals[(False, False, 0.0, 0.0)] = raw / total
+        return total
 
     def pair_sum(self, p: PathAmplitude, q: PathAmplitude) -> np.ndarray:
         """The diagonal sums C_k of T(p, q) above, for paths p, q taken at
         d = 0; index k + n - 1 holds diagonal k = i - j."""
-        kernel = self._kernel(p.swapped, q.swapped)
-        swaps = self._shared(p.swapped, q.swapped)
-        delta_a, delta_b = p.delay_a - q.delay_a, p.delay_b - q.delay_b
-        key = (*swaps, delta_a, delta_b)
+        swaps = (p.swapped, q.swapped)
+        if any(swaps) and self._symmetric:
+            swaps = (False, False)
+        key = (*swaps, p.delay_a - q.delay_a, p.delay_b - q.delay_b)
+        factored = self.jsa.factors is not None
+        if factored:
+            # With f = F / (sqrt(S) w), w^2 sum F_p F_q / (S w^2) = sum F_p F_q / S.
+            total = self._total
         sums = self._diagonals.get(key)
         if sums is None:
-            if swaps[0]:
-                # Transposing the kernel swaps the roles of the two ports and
-                # turns diagonal k into diagonal -k.
-                sums = self._diagonal_sums(kernel.T, delta_b, delta_a)[::-1]
-            else:
-                sums = self._diagonal_sums(kernel, delta_a, delta_b)
+            sums = self._diagonal_sums(*key)
+            sums = sums / total if factored else sums * self.grid.weight**2
             self._diagonals[key] = sums
         return sums
 
-    def _diagonal_sums(self, kernel: np.ndarray, delta_a: float, delta_b: float) -> np.ndarray:
+    def _factored_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
+        """Writer of kernel rows a(i) b(j) Q[i + j] for the factors' model,
+        columns reversed and times ``phase_b``, and the kernel's dtype.
+
+        f_p(i, j) is g1[i] g2[j] pump[i + j], with g1 and g2 trading places
+        for a swapped path, so a and b are the products of the filter
+        factors on each axis and Q = pump^2 on the 2n - 1 grid sums.
+        """
+        g1, g2, pump = self.jsa.factors
+        n = self.grid.n
+        a = (g2 if swap_p else g1) * (g2 if swap_q else g1)
+        b = ((g1 if swap_p else g2) * (g1 if swap_q else g2))[::-1]
+        if phase_b is not None:
+            b = b * phase_b
+        # Reversed row i reads Q[i + n - 1 - j], i.e. the window of the
+        # reversed Q that starts at n - 1 - i.
+        q_reversed = np.ascontiguousarray((pump * pump)[::-1])
+        windows = np.lib.stride_tricks.sliding_window_view(q_reversed, n)
+
+        def write(start: int, stop: int, out: np.ndarray) -> None:
+            np.multiply(windows[n - stop : n - start][::-1], b, out=out)
+            out *= a[start:stop, None]
+
+        return write, b.dtype
+
+    def _dense_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
+        """Writer of kernel rows f_p conj(f_q) from dense values, columns
+        reversed and times ``phase_b``, and the kernel's dtype. A swapped
+        path reads its rows from the columns of the values."""
+        v = self.jsa.values
+        # Conjugation is the identity on a real amplitude, which therefore
+        # takes a single pass.
+        conjugate = np.iscomplexobj(v)
+
+        def rows(swapped: bool, start: int, stop: int) -> np.ndarray:
+            return (v[:, start:stop].T if swapped else v[start:stop])[:, ::-1]
+
+        def write(start: int, stop: int, out: np.ndarray) -> None:
+            f_p, f_q = rows(swap_p, start, stop), rows(swap_q, start, stop)
+            if conjugate:
+                np.conjugate(f_q, out=out)
+                out *= f_p
+            else:
+                np.multiply(f_p, f_q, out=out)
+            if phase_b is not None:
+                out *= phase_b
+
+        complex_ = conjugate or phase_b is not None
+        return write, np.dtype(np.complex128 if complex_ else np.float64)
+
+    def _diagonal_sums(
+        self, swap_p: bool, swap_q: bool, delta_a: float, delta_b: float
+    ) -> np.ndarray:
+        """sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a0} e^{i nu_j D_b0}
+        for each diagonal k, unnormalized: of the values for a dense
+        amplitude, of the product of the factors otherwise."""
         n = self.grid.n
         # On diagonal k, nu_i = nu_j + k h, so the port phases factor as
         # e^{i k h D_a} e^{i nu_j (D_a + D_b)}: one phase per column before
         # the reduction and one per diagonal after it. A real kernel whose
         # column phase vanishes stays real.
         column = delta_a + delta_b
-        if column:
-            phase_b = np.exp(1j * self.grid.points[::-1] * column)
-            dtype = np.complex128
-        else:
-            dtype = kernel.dtype
+        phase_b = np.exp(1j * self.grid.points[::-1] * column) if column else None
+        source = self._dense_rows if self.jsa.factors is None else self._factored_rows
+        write, dtype = source(swap_p, swap_q, phase_b)
         # Rows [start, stop) with their columns reversed land in a zero-padded
         # buffer of row length n + rows; read with row length n + rows - 1,
         # row r shifts right by r, so column sums are the anti-diagonal sums
@@ -177,15 +229,12 @@ class RateKernel:
         for start in range(0, n, rows):
             stop = min(n, start + rows)
             block = buffer[: stop - start]
-            if column:
-                np.multiply(kernel[start:stop, ::-1], phase_b, out=block[:, :n])
-            else:
-                block[:, :n] = kernel[start:stop, ::-1]
+            write(start, stop, block[:, :n])
             sheared = block.reshape(-1)[: (stop - start) * width].reshape(stop - start, width)
             sums[start : start + width] += sheared.sum(axis=0)[: 2 * n - 1 - start]
         if delta_a:
             sums = sums * np.exp(1j * self._lags * delta_a)
-        return sums * self.grid.weight**2
+        return sums
 
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """sum_k C_k e^{i x k h} for each slope x = s d, one row per slope.
@@ -310,13 +359,19 @@ def coincidence_rate(
 
 def amplitude_rate(amp: CoincidenceAmplitude) -> float:
     """Direct grid sum of |A|^2 w^2 over an assembled amplitude."""
-    v = amp.values
-    return float((v.real**2 + v.imag**2).sum()) * amp.grid.weight**2
+    return _sum_squares(amp.values) * amp.grid.weight**2
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Rates versus trombone delay plus the derived dip/peak summary."""
+    """Rates versus trombone delay plus the derived dip/peak summary.
+
+    ``visibility`` is the larger deviation from the baseline over the
+    baseline: (baseline - min) / baseline for a dip and (max - baseline) /
+    baseline for a peak, so an ideal dip and an ideal peak both read 1. It
+    lands in [0, 1] by construction; nothing is clipped. A zero baseline
+    reads flat with visibility 0.
+    """
 
     delays: np.ndarray = field(repr=False)
     rates: np.ndarray = field(repr=False)
@@ -328,36 +383,6 @@ class ScanResult:
     def __post_init__(self) -> None:
         self.delays.setflags(write=False)
         self.rates.setflags(write=False)
-
-
-def _contrast(rates: np.ndarray, baseline: float, kind: str, estimator: str) -> float:
-    rmin = float(rates.min())
-    rmax = float(rates.max())
-    if estimator == "michelson":
-        if rmax + rmin == 0.0:
-            raise ContractViolation("visibility undefined: max + min rate is zero")
-        return (rmax - rmin) / (rmax + rmin)
-    if estimator != "baseline":
-        raise ConfigurationError(f"unknown visibility estimator {estimator!r}")
-    if baseline == 0.0:
-        raise ContractViolation("visibility undefined: baseline rate is zero")
-    if kind == "dip":
-        return (baseline - rmin) / baseline
-    if kind == "peak":
-        return (rmax - baseline) / baseline
-    return max(rmax - baseline, baseline - rmin) / baseline
-
-
-def visibility(scan: ScanResult, estimator: str = "baseline") -> float:
-    """Normalized interference contrast of a scan.
-
-    The default estimator references the non-interfering baseline so that
-    an ideal dip and an ideal peak both read 1: dip (baseline - min) /
-    baseline, peak (max - baseline) / baseline. ``estimator="michelson"``
-    gives the alternative (max - min) / (max + min). Values land in [0, 1]
-    by construction; nothing is clipped.
-    """
-    return _contrast(scan.rates, scan.baseline, scan.kind, estimator)
 
 
 def scan_delay(
@@ -406,8 +431,8 @@ def scan_delay(
         extremum = rmax
         vis = 0.0
     else:
-        deviation = max(rmax - baseline, baseline - rmin)
-        if deviation / baseline < flat_threshold:
+        vis = max(rmax - baseline, baseline - rmin) / baseline
+        if vis < flat_threshold:
             kind = "flat"
             extremum = rmax if rmax - baseline >= baseline - rmin else rmin
         elif baseline - rmin >= rmax - baseline:
@@ -416,7 +441,6 @@ def scan_delay(
         else:
             kind = "peak"
             extremum = rmax
-        vis = _contrast(rates, baseline, kind, "baseline")
     return ScanResult(
         delays=delays,
         rates=rates,

@@ -22,6 +22,7 @@ analytically integrable, which is what makes the closed-form reference in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,6 +36,12 @@ _MIN_SPAN_SIGMA = 4.0
 # Grid spacing must stay below this multiple of the narrowest spectral
 # feature for the quadrature to hold the 1e-3 closed-form gate.
 _RIDGE_SAMPLING_FACTOR = 1.25
+
+
+def _is_real(value) -> bool:
+    """Whether a config value is a real number: any int or float type,
+    numpy scalars included, but not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def coherence_time_from_filter(fwhm_nm: float, center_nm: float) -> float:
@@ -81,6 +88,8 @@ class SpectralParams:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            if not _is_real(value):
+                raise ConfigurationError(f"{f.name} must be a real number, got {value!r}")
             if not (value > 0 and math.isfinite(value)):
                 raise ConfigurationError(f"{f.name} must be positive and finite, got {value}")
         # Finite inputs can still give widths that underflow to 0 or overflow
@@ -206,18 +215,48 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
     return _construct_grid(params, n_eff, span_sigma)
 
 
-@dataclass(frozen=True)
 class JointSpectralAmplitude:
     """Pair amplitude f(nu1, nu2) on a shared grid, real or complex.
 
     Axis 0 is the photon sent into arm 1, axis 1 the photon in arm 2.
+    ``JointSpectralAmplitude(grid, values)`` holds a caller's n x n array.
+    ``build_jsa`` gives instead the 1-D ``factors`` (g1, g2, pump) of
+    f(nu_i, nu_j) = g1[i] g2[j] pump[i + j] / N, with pump on the 2n - 1
+    grid sums and N the L2 norm of the product, and forms ``values`` only
+    when they are first read. ``factors`` is None for a dense amplitude.
+    Either way the arrays are read-only.
     """
 
-    grid: FrequencyGrid
-    values: np.ndarray = field(repr=False)
+    def __init__(
+        self,
+        grid: FrequencyGrid,
+        values: np.ndarray | None = None,
+        *,
+        factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    ):
+        if (values is None) == (factors is None):
+            raise ContractViolation("an amplitude takes either its values or its factors")
+        n = grid.n
+        if factors is not None and [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
+            raise ContractViolation(f"factors must have lengths n, n and 2n - 1 for n = {n}")
+        for array in factors or (values,):
+            array.setflags(write=False)
+        self.grid = grid
+        self.factors = factors
+        self._values = values
 
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
+    @property
+    def values(self) -> np.ndarray:
+        """The n x n array f; from factors, the filter outer product times
+        the Hankel view pump[i + j], divided by its norm in place."""
+        if self._values is None:
+            g1, g2, pump = self.factors
+            values = np.outer(g1, g2)
+            values *= np.lib.stride_tricks.sliding_window_view(pump, self.grid.n)
+            values /= _unit_scale(values, self.grid.weight)
+            values.setflags(write=False)
+            self._values = values
+        return self._values
 
 
 def _sum_squares(values: np.ndarray) -> float:
@@ -253,16 +292,16 @@ def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> Join
     f(nu1, nu2) = N * exp(-(nu1+nu2)^2 tau_p^2 / 2)
                     * exp(-nu1^2 / (4 sigma1^2)) * exp(-nu2^2 / (4 sigma2^2))
 
-    The model is real, so the values are float64. The pump factor depends
-    on nu1 + nu2 only and takes 2n - 1 distinct values on the grid: it is
-    evaluated once per sum s_m = nu[min(m, n-1)] + nu[max(0, m-n+1)] and
-    read as the n x n Hankel matrix p[i + j], a strided view that copies
-    nothing. The filter outer product is formed first and multiplied by
-    that view in place, then divided by the norm in place, so the build
-    makes O(n) calls to exp and holds one n x n array.
+    The model is real and returned as its factors, which cost O(n) calls
+    to exp: the two filter Gaussians and the pump factor, which depends on
+    nu1 + nu2 only and is evaluated once per sum
+    s_m = nu[min(m, n-1)] + nu[max(0, m-n+1)]. The rate engine reduces
+    the pair sums from these factors without an n x n array; ``values``
+    (float64) is built on first read.
 
-    With asymmetry_ratio = 1 the construction is exactly exchange
-    symmetric, down to the floating-point representation.
+    With asymmetry_ratio = 1 the two filter factors are equal bit for bit,
+    so the amplitude is exactly exchange symmetric, down to the
+    floating-point representation.
     """
     if grid is None:
         grid = auto_grid(params)
@@ -276,10 +315,7 @@ def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> Join
     g2 = np.exp(-(nu**2) / (4.0 * params.sigma2**2))
     sums = np.concatenate((nu + nu[0], nu[1:] + nu[-1]))
     pump = np.exp(-0.5 * (params.pump_coherence_time * sums) ** 2)
-    values = np.outer(g1, g2)
-    values *= np.lib.stride_tricks.sliding_window_view(pump, grid.n)
-    values /= _unit_scale(values, grid.weight)
-    return JointSpectralAmplitude(grid=grid, values=values)
+    return JointSpectralAmplitude(grid, factors=(g1, g2, pump))
 
 
 def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:

@@ -244,6 +244,13 @@ class TestConfigFile:
         assert code == 2
         assert "axis" in stderr
 
+    @pytest.mark.parametrize("line", ["rod_length = True", "qr2_axis = 1", "grid_n = 256.0"])
+    def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, line):
+        path = self.write(tmp_path, line + "\n")
+        code, _, stderr = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert line.split()[0] in stderr
+
 
 class TestSweep:
     def test_asymmetry_sweep_csv(self, tmp_path, capsys):

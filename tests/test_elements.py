@@ -52,6 +52,13 @@ class TestRodDelays:
     def test_removed_rod(self):
         assert rod_delays(QuartzRod(RodAxis.VERTICAL, 0.0)) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("axis", ["vertical", "horizontal", None])
+    @pytest.mark.parametrize("length", [0.0, 20.0])
+    def test_axis_outside_the_enum_rejected(self, axis, length):
+        # "vertical" used to read as horizontal: only RodAxis.VERTICAL was named.
+        with pytest.raises(ConfigurationError, match="RodAxis"):
+            rod_delays(QuartzRod(axis, length))
+
 
 class TestPolarizingBeamsplitter:
     def test_reflection_phase(self):

@@ -79,6 +79,36 @@ class TestConfigKeys:
         )
         assert with_value(config, "grid_n", 512).grid == GridSpec(n=512)
 
+    @pytest.mark.parametrize("key, value", [
+        ("qr2_axis", "vertical"),
+        ("qr1_axis", "horizontal"),
+        ("rod_length", True),
+        ("analyzer1", "45"),
+        ("asymmetry_ratio", True),
+        ("pump_coherence_time", None),
+        ("grid_n", 256.0),
+        ("grid_n", True),
+        ("grid_span_sigma", False),
+    ])
+    def test_values_of_the_wrong_type_are_refused(self, key, value):
+        # A string axis used to build the fig4c geometry from fig3a_dip and
+        # scan flat where a dip was asked for.
+        with pytest.raises(ConfigurationError, match="must be"):
+            with_value(preset("fig3a_dip"), key, value)
+
+    def test_numpy_scalars_are_accepted(self):
+        config = with_value(preset("fig3a_dip"), "rod_length", np.float64(10.0))
+        config = with_value(config, "analyzer2", np.float32(-45.0))
+        config = with_value(config, "grid_n", np.int64(512))
+        assert (config.rod_length, config.analyzer2, config.grid.n) == (10.0, -45.0, 512)
+        assert scan_delay(config, steps=31).kind == "peak"
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(ConfigurationError, match="RodAxis"):
+            replace(preset("fig3a_dip"), qr2_axis="vertical")
+        with pytest.raises(ConfigurationError, match="GridSpec"):
+            replace(preset("fig3a_dip"), grid=512)
+
     @pytest.mark.parametrize("key", ["grid", "spectral"])
     def test_nested_dataclass_fields_are_not_keys(self, key):
         with pytest.raises(ConfigurationError, match="unknown key"):

@@ -1,6 +1,7 @@
 """Rates, delay scans, visibility and time-domain diagnostics."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,6 @@ from biphoton import (
     GridSpec,
     JointSpectralAmplitude,
     PathAmplitude,
-    ScanResult,
     SpectralParams,
     amplitude_rate,
     arrival_time_joint,
@@ -28,7 +28,6 @@ from biphoton import (
     refine_check,
     scan_delay,
     time_joint_density,
-    visibility,
 )
 from biphoton.scan import DEFAULT_WING_FACTOR, MAX_SCAN_STEPS, RateKernel
 
@@ -93,35 +92,18 @@ class TestScanDelay:
 class TestVisibility:
     def test_ideal_dip_reads_one(self, fig3a_dip):
         result = scan_delay(fig3a_dip)
-        assert visibility(result) == pytest.approx(1.0, abs=1e-6)
-        assert 0.0 <= visibility(result) <= 1.0
-
-    def test_michelson_estimator(self, fig3a_dip):
-        result = scan_delay(fig3a_dip)
-        expected = (result.rates.max() - result.rates.min()) / (
-            result.rates.max() + result.rates.min()
-        )
-        assert visibility(result, estimator="michelson") == pytest.approx(expected, rel=1e-12)
+        assert result.visibility == pytest.approx(1.0, abs=1e-6)
+        assert 0.0 <= result.visibility <= 1.0
 
     def test_flat_scan_reads_near_zero(self):
-        assert visibility(scan_delay(preset("fig4c"))) < 0.02
+        assert scan_delay(preset("fig4c")).visibility < 0.02
 
-    def test_zero_baseline_is_undefined(self):
-        degenerate = ScanResult(
-            delays=np.array([-1.0, 0.0, 1.0]),
-            rates=np.array([0.0, 0.0, 0.0]),
-            baseline=0.0,
-            extremum=0.0,
-            visibility=0.0,
-            kind="flat",
-        )
-        with pytest.raises(ContractViolation):
-            visibility(degenerate)
-
-    def test_unknown_estimator_rejected(self, fig3a_dip):
-        result = scan_delay(fig3a_dip, -600.0, 600.0, 31)
-        with pytest.raises(ConfigurationError):
-            visibility(result, estimator="parabola")
+    def test_zero_baseline_reads_flat(self, fig3a_dip):
+        # Crossed analyzers on both ports leave no coincidence path.
+        config = replace(fig3a_dip, analyzer1=0.0, analyzer2=90.0)
+        assert enumerate_paths(config) == ()
+        result = scan_delay(config, steps=31)
+        assert (result.kind, result.visibility, result.baseline) == ("flat", 0.0, 0.0)
 
 
 class TestArrivalTimes:
@@ -211,19 +193,80 @@ class TestRefinement:
 
 
 class TestRateKernel:
-    SWAPS = [(False, False), (False, True), (True, False), (True, True)]
+    PATHS = [PathAmplitude("x", 1.0, 0.0, 0.0, swapped) for swapped in (False, True)]
+
+    def sums(self, kernel):
+        return [kernel.pair_sum(p, q) for p in self.PATHS for q in self.PATHS]
 
     def test_symmetric_jsa_shares_one_kernel(self, default_jsa):
         kernel = RateKernel(default_jsa)
-        built = [kernel._kernel(*swaps) for swaps in self.SWAPS]
-        assert all(k is built[0] for k in built)
+        sums = self.sums(kernel)
+        assert all(s is sums[0] for s in sums)
+        assert len(kernel._diagonals) == 1
 
     def test_asymmetric_jsa_keeps_separate_kernels(self):
         jsa = build_jsa(SpectralParams(asymmetry_ratio=2.0))
         kernel = RateKernel(jsa)
-        built = [kernel._kernel(*swaps) for swaps in self.SWAPS]
-        assert len({id(k) for k in built}) == len(self.SWAPS)
-        assert not np.array_equal(built[0][0], built[1][0])
+        sums = self.sums(kernel)
+        assert len({id(s) for s in sums}) == len(sums)
+        assert not np.array_equal(sums[0], sums[1])
+        # Swapping both paths transposes the kernel, which reverses its diagonals.
+        assert np.allclose(sums[3], sums[0][::-1], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
+    def test_factors_and_dense_values_give_the_same_sums(self, rho, tau_p):
+        spectral = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
+        factored = build_jsa(spectral)
+        dense = JointSpectralAmplitude(factored.grid, factored.values)
+        assert dense.factors is None
+        kernels = RateKernel(factored), RateKernel(dense)
+        delays = np.linspace(-1500.0, 1500.0, 41)
+        for name in PRESET_NAMES:
+            paths = enumerate_paths(replace(preset(name), spectral=spectral))
+            level = sum(abs(p.coefficient) ** 2 for p in paths)
+            for p in paths:
+                for q in paths:
+                    from_factors, from_values = (k.pair_sum(p, q) for k in kernels)
+                    assert np.abs(from_factors - from_values).max() <= 1e-13
+            rates = [k.rate(paths, delays) for k in kernels]
+            assert np.abs(rates[0] - rates[1]).max() <= 1e-13 * level
+
+    def test_a_scan_holds_no_square_array(self):
+        # One n x n float64 array at n = 2048 is 32 MiB; building the
+        # amplitude and scanning it stays below an eighth of that.
+        config = replace(
+            preset("fig4c"),
+            spectral=SpectralParams(pump_coherence_time=6300.0),
+            grid=GridSpec(n=2048),
+        )
+        n = config.frequency_grid().n
+        assert n == 2048
+        tracemalloc.start()
+        try:
+            result = scan_delay(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.kind == "dip"
+        assert peak < n * n * 8 / 8
+
+    def test_an_amplitude_that_underflows_is_refused(self):
+        # On 64 points every value of the filter 1e4 times narrower than the
+        # other underflows to zero, so the amplitude has no norm to divide by.
+        params = SpectralParams(asymmetry_ratio=100.0)
+        jsa = build_jsa(params, build_grid(params, n=64))
+        with pytest.raises(ContractViolation, match="normalize"):
+            RateKernel(jsa).rate(enumerate_paths(preset("fig3a_dip")), [0.0])
+        with pytest.raises(ContractViolation, match="normalize"):
+            jsa.values
+
+    def test_a_scan_leaves_the_values_unbuilt(self, fig3a_dip):
+        jsa = build_jsa(fig3a_dip.spectral)
+        scan_delay(fig3a_dip, jsa=jsa, steps=31)
+        assert jsa._values is None
+        assert not jsa.values.flags.writeable
+        assert jsa.values is jsa.values
 
 
 class TestRealEngine:
@@ -257,7 +300,7 @@ class TestRealEngine:
     def test_real_amplitude_keeps_self_sums_real(self, default_jsa):
         kernel = RateKernel(default_jsa)
         rr, tt = enumerate_paths(preset("fig4c"))
-        assert kernel._kernel(False, False).dtype == np.float64
+        assert kernel._factored_rows(False, False, None)[1] == np.float64
         assert kernel.pair_sum(rr, rr).dtype == np.float64
         assert kernel.pair_sum(rr, tt).dtype == np.complex128
 

@@ -276,6 +276,26 @@ class TestGaussianJsa:
             build_jsa(wide, grid)
 
 
+class TestFactoredAmplitude:
+    def test_build_gives_read_only_factors(self, default_jsa):
+        g1, g2, pump = default_jsa.factors
+        n = default_jsa.grid.n
+        assert (g1.shape, g2.shape, pump.shape) == ((n,), (n,), (2 * n - 1,))
+        assert not any(f.flags.writeable for f in default_jsa.factors)
+        assert np.array_equal(g1, g2)
+
+    def test_takes_either_values_or_factors(self, default_jsa):
+        grid = default_jsa.grid
+        g1, g2, pump = default_jsa.factors
+        with pytest.raises(ContractViolation):
+            JointSpectralAmplitude(grid)
+        with pytest.raises(ContractViolation):
+            JointSpectralAmplitude(grid, default_jsa.values, factors=default_jsa.factors)
+        with pytest.raises(ContractViolation, match="2n - 1"):
+            JointSpectralAmplitude(grid, factors=(g1, g2, pump[1:]))
+        assert JointSpectralAmplitude(grid, default_jsa.values).factors is None
+
+
 class TestNormalize:
     def test_rescales_any_positive_factor(self, default_jsa):
         scaled = JointSpectralAmplitude(default_jsa.grid, default_jsa.values * 17.5)
