@@ -63,7 +63,12 @@ def quartz_group_delay(rod: QuartzRod) -> float:
     """Relative group delay (fs) between slow and fast polarization."""
     if rod.length <= 0:
         raise ConfigurationError(f"group delay needs a positive rod length, got {rod.length} mm")
-    return rod.length * _DELAY_PER_MM
+    delay = rod.length * _DELAY_PER_MM
+    # Past about 5.7e306 mm the product overflows, and an infinite delay
+    # would turn every delay difference into nan.
+    if not math.isfinite(delay):
+        raise ConfigurationError(f"the group delay of a {rod.length:g} mm rod is not finite")
+    return delay
 
 
 def rod_delays(rod: QuartzRod) -> tuple[float, float]:

@@ -79,15 +79,6 @@ def _weight(c: complex) -> float:
     return (c * c.conjugate()).real
 
 
-def _delay_differences(config: "ExperimentConfig", d: float) -> tuple[float, float]:
-    """Per-port delay differences (rr minus tt) at trombone delay d."""
-    rod1_h, rod1_v = rod_delays(QuartzRod(config.qr1_axis, config.rod_length))
-    rod2_h, rod2_v = rod_delays(QuartzRod(config.qr2_axis, config.rod_length))
-    delta_a = (rod1_h + d) - rod2_h
-    delta_b = rod2_v - (rod1_v + d)
-    return delta_a, delta_b
-
-
 def _exchange_overlap(params: SpectralParams) -> float:
     """P = |<f | f_swapped>| for the normalized Gaussian amplitude."""
     a1 = 1.0 / (2.0 * params.sigma1**2)
@@ -99,34 +90,65 @@ def _exchange_overlap(params: SpectralParams) -> float:
     return math.sqrt(numerator / denominator)
 
 
-def _cross_factor(params: SpectralParams, delta_a: float, delta_b: float) -> float:
-    """G of the module docstring, in [0, 1]."""
+def _cross_factors(config: "ExperimentConfig", delays) -> list[float]:
+    """G of the module docstring, in [0, 1], at each trombone delay in
+    ``delays``; the rod delays and the spectral constants are computed
+    once for all of them."""
+    rod1_h, rod1_v = rod_delays(QuartzRod(config.qr1_axis, config.rod_length))
+    rod2_h, rod2_v = rod_delays(QuartzRod(config.qr2_axis, config.rod_length))
+    params = config.spectral
     s = 1.0 / (4.0 * params.sigma1**2) + 1.0 / (4.0 * params.sigma2**2)
     tau2 = params.pump_coherence_time**2
-    # x * x saturates to inf for huge delays, where ** 2 raises OverflowError;
-    # exp(-inf) is then exactly 0.
-    total, diff = delta_a + delta_b, delta_a - delta_b
-    sum_term = total * total / (8.0 * (2.0 * tau2 + s))
-    diff_term = diff * diff / (8.0 * s)
-    return _exchange_overlap(params) * math.exp(-sum_term) * math.exp(-diff_term)
+    sum_scale = 8.0 * (2.0 * tau2 + s)
+    diff_scale = 8.0 * s
+    overlap = _exchange_overlap(params)
+    factors = []
+    for d in map(float, delays):
+        # Per-port delay differences, rr minus tt. x * x saturates to inf
+        # for huge delays, where ** 2 raises OverflowError; exp(-inf) is
+        # then exactly 0.
+        delta_a = (rod1_h + d) - rod2_h
+        delta_b = rod2_v - (rod1_v + d)
+        total, diff = delta_a + delta_b, delta_a - delta_b
+        sum_term = total * total / sum_scale
+        diff_term = diff * diff / diff_scale
+        factors.append(overlap * math.exp(-sum_term) * math.exp(-diff_term))
+    return factors
+
+
+def _cross_weight(c_rr: complex, c_tt: complex) -> float:
+    """2 Re(c_rr conj(c_tt)), the weight of G in the rate."""
+    return 2.0 * (c_rr * c_tt.conjugate()).real
 
 
 def oracle_terms(config: "ExperimentConfig", d: float) -> OracleTerms:
     c_rr, c_tt = _coefficients(config)
-    delta_a, delta_b = _delay_differences(config, d)
-    overlap = _cross_factor(config.spectral, delta_a, delta_b)
-    cross = 2.0 * (c_rr * c_tt.conjugate()).real * overlap
+    (overlap,) = _cross_factors(config, (d,))
     return OracleTerms(
         rr_weight=_weight(c_rr),
         tt_weight=_weight(c_tt),
-        cross=cross,
+        cross=_cross_weight(c_rr, c_tt) * overlap,
         overlap=overlap,
     )
 
 
+def oracle_rates(config: "ExperimentConfig", delays) -> list[float]:
+    """Closed-form coincidence rates at each trombone delay in ``delays``.
+
+    The path coefficients, rod delays and spectral constants are computed
+    once; each delay then costs a few scalar operations and two calls to
+    ``math.exp``, in the order of ``oracle_terms``, so each rate has the
+    bits of ``oracle_terms(config, d).rate``.
+    """
+    c_rr, c_tt = _coefficients(config)
+    baseline = _weight(c_rr) + _weight(c_tt)
+    weight = _cross_weight(c_rr, c_tt)
+    return [baseline + weight * overlap for overlap in _cross_factors(config, delays)]
+
+
 def oracle_rate(config: "ExperimentConfig", d: float) -> float:
     """Closed-form coincidence rate at trombone delay d."""
-    return oracle_terms(config, d).rate
+    return oracle_rates(config, (d,))[0]
 
 
 def extremal_delay(config: "ExperimentConfig") -> float:
@@ -146,6 +168,5 @@ def oracle_visibility(config: "ExperimentConfig") -> float:
     baseline = _weight(c_rr) + _weight(c_tt)
     if baseline == 0.0:
         raise ContractViolation("visibility undefined: both path coefficients vanish")
-    d_star = extremal_delay(config)
-    overlap = _cross_factor(config.spectral, *_delay_differences(config, d_star))
+    (overlap,) = _cross_factors(config, (extremal_delay(config),))
     return 2.0 * abs(c_rr) * abs(c_tt) * overlap / baseline

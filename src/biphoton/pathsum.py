@@ -40,13 +40,11 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class PairTerm:
-    """One term of the source superposition: per-photon polarization and
-    the crystal ray (ordinary 'o' or extraordinary 'e') it came from."""
+    """One term of the source superposition: the polarization of the
+    photon in each arm and the term's amplitude."""
 
     pol1: Polarization
-    ray1: str
     pol2: Polarization
-    ray2: str
     amplitude: complex
 
 
@@ -54,9 +52,9 @@ class PairTerm:
 class PairState:
     """Polarization-entangled source state with a relative phase.
 
-    The two equally weighted terms are |H_o>|V_e> and |V_e>|H_o>; the
-    crystal orientation forbids a horizontally polarized extraordinary
-    photon, so no term may carry (H, e).
+    The two equally weighted terms are |H>|V> and |V>|H>: the ordinary
+    photon is horizontally and the extraordinary one vertically polarized,
+    and the second term carries the relative phase.
     """
 
     relative_phase: float = 0.0
@@ -65,11 +63,8 @@ class PairState:
     def terms(self) -> tuple[PairTerm, PairTerm]:
         w = 1.0 / math.sqrt(2.0)
         return (
-            PairTerm(Polarization.H, "o", Polarization.V, "e", complex(w)),
-            PairTerm(
-                Polarization.V, "e", Polarization.H, "o",
-                w * complex(np.exp(1j * self.relative_phase)),
-            ),
+            PairTerm(Polarization.H, Polarization.V, complex(w)),
+            PairTerm(Polarization.V, Polarization.H, w * complex(np.exp(1j * self.relative_phase))),
         )
 
 

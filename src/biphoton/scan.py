@@ -20,10 +20,10 @@ reduction and one per diagonal after it. The kernel f_p conj(f_q) of a
 real amplitude is real, and so are the C_k of a pair with no delay
 differences, every self pair among them.
 
-A scan therefore costs one O(n^2) diagonal reduction per distinct pair
-and O(n) per delay point, in O(n) working memory: the reduction draws the
-kernel f_p conj(f_q) a block of rows at a time and never holds it whole.
-The rows come from one of two sources.
+A scan therefore costs one diagonal reduction per distinct pair and O(n)
+per delay point, in O(n) working memory: the reduction draws the kernel
+f_p conj(f_q) a block of rows at a time and never holds it whole. The
+rows come from one of two sources.
 
 * Factors, from ``build_jsa``: f = F / (sqrt(S) w) with
   F(i, j) = g1[i] g2[j] P[i + j], so every kernel of F is
@@ -31,6 +31,10 @@ The rows come from one of two sources.
   which trade places on a swapped path. The reduction runs on F and
   divides by S = sum |F|^2 afterwards, so w^2 cancels; S is the total of
   the zero-delay self sums of unswapped paths, which a scan needs anyway.
+  A block writes only the columns that meet a grid sum on which Q is
+  non-zero; the others hold exact zeros. So the reduction costs
+  O(n (W + rows per block)), W the number of such grid sums, with the
+  same bits as the full O(n^2) pass.
 * Dense values, of an amplitude a caller built: rows of f_p times rows
   of conj(f_q), a swapped path reading columns, and the sums times w^2.
 
@@ -84,6 +88,13 @@ MAX_SCAN_STEPS = 100_000
 # Complex elements per block of the diagonal reduction and of the phase
 # table, so that working memory stays O(n) whatever n and the step count.
 _BLOCK = 1 << 14
+
+
+def _support(values: np.ndarray) -> tuple[int, int] | None:
+    """First and last index at which ``values`` is non-zero, or None if
+    it is zero everywhere."""
+    nonzero = np.flatnonzero(values)
+    return (int(nonzero[0]), int(nonzero[-1])) if len(nonzero) else None
 
 
 class RateKernel:
@@ -155,11 +166,15 @@ class RateKernel:
 
     def _factored_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
         """Writer of kernel rows a(i) b(j) Q[i + j] for the factors' model,
-        columns reversed and times ``phase_b``, and the kernel's dtype.
+        columns reversed and times ``phase_b``, optionally only the
+        reversed ``columns``; the kernel's dtype; and the grid sums on
+        which Q is non-zero.
 
         f_p(i, j) is g1[i] g2[j] pump[i + j], with g1 and g2 trading places
         for a swapped path, so a and b are the products of the filter
-        factors on each axis and Q = pump^2 on the 2n - 1 grid sums.
+        factors on each axis and Q = pump^2 on the 2n - 1 grid sums. The
+        support is that of Q itself, since pump^2 underflows to 0 where
+        pump may not.
         """
         g1, g2, pump = self.jsa.factors
         n = self.grid.n
@@ -169,19 +184,21 @@ class RateKernel:
             b = b * phase_b
         # Reversed row i reads Q[i + n - 1 - j], i.e. the window of the
         # reversed Q that starts at n - 1 - i.
-        q_reversed = np.ascontiguousarray((pump * pump)[::-1])
+        q = pump * pump
+        q_reversed = np.ascontiguousarray(q[::-1])
         windows = np.lib.stride_tricks.sliding_window_view(q_reversed, n)
 
-        def write(start: int, stop: int, out: np.ndarray) -> None:
-            np.multiply(windows[n - stop : n - start][::-1], b, out=out)
+        def write(start: int, stop: int, out: np.ndarray, columns=slice(None)) -> None:
+            np.multiply(windows[n - stop : n - start][::-1, columns], b[columns], out=out)
             out *= a[start:stop, None]
 
-        return write, b.dtype
+        return write, b.dtype, _support(q)
 
     def _dense_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
         """Writer of kernel rows f_p conj(f_q) from dense values, columns
-        reversed and times ``phase_b``, and the kernel's dtype. A swapped
-        path reads its rows from the columns of the values."""
+        reversed and times ``phase_b``, the kernel's dtype, and every grid
+        sum as the support. A swapped path reads its rows from the columns
+        of the values."""
         v = self.jsa.values
         # Conjugation is the identity on a real amplitude, which therefore
         # takes a single pass.
@@ -201,7 +218,7 @@ class RateKernel:
                 out *= phase_b
 
         complex_ = conjugate or phase_b is not None
-        return write, np.dtype(np.complex128 if complex_ else np.float64)
+        return write, np.dtype(np.complex128 if complex_ else np.float64), (0, 2 * len(v) - 2)
 
     def _diagonal_sums(
         self, swap_p: bool, swap_q: bool, delta_a: float, delta_b: float
@@ -217,21 +234,44 @@ class RateKernel:
         column = delta_a + delta_b
         phase_b = np.exp(1j * self.grid.points[::-1] * column) if column else None
         source = self._dense_rows if self.jsa.factors is None else self._factored_rows
-        write, dtype = source(swap_p, swap_q, phase_b)
+        write, dtype, support = source(swap_p, swap_q, phase_b)
         # Rows [start, stop) with their columns reversed land in a zero-padded
         # buffer of row length n + rows; read with row length n + rows - 1,
         # row r shifts right by r, so column sums are the anti-diagonal sums
         # of the reversed block, i.e. the diagonals i - j of the kernel.
+        sums = np.zeros(2 * n - 1, dtype=dtype)
+        if support is None:
+            return sums
+        m_lo, m_hi = support
         rows = min(n, max(1, _BLOCK // n))
         width = n + rows - 1
         buffer = np.zeros((rows, width + 1), dtype=dtype)
-        sums = np.zeros(2 * n - 1, dtype=dtype)
+        narrow = None
         for start in range(0, n, rows):
             stop = min(n, start + rows)
-            block = buffer[: stop - start]
-            write(start, stop, block[:, :n])
-            sheared = block.reshape(-1)[: (stop - start) * width].reshape(stop - start, width)
-            sums[start : start + width] += sheared.sum(axis=0)[: 2 * n - 1 - start]
+            # Only the reversed columns [lo, hi), c = n - 1 - j, reach a grid
+            # sum i + j in the support. The rest of the block holds products
+            # with Q = 0, zeros of either sign as the factors are finite.
+            # They change no non-zero running sum, and a zero one only in its
+            # sign, which the +0 that ``sums`` starts from absorbs; so a
+            # narrower block sheared the same way gives the same bits.
+            lo, hi = max(0, n - 1 - m_hi + start), min(n, n + stop - 1 - m_lo)
+            if lo >= hi:
+                continue
+            if hi - lo == n:
+                block, span = buffer[: stop - start], width
+                write(start, stop, block[:, :n])
+            else:
+                # Narrower blocks take a second buffer, whose padding is
+                # cleared for each row length.
+                if narrow is None:
+                    narrow = np.empty(buffer.size, dtype=dtype)
+                span = hi - lo + stop - start - 1
+                block = narrow[: (stop - start) * (span + 1)].reshape(stop - start, span + 1)
+                block[:, hi - lo :] = 0
+                write(start, stop, block[:, : hi - lo], slice(lo, hi))
+            sheared = block.reshape(-1)[: (stop - start) * span].reshape(stop - start, span)
+            sums[start + lo : start + lo + span] += sheared.sum(axis=0)[: 2 * n - 1 - start - lo]
         if delta_a:
             sums = sums * np.exp(1j * self._lags * delta_a)
         return sums

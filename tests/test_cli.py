@@ -1,12 +1,18 @@
 """Command-line behavior: exit codes, CSV/SVG schema, determinism."""
 
+import contextlib
+import csv
+import io
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton.cli import main, parse_config_file
 from biphoton.elements import RodAxis
-from biphoton.presets import CONFIG_KEYS, PRESET_NAMES
+from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES
 
 # Default outputs pinned byte for byte: a change that moves any of them
 # changes what users get from the documented commands.
@@ -287,6 +293,17 @@ class TestSweep:
         assert "sweep row 1" in stderr
         assert "alias" in stderr
 
+    def test_rod_with_an_infinite_delay_exits_2(self, tmp_path, capsys):
+        # Used to write a row of nan visibility and exit 0.
+        out = tmp_path / "sweep.csv"
+        code, _, stderr = run_cli(
+            capsys, "sweep", "fig3a_dip", "--axis", "rod_length", "--values", "1e308",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "sweep row 0" in stderr and "not finite" in stderr
+        assert not out.exists()
+
     def test_bad_row_exits_2_with_its_index(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "sweep", "fig4c", "--axis", "pump_coherence_time",
@@ -323,3 +340,86 @@ class TestVerify:
         assert code == 1
         assert "check=grid_refinement status=FAIL" in stdout
         assert "first_failed=grid_refinement" in stdout
+
+
+# Text that parses as a number, that almost does, or that sits at an edge
+# of the float range; each key also gets values it takes in normal use.
+ODD_TEXT = ["nan", "inf", "-inf", "5e-324", "-5e-324", "1e308", "-1e308", "0x10", "2**10",
+            "0", "-0", "-1", "1e-300", "abc", "True"]
+USUAL_TEXT = {
+    "qr1_axis": ["vertical", "horizontal", "h", "V"],
+    "qr2_axis": ["vertical", "horizontal", "h", "V"],
+    "rod_length": ["0", "5", "20", "215"],
+    "analyzer1": ["45", "-45", "0", "90", "30"],
+    "analyzer2": ["45", "-45", "0", "90", "30"],
+    "pair_phase": ["0", "1", "3.14159"],
+    "pump_coherence_time": ["60", "120", "630", "6300"],
+    "filter_fwhm": ["10", "20", "40"],
+    "filter_center": ["780", "400", "1e200"],
+    "asymmetry_ratio": ["0.5", "1", "2", "100"],
+    # Requested grids stay at n <= 512; auto_grid may still raise n.
+    "grid_n": ["64", "128", "256", "512", "100", "-256"],
+    "grid_span_sigma": ["3", "4", "6", "8"],
+    "preset": list(PRESET_NAMES) + ["nope"],
+    "bogus": ["1"],
+    "rod length": ["20"],
+}
+EDGE_TEXT = ["-1500", "1500", "-3000", "3000", "0", "nan", "inf", "-inf", "1e308", "-1e308",
+             "5e-324", "abc"]
+
+
+@st.composite
+def config_text(draw):
+    lines = []
+    for key in draw(st.lists(st.sampled_from(sorted(USUAL_TEXT)), max_size=5)):
+        # One value in four is odd, so that some files also run through.
+        odd = draw(st.integers(0, 3)) == 0
+        lines.append(f"{key} = {draw(st.sampled_from(ODD_TEXT if odd else USUAL_TEXT[key]))}")
+    if draw(st.integers(0, 3)) == 0:
+        junk = ["# comment", "", "   ", "no equals sign", "= 5", "rod_length ="]
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(junk)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def command_line(draw):
+    if draw(st.booleans()):
+        axis = draw(st.sampled_from(SWEEP_AXES + ("grid_n", "bogus")))
+        usual = ",".join(draw(st.lists(st.sampled_from(USUAL_TEXT.get(axis, ["1"])), min_size=1,
+                                       max_size=3)))
+        odd = draw(st.integers(0, 3)) == 0
+        values = draw(st.sampled_from(["nan", "", "1e308", "0x10", ","])) if odd else usual
+        argv = ["sweep", "--axis", axis, f"--values={values}"]
+    else:
+        argv = ["run"]
+    for flag in ("--d-min", "--d-max"):
+        if draw(st.integers(0, 3)) == 0:
+            argv.append(f"{flag}={draw(st.sampled_from(EDGE_TEXT))}")
+    odd = draw(st.integers(0, 3)) == 0
+    steps = draw(st.sampled_from(["3", "2", "0", "-5", "100001", "1.5", "x"])) if odd else "21"
+    return argv + [f"--steps={steps}"]
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(text=config_text(), argv=command_line())
+    def test_random_input_exits_0_or_2_without_traceback(self, text, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "random.conf", Path(tmp) / "out.csv"
+            config.write_text(text)
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    code = main(argv + ["--config", str(config), "--out", str(out)])
+                except SystemExit as exc:  # argparse refusing a flag
+                    code = exc.code
+            assert code in (0, 2), (code, stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()
+            if code == 0:
+                if argv[0] == "run":
+                    summary = dict(p.split("=", 1) for p in stdout.getvalue().split() if "=" in p)
+                    visibilities = [float(summary["visibility"])]
+                else:
+                    with out.open() as f:
+                        visibilities = [float(row["visibility"]) for row in csv.DictReader(f)]
+                assert visibilities and all(0.0 <= v <= 1.0 for v in visibilities)

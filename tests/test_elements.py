@@ -36,6 +36,13 @@ class TestQuartzDelay:
         with pytest.raises(ConfigurationError):
             QuartzRod(RodAxis.VERTICAL, -5.0)
 
+    @pytest.mark.parametrize("axis", list(RodAxis))
+    def test_overflowing_delay_is_refused(self, axis):
+        # 1e308 mm times 31.5 fs/mm is inf; inf - inf would make the delay
+        # differences nan and every rate of a scan nan.
+        with pytest.raises(ConfigurationError, match="not finite"):
+            rod_delays(QuartzRod(axis, 1e308))
+
 
 class TestRodDelays:
     def test_vertical_axis_delays_v(self):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    PRESET_NAMES,
     ContractViolation,
     SpectralParams,
     build_jsa,
@@ -14,6 +15,7 @@ from biphoton import (
     enumerate_paths,
     jsa_swap_distance,
     oracle_rate,
+    oracle_rates,
     oracle_terms,
     oracle_visibility,
     path_overlap,
@@ -147,3 +149,16 @@ def test_huge_rod_delays_saturate_the_cross_factor(rod_length):
     assert terms.overlap == 0.0
     assert oracle_rate(config, 0.0) == terms.baseline
     assert math.isfinite(oracle_rate(config, 0.0))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
+def test_oracle_rates_equal_oracle_rate_exactly(name, rho):
+    config = replace(
+        preset(name), spectral=SpectralParams(asymmetry_ratio=rho, pump_coherence_time=630.0)
+    )
+    rng = np.random.default_rng(PRESET_NAMES.index(name))
+    delays = np.concatenate((rng.uniform(-5000.0, 5000.0, 40), np.linspace(-1500.0, 1500.0, 151)))
+    rates = oracle_rates(config, delays)
+    assert rates == [oracle_rate(config, float(d)) for d in delays]
+    assert rates == [oracle_terms(config, d).rate for d in delays]

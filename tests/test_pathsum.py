@@ -29,10 +29,12 @@ class TestPairState:
         assert len(terms) == 2
         assert sum(abs(t.amplitude) ** 2 for t in terms) == pytest.approx(1.0, abs=1e-15)
 
-    def test_no_horizontal_extraordinary_photon(self):
-        for term in PairState().terms:
-            assert (term.pol1, term.ray1) != (Polarization.H, "e")
-            assert (term.pol2, term.ray2) != (Polarization.H, "e")
+    def test_each_term_pairs_orthogonal_polarizations(self):
+        terms = PairState().terms
+        assert [(t.pol1, t.pol2) for t in terms] == [
+            (Polarization.H, Polarization.V),
+            (Polarization.V, Polarization.H),
+        ]
 
     def test_relative_phase_enters_second_term(self):
         terms = PairState(relative_phase=math.pi / 2).terms

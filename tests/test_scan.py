@@ -29,6 +29,7 @@ from biphoton import (
     scan_delay,
     time_joint_density,
 )
+from biphoton import scan
 from biphoton.scan import DEFAULT_WING_FACTOR, MAX_SCAN_STEPS, RateKernel
 
 
@@ -267,6 +268,102 @@ class TestRateKernel:
         assert jsa._values is None
         assert not jsa.values.flags.writeable
         assert jsa.values is jsa.values
+
+
+def same_bits(x, y):
+    """Equal values, dtypes and signs of zero, in both parts."""
+    return (
+        x.dtype == y.dtype
+        and np.array_equal(x, y)
+        and np.array_equal(np.signbit(x.real), np.signbit(y.real))
+        and np.array_equal(np.signbit(np.imag(x)), np.signbit(np.imag(y)))
+    )
+
+
+def full_width(monkeypatch):
+    """Make the factored reduction write every column of every block."""
+    monkeypatch.setattr(scan, "_support", lambda values: (0, len(values) - 1))
+
+
+class TestPumpBand:
+    """Outside the grid sums on which Q = pump^2 is non-zero, every kernel
+    entry is an exact zero, so the reduction skips those columns; the
+    sums keep their bits."""
+
+    SWAPS = [(False, False), (False, True), (True, False), (True, True)]
+    # No column phase, the phase of fig4c's cross pair, and one with both
+    # port phases.
+    DELTAS = [(0.0, 0.0), (-630.0, -630.0), (100.0, 250.0)]
+
+    def all_sums(self, jsa):
+        kernel = RateKernel(jsa)
+        return [kernel._diagonal_sums(*swaps, *deltas) for swaps in self.SWAPS for deltas in self.DELTAS]
+
+    @pytest.mark.parametrize("name", ["fig4c", "fig3a_dip"])
+    @pytest.mark.parametrize("tau_p", [630.0, 6300.0])
+    @pytest.mark.parametrize("rho", [1.0, 2.0])
+    def test_band_gives_the_bits_of_the_full_width(self, monkeypatch, name, tau_p, rho):
+        config = replace(
+            preset(name), spectral=SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
+        )
+        jsa = build_jsa(config.spectral, config.frequency_grid())
+        n = jsa.grid.n
+        pump = jsa.factors[2]
+        lo, hi = scan._support(pump * pump)
+        assert 0 < lo and hi < 2 * n - 2
+        paths = enumerate_paths(config)
+        delays = np.linspace(-1500.0, 1500.0, 61)
+
+        def run():
+            kernel = RateKernel(jsa)
+            pairs = [kernel.pair_sum(p, q) for p in paths for q in paths]
+            return pairs, kernel.rate(paths, delays), self.all_sums(jsa)
+
+        banded = run()
+        full_width(monkeypatch)
+        full = run()
+        for x, y in zip(banded[0] + [banded[1]] + banded[2], full[0] + [full[1]] + full[2]):
+            assert same_bits(x, y)
+
+    @pytest.mark.parametrize(
+        "nonzero",
+        [
+            [300, 304],  # narrower than one block of 64 rows
+            [200, 201, 202, 203],
+            list(range(0, 41)),  # touches the low grid edge
+            list(range(470, 511)),  # touches the high grid edge
+            [0],
+            [510],
+            [100, 400],  # zeros inside the support stay in
+        ],
+        ids=["narrow", "narrow-even", "low-edge", "high-edge", "corner-0", "corner-2n-2", "gap"],
+    )
+    def test_custom_supports_keep_the_bits(self, monkeypatch, nonzero):
+        # Signed filter factors with exact zeros of both signs put +0.0
+        # and -0.0 into the skipped entries of the full-width kernel.
+        params = SpectralParams()
+        grid = build_grid(params, n=256)
+        rng = np.random.default_rng(len(nonzero))
+        g1, g2 = rng.normal(size=(2, 256))
+        g1[3::17], g2[5::19] = 0.0, -0.0
+        pump = np.zeros(511)
+        pump[nonzero] = rng.normal(size=len(nonzero))
+        jsa = JointSpectralAmplitude(grid, factors=(g1, g2, pump))
+        banded = self.all_sums(jsa)
+        full_width(monkeypatch)
+        full = self.all_sums(jsa)
+        assert all(same_bits(x, y) for x, y in zip(banded, full))
+        assert any(np.any(x) for x in banded)
+
+    def test_a_pump_whose_square_underflows_is_refused(self):
+        params = SpectralParams()
+        grid = build_grid(params, n=256)
+        g = np.ones(256)
+        pump = np.full(511, 1e-170)
+        assert not np.any(pump * pump)
+        jsa = JointSpectralAmplitude(grid, factors=(g, g, pump))
+        with pytest.raises(ContractViolation, match="normalize"):
+            RateKernel(jsa).rate(enumerate_paths(preset("fig3a_dip")), [0.0])
 
 
 class TestRealEngine:
