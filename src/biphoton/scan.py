@@ -235,14 +235,14 @@ class RateKernel:
         phase_b = np.exp(1j * self.grid.points[::-1] * column) if column else None
         source = self._dense_rows if self.jsa.factors is None else self._factored_rows
         write, dtype, support = source(swap_p, swap_q, phase_b)
-        # Rows [start, stop) with their columns reversed land in a zero-padded
-        # buffer of row length n + rows; read with row length n + rows - 1,
-        # row r shifts right by r, so column sums are the anti-diagonal sums
-        # of the reversed block, i.e. the diagonals i - j of the kernel.
         sums = np.zeros(2 * n - 1, dtype=dtype)
         if support is None:
             return sums
         m_lo, m_hi = support
+        # Rows [start, stop) with their columns reversed land in a zero-padded
+        # buffer of row length n + rows; read with row length n + rows - 1,
+        # row r shifts right by r, so column sums are the anti-diagonal sums
+        # of the reversed block, i.e. the diagonals i - j of the kernel.
         rows = min(n, max(1, _BLOCK // n))
         width = n + rows - 1
         buffer = np.zeros((rows, width + 1), dtype=dtype)
@@ -251,10 +251,11 @@ class RateKernel:
             stop = min(n, start + rows)
             # Only the reversed columns [lo, hi), c = n - 1 - j, reach a grid
             # sum i + j in the support. The rest of the block holds products
-            # with Q = 0, zeros of either sign as the factors are finite.
-            # They change no non-zero running sum, and a zero one only in its
-            # sign, which the +0 that ``sums`` starts from absorbs; so a
-            # narrower block sheared the same way gives the same bits.
+            # with Q = 0, zeros of either sign since the factors' squares are
+            # finite (``JointSpectralAmplitude`` checks). They change no
+            # non-zero running sum, and a zero one only in its sign, which
+            # the +0 that ``sums`` starts from absorbs; so a narrower block
+            # sheared the same way gives the same bits.
             lo, hi = max(0, n - 1 - m_hi + start), min(n, n + stop - 1 - m_lo)
             if lo >= hi:
                 continue

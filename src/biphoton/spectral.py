@@ -237,8 +237,16 @@ class JointSpectralAmplitude:
         if (values is None) == (factors is None):
             raise ContractViolation("an amplitude takes either its values or its factors")
         n = grid.n
-        if factors is not None and [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
-            raise ContractViolation(f"factors must have lengths n, n and 2n - 1 for n = {n}")
+        if factors is not None:
+            if [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
+                raise ContractViolation(f"factors must have lengths n, n and 2n - 1 for n = {n}")
+            # The rate engine skips kernel entries where pump^2 is zero; they
+            # are exact zeros only while the products of two factors are
+            # finite, which finite squares guarantee.
+            with np.errstate(over="ignore", invalid="ignore"):
+                finite = all(np.isfinite(f * f).all() for f in factors)
+            if not finite:
+                raise ContractViolation("factors must have finite squares")
         for array in factors or (values,):
             array.setflags(write=False)
         self.grid = grid

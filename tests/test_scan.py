@@ -297,7 +297,9 @@ class TestPumpBand:
 
     def all_sums(self, jsa):
         kernel = RateKernel(jsa)
-        return [kernel._diagonal_sums(*swaps, *deltas) for swaps in self.SWAPS for deltas in self.DELTAS]
+        return [
+            kernel._diagonal_sums(*swaps, *deltas) for swaps in self.SWAPS for deltas in self.DELTAS
+        ]
 
     @pytest.mark.parametrize("name", ["fig4c", "fig3a_dip"])
     @pytest.mark.parametrize("tau_p", [630.0, 6300.0])
@@ -317,13 +319,11 @@ class TestPumpBand:
         def run():
             kernel = RateKernel(jsa)
             pairs = [kernel.pair_sum(p, q) for p in paths for q in paths]
-            return pairs, kernel.rate(paths, delays), self.all_sums(jsa)
+            return [*pairs, kernel.rate(paths, delays), *self.all_sums(jsa)]
 
         banded = run()
         full_width(monkeypatch)
-        full = run()
-        for x, y in zip(banded[0] + [banded[1]] + banded[2], full[0] + [full[1]] + full[2]):
-            assert same_bits(x, y)
+        assert all(same_bits(x, y) for x, y in zip(banded, run(), strict=True))
 
     @pytest.mark.parametrize(
         "nonzero",
@@ -351,8 +351,7 @@ class TestPumpBand:
         jsa = JointSpectralAmplitude(grid, factors=(g1, g2, pump))
         banded = self.all_sums(jsa)
         full_width(monkeypatch)
-        full = self.all_sums(jsa)
-        assert all(same_bits(x, y) for x, y in zip(banded, full))
+        assert all(same_bits(x, y) for x, y in zip(banded, self.all_sums(jsa), strict=True))
         assert any(np.any(x) for x in banded)
 
     def test_a_pump_whose_square_underflows_is_refused(self):

@@ -293,6 +293,9 @@ class TestFactoredAmplitude:
             JointSpectralAmplitude(grid, default_jsa.values, factors=default_jsa.factors)
         with pytest.raises(ContractViolation, match="2n - 1"):
             JointSpectralAmplitude(grid, factors=(g1, g2, pump[1:]))
+        for bad in (np.inf, np.nan, 1e200):
+            with pytest.raises(ContractViolation, match="finite squares"):
+                JointSpectralAmplitude(grid, factors=(g1, np.where(g2 > 0.5, g2, bad), pump))
         assert JointSpectralAmplitude(grid, default_jsa.values).factors is None
 
 
