@@ -172,27 +172,38 @@ class RateKernel:
 
         f_p(i, j) is g1[i] g2[j] pump[i + j], with g1 and g2 trading places
         for a swapped path, so a and b are the products of the filter
-        factors on each axis and Q = pump^2 on the 2n - 1 grid sums. The
-        support is that of Q itself, since pump^2 underflows to 0 where
-        pump may not.
+        factors on each axis and Q = pump^2 on the 2n - 1 grid sums.
         """
-        g1, g2, pump = self.jsa.factors
+        g1, g2, _ = self.jsa.factors
         n = self.grid.n
         a = (g2 if swap_p else g1) * (g2 if swap_q else g1)
         b = ((g1 if swap_p else g2) * (g1 if swap_q else g2))[::-1]
         if phase_b is not None:
             b = b * phase_b
-        # Reversed row i reads Q[i + n - 1 - j], i.e. the window of the
-        # reversed Q that starts at n - 1 - i.
-        q = pump * pump
-        q_reversed = np.ascontiguousarray(q[::-1])
-        windows = np.lib.stride_tricks.sliding_window_view(q_reversed, n)
+        windows, support = self._pump_band
 
-        def write(start: int, stop: int, out: np.ndarray, columns=slice(None)) -> None:
-            np.multiply(windows[n - stop : n - start][::-1, columns], b[columns], out=out)
+        def write(start: int, stop: int, out: np.ndarray, columns: slice | None = None) -> None:
+            q = windows[n - stop : n - start][::-1]
+            if columns is None:
+                np.multiply(q, b, out=out)
+            else:
+                np.multiply(q[:, columns], b[columns], out=out)
             out *= a[start:stop, None]
 
-        return write, b.dtype, _support(q)
+        return write, b.dtype, support
+
+    @cached_property
+    def _pump_band(self) -> tuple[np.ndarray, tuple[int, int] | None]:
+        """The windows of the reversed Q = pump^2 that the factored rows
+        read, and the first and last grid sum on which Q is non-zero.
+
+        Reversed row i reads Q[i + n - 1 - j], i.e. the window of the
+        reversed Q that starts at n - 1 - i. The support is that of Q
+        itself, since pump^2 underflows to 0 where pump may not.
+        """
+        q = self.jsa.factors[2] * self.jsa.factors[2]
+        windows = np.lib.stride_tricks.sliding_window_view(q[::-1].copy(), self.grid.n)
+        return windows, _support(q)
 
     def _dense_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
         """Writer of kernel rows f_p conj(f_q) from dense values, columns
@@ -245,8 +256,7 @@ class RateKernel:
         # of the reversed block, i.e. the diagonals i - j of the kernel.
         rows = min(n, max(1, _BLOCK // n))
         width = n + rows - 1
-        buffer = np.zeros((rows, width + 1), dtype=dtype)
-        narrow = None
+        buffer = narrow = None
         for start in range(0, n, rows):
             stop = min(n, start + rows)
             # Only the reversed columns [lo, hi), c = n - 1 - j, reach a grid
@@ -260,13 +270,16 @@ class RateKernel:
             if lo >= hi:
                 continue
             if hi - lo == n:
+                if buffer is None:
+                    buffer = np.zeros((rows, width + 1), dtype=dtype)
                 block, span = buffer[: stop - start], width
                 write(start, stop, block[:, :n])
             else:
-                # Narrower blocks take a second buffer, whose padding is
-                # cleared for each row length.
+                # Narrower blocks, of at most m_hi - m_lo + rows columns,
+                # take a second buffer, whose padding is cleared for each
+                # row length.
                 if narrow is None:
-                    narrow = np.empty(buffer.size, dtype=dtype)
+                    narrow = np.empty(rows * (min(n, m_hi - m_lo + rows) + rows), dtype=dtype)
                 span = hi - lo + stop - start - 1
                 block = narrow[: (stop - start) * (span + 1)].reshape(stop - start, span + 1)
                 block[:, hi - lo :] = 0
