@@ -57,7 +57,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
 
     Keys mirror the configuration field names (see README for the schema);
     an optional ``preset`` key selects the base configuration that the
-    remaining keys override. Unknown keys are errors.
+    remaining keys override. Unknown keys and keys given twice are errors.
     """
     path = Path(path)
     try:
@@ -65,7 +65,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
 
-    entries: list[tuple[int, str, str]] = []
+    entries: dict[str, tuple[int, str]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -75,17 +75,14 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigurationError(f"{path}:{lineno}: empty key or value in {raw!r}")
-        entries.append((lineno, key, value))
+        if key in entries:
+            raise ConfigurationError(
+                f"{path}:{lineno}: key {key!r} given twice, on lines {entries[key][0]} and {lineno}"
+            )
+        entries[key] = (lineno, value)
 
-    config = ExperimentConfig()
-    for lineno, key, value in entries:
-        if key == "preset":
-            config = preset(value)
-            break
-
-    for lineno, key, value in entries:
-        if key == "preset":
-            continue
+    config = preset(entries.pop("preset")[1]) if "preset" in entries else ExperimentConfig()
+    for key, (lineno, value) in entries.items():
         if key not in CONFIG_KEYS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         try:

@@ -20,10 +20,12 @@ reduction and one per diagonal after it. The kernel f_p conj(f_q) of a
 real amplitude is real, and so are the C_k of a pair with no delay
 differences, every self pair among them.
 
-A scan therefore costs one diagonal reduction per distinct pair and O(n)
-per delay point, in O(n) working memory: the reduction draws the kernel
-f_p conj(f_q) a block of rows at a time and never holds it whole. The
-rows come from one of two sources.
+A scan therefore costs one diagonal reduction per distinct pair and, per
+delay point, O(n) complex multiplies and O(sqrt(n)) complex exps: the
+phases e^{i s d k h}, k = K B + j with B ~ sqrt(n), are the products of
+e^{i s d K B h} and e^{i s d j h}. It runs in O(n) working memory: the
+reduction draws the kernel f_p conj(f_q) a block of rows at a time and
+never holds it whole. The rows come from one of two sources.
 
 * Factors, from ``build_jsa``: f = F / (sqrt(S) w) with
   F(i, j) = g1[i] g2[j] P[i + j], so every kernel of F is
@@ -115,8 +117,14 @@ class RateKernel:
         self.grid = jsa.grid
         self._diagonals: dict[tuple[bool, bool, float, float], np.ndarray] = {}
         n = self.grid.n
+        h = self.grid.weight
         # k h for the diagonals k = i - j = 1 - n, ..., n - 1.
-        self._lags = np.arange(1 - n, n) * self.grid.weight
+        self._lags = np.arange(1 - n, n) * h
+        # k h for k = K B + j >= 0 with B = 2^floor(log2(n) / 2): the coarse
+        # lags K B h and the fine lags j h, j < B, each the product fl(k h).
+        stride = 1 << (int(n).bit_length() - 1) // 2
+        self._coarse_lags = np.arange(0, n, stride) * h
+        self._fine_lags = np.arange(stride) * h
 
     @cached_property
     def _symmetric(self) -> bool:
@@ -293,19 +301,29 @@ class RateKernel:
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """sum_k C_k e^{i x k h} for each slope x = s d, one row per slope.
 
-        The phase table is evaluated for the lags k >= 0 and read as its
-        conjugate for -k, which gives the same bits as evaluating every
-        lag. Each row is reduced on its own, so a slope gives the same bits
-        wherever it sits in ``slopes``.
+        The phase table for the lags k = K B + j >= 0 is the outer product
+        of the coarse phases e^{i x K B h} and the fine phases e^{i x j h},
+        j < B ~ sqrt(n), so a row costs about 2 sqrt(n) complex exps and n
+        complex multiplies; it is read as its conjugate for -k. A slope of
+        +-0 gives a row of exactly 1 +- 0i. Each row is reduced on its own,
+        so a slope gives the same bits wherever it sits in ``slopes``.
         """
         n = self.grid.n
+        coarse_lags, fine_lags = self._coarse_lags, self._fine_lags
+        # A grid of n points that is not a power of two pads the k >= 0 half
+        # to a whole number of coarse steps; the padding is never read.
+        padded = len(coarse_lags) * len(fine_lags)
         out = np.empty(len(slopes), dtype=np.complex128)
         rows = max(1, _BLOCK // len(sums))
-        phase = np.empty((min(rows, len(slopes)), 2 * n - 1), dtype=np.complex128)
+        phase = np.empty((min(rows, len(slopes)), n - 1 + padded), dtype=np.complex128)
         for start in range(0, len(slopes), rows):
             chunk = slopes[start : start + rows]
+            coarse = np.exp(1j * np.multiply.outer(chunk, coarse_lags))
+            fine = np.exp(1j * np.multiply.outer(chunk, fine_lags))
             table = phase[: len(chunk)]
-            np.exp(1j * np.multiply.outer(chunk, self._lags[n - 1 :]), out=table[:, n - 1 :])
+            half = table[:, n - 1 :].reshape(len(chunk), len(coarse_lags), len(fine_lags))
+            np.multiply(coarse[:, :, None], fine[:, None, :], out=half)
+            table = table[:, : 2 * n - 1]
             np.conjugate(table[:, : n - 1 : -1], out=table[:, : n - 1])
             table *= sums
             out[start : start + rows] = table.sum(axis=1)

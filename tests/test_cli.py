@@ -203,6 +203,22 @@ class TestConfigFile:
         assert ":2:" in stderr
         assert key in stderr
 
+    # A repeated key used to be read silently: the first preset, or the
+    # last value of any other key.
+    @pytest.mark.parametrize("key,first,second", [
+        ("preset", "fig3a_dip", "fig4c"),
+        ("rod_length", "20", "10"),
+    ])
+    def test_repeated_key_exits_2_with_both_lines(self, tmp_path, capsys, key, first, second):
+        path = self.write(tmp_path, f"{key} = {first}\n# comment\nanalyzer1 = 45\n{key} = {second}\n")
+        out = tmp_path / "scan.csv"
+        code, stdout, stderr = run_cli(capsys, "run", "--config", str(path), "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error:")
+        assert f"{path}:4: key {key!r} given twice, on lines 1 and 4" in stderr
+        assert not out.exists()
+
     def test_readme_lists_exactly_the_config_keys(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]

@@ -31,6 +31,7 @@ from biphoton import (
 )
 from biphoton import scan
 from biphoton.scan import DEFAULT_WING_FACTOR, MAX_SCAN_STEPS, RateKernel
+from biphoton.spectral import _construct_grid
 
 
 class TestCoincidenceRate:
@@ -369,16 +370,48 @@ class TestRealEngine:
     """A real amplitude runs through the same code as a complex one, with
     the phases factored out of the kernel."""
 
-    def test_phase_table_matches_a_full_exp_table(self, default_jsa):
-        kernel = RateKernel(default_jsa)
-        n = default_jsa.grid.n
-        lags = np.arange(1 - n, n) * default_jsa.grid.weight
-        slopes = np.concatenate([np.linspace(-1500.0, 1500.0, 151), [0.0, -0.0, 2.5e4]])
-        rr, tt = enumerate_paths(preset("fig4c"))
-        for p, q in ((rr, rr), (rr, tt), (tt, rr)):
-            sums = kernel.pair_sum(p, q)
-            table = np.exp(1j * np.multiply.outer(slopes, lags))
-            assert np.array_equal(kernel._at(sums, slopes), (table * sums).sum(axis=1))
+    # The scan slopes, +-0 and a slope far outside any scan. The phase
+    # table is the product of a coarse and a fine table, so it matches a
+    # full exp table to rounding, not bit for bit.
+    SLOPES = np.concatenate([np.linspace(-1500.0, 1500.0, 151), [0.0, -0.0, 2.5e4]])
+
+    @pytest.fixture(
+        scope="class",
+        params=[(120.0, 256), (6300.0, 1024), (120.0, 100)],
+        ids=["n256", "n1024", "n100"],
+    )
+    def fig4c_pairs(self, request):
+        tau_p, n = request.param
+        params = SpectralParams(pump_coherence_time=tau_p)
+        # A grid of 100 points, not a power of two, pads the coarse table.
+        kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+        rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
+        return kernel, [kernel.pair_sum(p, q) for p, q in ((rr, rr), (rr, tt), (tt, rr))]
+
+    def test_phase_table_is_close_to_a_full_exp_table(self, fig4c_pairs):
+        kernel, pairs = fig4c_pairs
+        n = kernel.grid.n
+        lags = np.arange(1 - n, n) * kernel.grid.weight
+        table = np.exp(1j * np.multiply.outer(self.SLOPES, lags))
+        for sums in pairs:
+            error = np.abs(kernel._at(sums, self.SLOPES) - (table * sums).sum(axis=1)).max()
+            assert error <= 1e-14 * np.abs(sums).sum()
+
+    def test_signed_zero_slopes_give_the_bits_of_zero(self, fig4c_pairs):
+        kernel, pairs = fig4c_pairs
+        for sums in pairs:
+            at_rest = kernel._at(sums, np.array([0.0]))
+            both = kernel._at(sums, np.array([0.0, -0.0]))
+            assert at_rest.tobytes() * 2 == both.tobytes()
+
+    def test_a_slope_gives_the_same_bits_alone_and_in_a_batch(self, fig4c_pairs):
+        kernel, pairs = fig4c_pairs
+        # Rows per block of the phase table: the batch spans more than one.
+        assert len(self.SLOPES) > scan._BLOCK // (2 * kernel.grid.n - 1)
+        for sums in pairs:
+            batch = kernel._at(sums, self.SLOPES)
+            alone = [kernel._at(sums, self.SLOPES[i : i + 1]) for i in range(len(self.SLOPES))]
+            assert np.concatenate(alone).tobytes() == batch.tobytes()
 
     @pytest.mark.parametrize("rho", [1.0, 2.0])
     @pytest.mark.parametrize("name", PRESET_NAMES)
