@@ -62,7 +62,7 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
 
     entries: dict[str, tuple[int, str]] = {}
@@ -81,12 +81,16 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
             )
         entries[key] = (lineno, value)
 
-    config = preset(entries.pop("preset")[1]) if "preset" in entries else ExperimentConfig()
-    for key, (lineno, value) in entries.items():
-        if key not in CONFIG_KEYS:
-            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+    config = ExperimentConfig()
+    # The preset is the base that the other keys override, so it goes first.
+    for key, (lineno, value) in sorted(entries.items(), key=lambda item: item[0] != "preset"):
         try:
-            config = with_value(config, key, _parse_value(key, value))
+            if key == "preset":
+                config = preset(value)
+            elif key in CONFIG_KEYS:
+                config = with_value(config, key, _parse_value(key, value))
+            else:
+                raise ConfigurationError(f"unknown key {key!r}")
         except ConfigurationError as exc:
             raise ConfigurationError(f"{path}:{lineno}: {exc}") from exc
     return config
@@ -96,12 +100,19 @@ def _format_float(x: float) -> str:
     return f"{x:.9g}"
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def write_scan_csv(path: Path, result: ScanResult) -> None:
     lines = ["delay_fs,rate,rate_over_baseline"]
     for d, rate in zip(result.delays, result.rates):
         over = rate / result.baseline if result.baseline != 0 else 0.0
         lines.append(f"{_format_float(d)},{_format_float(rate)},{_format_float(over)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_sweep_csv(path: Path, rows) -> None:
@@ -111,7 +122,7 @@ def write_sweep_csv(path: Path, rows) -> None:
             f"{_format_float(row.value)},{_format_float(row.visibility)},{row.kind},"
             f"{_format_float(row.extremum)},{_format_float(row.baseline)}"
         )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_scan_svg(path: Path, result: ScanResult, title: str) -> None:
@@ -149,7 +160,7 @@ def write_scan_svg(path: Path, result: ScanResult, title: str) -> None:
         f'transform="rotate(-90 14 {height // 2})">rate</text>\n'
         f"</svg>\n"
     )
-    path.write_text(svg, encoding="utf-8", newline="\n")
+    _write_text(path, svg)
 
 
 def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:

@@ -151,14 +151,6 @@ def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmp
     return tuple(paths)
 
 
-def _check_grid(jsa: JointSpectralAmplitude, grid: FrequencyGrid | None) -> FrequencyGrid:
-    if grid is None:
-        return jsa.grid
-    if not grid.matches(jsa.grid):
-        raise ContractViolation("grid does not match the joint spectral amplitude's grid")
-    return grid
-
-
 def _path_matrix(path: PathAmplitude, jsa: JointSpectralAmplitude) -> np.ndarray:
     nu = jsa.grid.points
     base = jsa.values.T if path.swapped else jsa.values
@@ -173,20 +165,17 @@ def _path_matrix(path: PathAmplitude, jsa: JointSpectralAmplitude) -> np.ndarray
 def assemble_amplitude(
     paths: tuple[PathAmplitude, ...] | list[PathAmplitude],
     jsa: JointSpectralAmplitude,
-    grid: FrequencyGrid | None = None,
 ) -> CoincidenceAmplitude:
     """Pointwise sum of the path amplitudes, in the order given."""
-    grid = _check_grid(jsa, grid)
-    total = np.zeros((grid.n, grid.n), dtype=np.complex128)
+    total = np.zeros((jsa.grid.n, jsa.grid.n), dtype=np.complex128)
     for path in paths:
         total += _path_matrix(path, jsa)
-    return CoincidenceAmplitude(grid=grid, values=total)
+    return CoincidenceAmplitude(grid=jsa.grid, values=total)
 
 
 def path_overlap(
     paths: tuple[PathAmplitude, ...] | list[PathAmplitude],
     jsa: JointSpectralAmplitude,
-    grid: FrequencyGrid | None = None,
 ) -> complex:
     """Normalized overlap <A_1 | A_2> / (||A_1|| ||A_2||) of the two paths.
 
@@ -195,13 +184,12 @@ def path_overlap(
     """
     if len(paths) != 2:
         raise ContractViolation(f"path_overlap needs exactly two paths, got {len(paths)}")
-    grid = _check_grid(jsa, grid)
     if paths[0] == paths[1]:
         # A path overlaps itself perfectly by definition.
         return complex(1.0)
     a = _path_matrix(paths[0], jsa)
     b = _path_matrix(paths[1], jsa)
-    w2 = grid.weight**2
+    w2 = jsa.grid.weight**2
     norm_a = math.sqrt(_sum_squares(a) * w2)
     norm_b = math.sqrt(_sum_squares(b) * w2)
     if norm_a == 0.0 or norm_b == 0.0:

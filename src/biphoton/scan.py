@@ -25,20 +25,22 @@ delay point, O(n) complex multiplies and O(sqrt(n)) complex exps: the
 phases e^{i s d k h}, k = K B + j with B ~ sqrt(n), are the products of
 e^{i s d K B h} and e^{i s d j h}. It runs in O(n) working memory: the
 reduction draws the kernel f_p conj(f_q) a block of rows at a time and
-never holds it whole. The rows come from one of two sources.
+never holds it whole. It runs on an unnormalized amplitude F,
+f = F / (sqrt(S) w), and divides by S = sum |F|^2 afterwards, so w^2
+cancels and no rate depends on the scale of F; S is the total of the
+zero-delay self sums of unswapped paths, which a scan needs anyway. The
+rows come from one of two sources.
 
-* Factors, from ``build_jsa``: f = F / (sqrt(S) w) with
-  F(i, j) = g1[i] g2[j] P[i + j], so every kernel of F is
-  a(i) b(j) Q[i + j], where Q = P^2 and a, b are products of g1 and g2,
-  which trade places on a swapped path. The reduction runs on F and
-  divides by S = sum |F|^2 afterwards, so w^2 cancels; S is the total of
-  the zero-delay self sums of unswapped paths, which a scan needs anyway.
-  A block writes only the columns that meet a grid sum on which Q is
-  non-zero; the others hold exact zeros. So the reduction costs
+* Factors, from ``build_jsa``: F(i, j) = g1[i] g2[j] P[i + j], so every
+  kernel of F is a(i) b(j) Q[i + j], where Q = P^2 and a, b are products
+  of g1 and g2, which trade places on a swapped path. A block writes
+  only the columns that meet a grid sum on which Q is non-zero; the
+  others hold exact zeros. So the reduction costs
   O(n (W + rows per block)), W the number of such grid sums, with the
   same bits as the full O(n^2) pass.
-* Dense values, of an amplitude a caller built: rows of f_p times rows
-  of conj(f_q), a swapped path reading columns, and the sums times w^2.
+* Dense values, of an amplitude a caller built: rows of F_p times rows
+  of conj(F_q), a swapped path reading columns, and the sums divided by
+  S like those of factors.
 
 The grid sums repeat in each port delay with period 2 pi / h, so delays
 at which a rate would read an alias of the interference term are refused
@@ -127,28 +129,12 @@ class RateKernel:
         self._fine_lags = np.arange(stride) * h
 
     @cached_property
-    def _symmetric(self) -> bool:
-        """Whether swapping the amplitude's arguments is the identity, bit for bit.
-
-        With factors that is g1 == g2. Dense values are compared in bands
-        of 64 rows with the matching bands of columns, on and above the
-        diagonal only, so the transposed reads stay in cache.
-        """
-        if self.jsa.factors is not None:
-            g1, g2, _ = self.jsa.factors
-            return np.array_equal(g1, g2)
-        v = self.jsa.values
-        return all(
-            np.array_equal(v[i : i + 64, i:], v[i:, i : i + 64].T) for i in range(0, len(v), 64)
-        )
-
-    @cached_property
     def _total(self) -> float:
-        """S = sum |F|^2 over the grid for the unnormalized product F of the
-        factors: the total of the zero-delay self sums of unswapped paths,
-        which are cached, normalized, on the way."""
+        """S = sum |F|^2 over the grid for the unnormalized amplitude F: the
+        total of the zero-delay self sums of unswapped paths (imaginary
+        parts +-0 if complex), which are cached, normalized, on the way."""
         raw = self._diagonal_sums(False, False, 0.0, 0.0)
-        total = float(raw.sum())
+        total = float(raw.sum().real)
         if not (total > 0.0 and math.isfinite(total)):
             raise ContractViolation("cannot normalize a zero or non-finite amplitude")
         self._diagonals[(False, False, 0.0, 0.0)] = raw / total
@@ -158,25 +144,21 @@ class RateKernel:
         """The diagonal sums C_k of T(p, q) above, for paths p, q taken at
         d = 0; index k + n - 1 holds diagonal k = i - j."""
         swaps = (p.swapped, q.swapped)
-        if any(swaps) and self._symmetric:
+        if any(swaps) and self.jsa.symmetric:
             swaps = (False, False)
         key = (*swaps, p.delay_a - q.delay_a, p.delay_b - q.delay_b)
-        factored = self.jsa.factors is not None
-        if factored:
-            # With f = F / (sqrt(S) w), w^2 sum F_p F_q / (S w^2) = sum F_p F_q / S.
-            total = self._total
+        # With f = F / (sqrt(S) w), w^2 sum F_p F_q / (S w^2) = sum F_p F_q / S.
+        total = self._total
         sums = self._diagonals.get(key)
         if sums is None:
-            sums = self._diagonal_sums(*key)
-            sums = sums / total if factored else sums * self.grid.weight**2
+            sums = self._diagonal_sums(*key) / total
             self._diagonals[key] = sums
         return sums
 
     def _factored_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
         """Writer of kernel rows a(i) b(j) Q[i + j] for the factors' model,
-        columns reversed and times ``phase_b``, optionally only the
-        reversed ``columns``; the kernel's dtype; and the grid sums on
-        which Q is non-zero.
+        the reversed ``columns`` only, times ``phase_b``; the kernel's
+        dtype; and the grid sums on which Q is non-zero.
 
         f_p(i, j) is g1[i] g2[j] pump[i + j], with g1 and g2 trading places
         for a swapped path, so a and b are the products of the filter
@@ -190,12 +172,9 @@ class RateKernel:
             b = b * phase_b
         windows, support = self._pump_band
 
-        def write(start: int, stop: int, out: np.ndarray, columns: slice | None = None) -> None:
+        def write(start: int, stop: int, out: np.ndarray, columns: slice) -> None:
             q = windows[n - stop : n - start][::-1]
-            if columns is None:
-                np.multiply(q, b, out=out)
-            else:
-                np.multiply(q[:, columns], b[columns], out=out)
+            np.multiply(q[:, columns], b[columns], out=out)
             out *= a[start:stop, None]
 
         return write, b.dtype, support
@@ -214,27 +193,27 @@ class RateKernel:
         return windows, _support(q)
 
     def _dense_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
-        """Writer of kernel rows f_p conj(f_q) from dense values, columns
-        reversed and times ``phase_b``, the kernel's dtype, and every grid
-        sum as the support. A swapped path reads its rows from the columns
-        of the values."""
+        """Writer of kernel rows f_p conj(f_q) from dense values, the
+        reversed ``columns`` only, times ``phase_b``; the kernel's dtype;
+        and every grid sum as the support. A swapped path reads its rows
+        from the columns of the values."""
         v = self.jsa.values
         # Conjugation is the identity on a real amplitude, which therefore
         # takes a single pass.
         conjugate = np.iscomplexobj(v)
 
-        def rows(swapped: bool, start: int, stop: int) -> np.ndarray:
-            return (v[:, start:stop].T if swapped else v[start:stop])[:, ::-1]
+        def rows(swapped: bool, start: int, stop: int, columns: slice) -> np.ndarray:
+            return (v[:, start:stop].T if swapped else v[start:stop])[:, ::-1][:, columns]
 
-        def write(start: int, stop: int, out: np.ndarray) -> None:
-            f_p, f_q = rows(swap_p, start, stop), rows(swap_q, start, stop)
+        def write(start: int, stop: int, out: np.ndarray, columns: slice) -> None:
+            f_p, f_q = rows(swap_p, start, stop, columns), rows(swap_q, start, stop, columns)
             if conjugate:
                 np.conjugate(f_q, out=out)
                 out *= f_p
             else:
                 np.multiply(f_p, f_q, out=out)
             if phase_b is not None:
-                out *= phase_b
+                out *= phase_b[columns]
 
         complex_ = conjugate or phase_b is not None
         return write, np.dtype(np.complex128 if complex_ else np.float64), (0, 2 * len(v) - 2)
@@ -258,13 +237,8 @@ class RateKernel:
         if support is None:
             return sums
         m_lo, m_hi = support
-        # Rows [start, stop) with their columns reversed land in a zero-padded
-        # buffer of row length n + rows; read with row length n + rows - 1,
-        # row r shifts right by r, so column sums are the anti-diagonal sums
-        # of the reversed block, i.e. the diagonals i - j of the kernel.
         rows = min(n, max(1, _BLOCK // n))
-        width = n + rows - 1
-        buffer = narrow = None
+        buffer = None
         for start in range(0, n, rows):
             stop = min(n, start + rows)
             # Only the reversed columns [lo, hi), c = n - 1 - j, reach a grid
@@ -277,21 +251,17 @@ class RateKernel:
             lo, hi = max(0, n - 1 - m_hi + start), min(n, n + stop - 1 - m_lo)
             if lo >= hi:
                 continue
-            if hi - lo == n:
-                if buffer is None:
-                    buffer = np.zeros((rows, width + 1), dtype=dtype)
-                block, span = buffer[: stop - start], width
-                write(start, stop, block[:, :n])
-            else:
-                # Narrower blocks, of at most m_hi - m_lo + rows columns,
-                # take a second buffer, whose padding is cleared for each
-                # row length.
-                if narrow is None:
-                    narrow = np.empty(rows * (min(n, m_hi - m_lo + rows) + rows), dtype=dtype)
-                span = hi - lo + stop - start - 1
-                block = narrow[: (stop - start) * (span + 1)].reshape(stop - start, span + 1)
-                block[:, hi - lo :] = 0
-                write(start, stop, block[:, : hi - lo], slice(lo, hi))
+            if buffer is None:
+                # hi - lo is at most min(n, m_hi - m_lo + rows).
+                buffer = np.empty(rows * (min(n, m_hi - m_lo + rows) + rows), dtype=dtype)
+            # The block's rows land in a zero-padded buffer of row length
+            # span + 1; read with row length span, row r shifts right by r,
+            # so column sums are the anti-diagonal sums of the reversed
+            # block, i.e. the diagonals i - j of the kernel.
+            span = hi - lo + stop - start - 1
+            block = buffer[: (stop - start) * (span + 1)].reshape(stop - start, span + 1)
+            block[:, hi - lo :] = 0
+            write(start, stop, block[:, : hi - lo], slice(lo, hi))
             sheared = block.reshape(-1)[: (stop - start) * span].reshape(stop - start, span)
             sums[start + lo : start + lo + span] += sheared.sum(axis=0)[: 2 * n - 1 - start - lo]
         if delta_a:
@@ -464,16 +434,15 @@ def scan_delay(
     steps: int = DEFAULT_SCAN_STEPS,
     *,
     jsa: JointSpectralAmplitude | None = None,
-    flat_threshold: float = DEFAULT_FLAT_THRESHOLD,
-    wing_factor: float = DEFAULT_WING_FACTOR,
 ) -> ScanResult:
     """Scan the trombone delay and classify the resulting curve.
 
-    The baseline is the mean rate in the wings, |d| > wing_factor times the
-    interference width of the spectral model; the scan range must reach the
-    wings. A curve whose largest relative deviation from the baseline stays
-    below flat_threshold is classified flat, otherwise dip or peak by the
-    dominant deviation. ``steps`` runs from 3 to ``MAX_SCAN_STEPS``.
+    The baseline is the mean rate in the wings, |d| > DEFAULT_WING_FACTOR
+    times the interference width of the spectral model; the scan range must
+    reach the wings. A curve whose largest relative deviation from the
+    baseline stays below DEFAULT_FLAT_THRESHOLD is classified flat,
+    otherwise dip or peak by the dominant deviation. ``steps`` runs from 3
+    to ``MAX_SCAN_STEPS``.
     """
     if not (math.isfinite(d_min) and math.isfinite(d_max)):
         raise ConfigurationError(f"scan edges must be finite, got {d_min}, {d_max}")
@@ -487,7 +456,7 @@ def scan_delay(
     delays = np.linspace(d_min, d_max, steps)
     rates = RateKernel(jsa).rate(paths, delays)
 
-    wing = wing_factor * interference_width(config.spectral)
+    wing = DEFAULT_WING_FACTOR * interference_width(config.spectral)
     wing_mask = np.abs(delays) > wing
     if not wing_mask.any():
         raise ConfigurationError(
@@ -504,7 +473,7 @@ def scan_delay(
         vis = 0.0
     else:
         vis = max(rmax - baseline, baseline - rmin) / baseline
-        if vis < flat_threshold:
+        if vis < DEFAULT_FLAT_THRESHOLD:
             kind = "flat"
             extremum = rmax if rmax - baseline >= baseline - rmin else rmin
         elif baseline - rmin >= rmax - baseline:
@@ -592,9 +561,7 @@ def _check_time_window(
                 )
 
 
-def arrival_time_joint(
-    config: "ExperimentConfig", d: float, jsa: JointSpectralAmplitude | None = None
-) -> TimeJointDensity:
+def arrival_time_joint(config: "ExperimentConfig", d: float) -> TimeJointDensity:
     """Joint arrival-time density of the coincidence amplitude at delay d.
 
     The marginal means locate each detector's photon in time; their
@@ -603,16 +570,14 @@ def arrival_time_joint(
     wrap around the time window of the grid are refused before anything is
     built.
     """
-    grid = config.frequency_grid() if jsa is None else jsa.grid
+    grid = config.frequency_grid()
     if grid.n < 128:
         raise ConfigurationError(
             f"arrival-time diagnostics need grid n >= 128, got {grid.n}"
         )
     paths = enumerate_paths(config, d)
     _check_time_window(config, paths, math.pi / grid.weight)
-    if jsa is None:
-        jsa = build_jsa(config.spectral, grid)
-    return time_joint_density(assemble_amplitude(paths, jsa))
+    return time_joint_density(assemble_amplitude(paths, build_jsa(config.spectral, grid)))
 
 
 def refine_check(config: "ExperimentConfig", d: float) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -152,9 +153,6 @@ class FrequencyGrid:
     def half_width(self) -> float:
         return float(self.points[-1])
 
-    def matches(self, other: "FrequencyGrid") -> bool:
-        return self.n == other.n and np.array_equal(self.points, other.points)
-
 
 def _construct_grid(params: SpectralParams, n: int, span_sigma: float) -> FrequencyGrid:
     half = span_sigma * params.sigma_max
@@ -224,7 +222,9 @@ class JointSpectralAmplitude:
     f(nu_i, nu_j) = g1[i] g2[j] pump[i + j] / N, with pump on the 2n - 1
     grid sums and N the L2 norm of the product, and forms ``values`` only
     when they are first read. ``factors`` is None for a dense amplitude.
-    Either way the arrays are read-only.
+    Either way the arrays are read-only. Factors are real; a complex
+    amplitude is given as its values. ``symmetric`` tells whether swapping
+    the two arguments is the identity bit for bit.
     """
 
     def __init__(
@@ -240,6 +240,9 @@ class JointSpectralAmplitude:
         if factors is not None:
             if [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
                 raise ContractViolation(f"factors must have lengths n, n and 2n - 1 for n = {n}")
+            # The rate engine forms products of factors without conjugates.
+            if any(np.iscomplexobj(f) for f in factors):
+                raise ContractViolation("factors must be real; give a complex amplitude as values")
             # The rate engine skips kernel entries where pump^2 is zero; they
             # are exact zeros only while the products of two factors are
             # finite, which finite squares guarantee.
@@ -265,6 +268,14 @@ class JointSpectralAmplitude:
             values.setflags(write=False)
             self._values = values
         return self._values
+
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether f(nu1, nu2) == f(nu2, nu1) bit for bit: g1 == g2 for
+        factors, values == values.T for a dense amplitude."""
+        if self.factors is not None:
+            return np.array_equal(self.factors[0], self.factors[1])
+        return np.array_equal(self.values, self.values.T)
 
 
 def _sum_squares(values: np.ndarray) -> float:
@@ -335,10 +346,10 @@ def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
     norm = l2_norm(jsa)
     if abs(norm - 1.0) > 1e-6:
         raise ContractViolation(f"jsa_swap_distance requires a normalized amplitude, norm={norm!r}")
-    v = jsa.values
-    if np.array_equal(v, v.T):
+    if jsa.symmetric:
         # Identical arrays overlap perfectly by definition.
         return 0.0
+    v = jsa.values
     overlap = complex(np.vdot(v, np.ascontiguousarray(v.T))) * jsa.grid.weight**2
     return 1.0 - abs(overlap)
 

@@ -89,6 +89,15 @@ class TestRun:
         assert code == 2
         assert "preset" in stderr
 
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, flag):
+        for target in (tmp_path / "missing" / "x", tmp_path):
+            argv = ["run", "fig3a_dip", "--steps", "41", "--out", str(tmp_path / "scan.csv")]
+            code, stdout, stderr = run_cli(capsys, *argv, flag, str(target))
+            assert code == 2
+            assert stdout == ""
+            assert stderr.startswith(f"error: cannot write {target}: ")
+
     @pytest.mark.parametrize("flags", [
         ("--steps", "2000000000"),
         ("--steps", "2"),
@@ -236,6 +245,20 @@ class TestConfigFile:
         code, _, _ = run_cli(capsys, "run", "--config", str(tmp_path / "absent.txt"))
         assert code == 2
 
+    def test_invalid_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"preset = fig3a_dip\n\xff\xfe = 3\n")
+        code, _, stderr = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert stderr.startswith(f"error: cannot read config file {path}: ")
+        assert "utf-8" in stderr
+
+    def test_unknown_preset_exits_2_with_line(self, tmp_path, capsys):
+        path = self.write(tmp_path, "rod_length = 20\npreset = nosuch\n")
+        code, _, stderr = run_cli(capsys, "run", "--config", str(path))
+        assert code == 2
+        assert stderr.startswith(f"error: {path}:2: unknown preset 'nosuch'")
+
     @pytest.mark.parametrize("line", [
         "pump_coherence_time = inf",
         "pump_coherence_time = nan",
@@ -288,6 +311,15 @@ class TestSweep:
         assert len(lines) == 4
         vis = [float(line.split(",")[1]) for line in lines[1:]]
         assert vis[0] > vis[1] > vis[2]
+
+    def test_directory_as_output_exits_2(self, tmp_path, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "sweep", "fig3a_dip", "--axis", "asymmetry_ratio", "--values", "1,2",
+            "--steps", "41", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: cannot write {tmp_path}: ")
 
     def test_bad_axis_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -13,7 +13,6 @@ from biphoton import (
     Polarization,
     amplitude_rate,
     assemble_amplitude,
-    build_grid,
     build_jsa,
     enumerate_paths,
     path_overlap,
@@ -115,11 +114,6 @@ class TestAssemble:
         amp = assemble_amplitude(enumerate_paths(fig3a_dip), default_jsa)
         baseline = 0.25
         assert amplitude_rate(amp) < 1e-6 * baseline
-
-    def test_grid_mismatch_rejected(self, fig3a_dip, default_jsa):
-        other = build_grid(fig3a_dip.spectral, n=128)
-        with pytest.raises(ContractViolation):
-            assemble_amplitude(enumerate_paths(fig3a_dip), default_jsa, grid=other)
 
 
 class TestPathOverlap:

@@ -598,10 +598,22 @@ class TestRateInvariants:
     def test_normalization_invariance(self, fig3a_dip, default_jsa):
         from biphoton import JointSpectralAmplitude, normalize
 
-        rescaled = normalize(
-            JointSpectralAmplitude(default_jsa.grid, default_jsa.values * 3.7)
-        )
-        for d in (0.0, 150.0, 600.0):
-            reference = coincidence_rate(fig3a_dip, d, jsa=default_jsa)
-            other = coincidence_rate(fig3a_dip, d, jsa=rescaled)
-            assert abs(other - reference) / max(reference, 1e-12) < 1e-12
+        grid = default_jsa.grid
+        g1, g2, pump = default_jsa.factors
+        scaled = JointSpectralAmplitude(grid, default_jsa.values * 3.7)
+        level = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(fig3a_dip))
+        for rescaled in (
+            normalize(scaled),
+            scaled,
+            JointSpectralAmplitude(grid, factors=(g1, g2, 3.7 * pump)),
+            JointSpectralAmplitude(grid, factors=(3.7 * g1, g2, pump)),
+        ):
+            for d in (0.0, 150.0, 600.0):
+                reference = coincidence_rate(fig3a_dip, d, jsa=default_jsa)
+                other = coincidence_rate(fig3a_dip, d, jsa=rescaled)
+                if rescaled.symmetric:
+                    assert abs(other - reference) / max(reference, 1e-12) < 1e-12
+                else:
+                    # 3.7 g1 != g2 bit for bit, so the dip at d = 0 cancels
+                    # only to rounding, not to the exact zero of the reference.
+                    assert abs(other - reference) < 1e-12 * level

@@ -296,6 +296,12 @@ class TestFactoredAmplitude:
         for bad in (np.inf, np.nan, 1e200):
             with pytest.raises(ContractViolation, match="finite squares"):
                 JointSpectralAmplitude(grid, factors=(g1, np.where(g2 > 0.5, g2, bad), pump))
+        # The engine forms products of factors without conjugates, so a
+        # complex factor would give wrong rates; it goes in as values.
+        chirp = np.exp(1j * 150.0 * grid.points)
+        for bad in ((g1 * chirp, g2, pump), (g1, g2 * chirp, pump), (g1, g2, pump + 0j)):
+            with pytest.raises(ContractViolation, match="real"):
+                JointSpectralAmplitude(grid, factors=bad)
         assert JointSpectralAmplitude(grid, default_jsa.values).factors is None
 
 
