@@ -18,7 +18,7 @@ from .elements import (
     rod_delays,
 )
 from .errors import ConfigurationError, ContractViolation
-from .oracle import OracleTerms, oracle_rate, oracle_rates, oracle_terms, oracle_visibility
+from .oracle import OracleTerms, oracle_rate, oracle_terms, oracle_visibility
 from .pathsum import (
     CoincidenceAmplitude,
     PairState,
@@ -99,7 +99,6 @@ __all__ = [
     "l2_norm",
     "normalize",
     "oracle_rate",
-    "oracle_rates",
     "oracle_terms",
     "oracle_visibility",
     "path_overlap",

@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .elements import RodAxis
 from .errors import ConfigurationError, ContractViolation
 from .oracle import oracle_rate
@@ -109,8 +111,12 @@ def _write_text(path: Path, text: str) -> None:
 
 def write_scan_csv(path: Path, result: ScanResult) -> None:
     lines = ["delay_fs,rate,rate_over_baseline"]
-    for d, rate in zip(result.delays, result.rates):
-        over = rate / result.baseline if result.baseline != 0 else 0.0
+    rates = result.rates.tolist()
+    if result.baseline != 0:
+        overs = (result.rates / result.baseline).tolist()
+    else:
+        overs = [0.0] * len(rates)
+    for d, rate, over in zip(result.delays.tolist(), rates, overs):
         lines.append(f"{_format_float(d)},{_format_float(rate)},{_format_float(over)}")
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -178,16 +184,18 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
 def _cmd_run(args: argparse.Namespace) -> int:
     config, label = _load_config(args)
     result = scan_delay(config, args.d_min, args.d_max, args.steps)
+    references = oracle_rate(config, result.delays)
+    worst = np.max(np.abs(result.rates - references) / np.maximum(references, 1e-12))
+
     out = Path(args.out) if args.out else Path(f"{label}_scan.csv")
     write_scan_csv(out, result)
-
-    worst = 0.0
-    for d, rate in zip(result.delays, result.rates):
-        reference = oracle_rate(config, float(d))
-        worst = max(worst, abs(rate - reference) / max(reference, 1e-12))
-
     if args.svg:
-        write_scan_svg(Path(args.svg), result, label)
+        try:
+            write_scan_svg(Path(args.svg), result, label)
+        except BaseException:
+            # A command that fails leaves none of its outputs behind.
+            out.unlink(missing_ok=True)
+            raise
     print(
         f"preset={label} kind={result.kind} visibility={_format_float(result.visibility)} "
         f"baseline={_format_float(result.baseline)} extremum={_format_float(result.extremum)} "

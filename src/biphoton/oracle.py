@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from .elements import QuartzRod, cos_sin_deg, rod_delays
 from .errors import ContractViolation
 from .spectral import SpectralParams
@@ -132,23 +134,23 @@ def oracle_terms(config: "ExperimentConfig", d: float) -> OracleTerms:
     )
 
 
-def oracle_rates(config: "ExperimentConfig", delays) -> list[float]:
-    """Closed-form coincidence rates at each trombone delay in ``delays``.
+def oracle_rate(config: "ExperimentConfig", d):
+    """Closed-form coincidence rate at trombone delay ``d``, a float; for a
+    1-D sequence or array of delays, a float64 array of the rate at each.
 
     The path coefficients, rod delays and spectral constants are computed
-    once; each delay then costs a few scalar operations and two calls to
-    ``math.exp``, in the order of ``oracle_terms``, so each rate has the
-    bits of ``oracle_terms(config, d).rate``.
+    once per call; each delay then costs a few scalar operations and two
+    calls to ``math.exp``, in the order of ``oracle_terms``, so each rate
+    has the bits of ``oracle_terms(config, d).rate`` whether the delay came
+    alone or in an array.
     """
+    scalar = np.ndim(d) == 0
     c_rr, c_tt = _coefficients(config)
     baseline = _weight(c_rr) + _weight(c_tt)
     weight = _cross_weight(c_rr, c_tt)
-    return [baseline + weight * overlap for overlap in _cross_factors(config, delays)]
-
-
-def oracle_rate(config: "ExperimentConfig", d: float) -> float:
-    """Closed-form coincidence rate at trombone delay d."""
-    return oracle_rates(config, (d,))[0]
+    factors = _cross_factors(config, (d,) if scalar else d)
+    rates = [baseline + weight * overlap for overlap in factors]
+    return rates[0] if scalar else np.array(rates, dtype=np.float64)
 
 
 def extremal_delay(config: "ExperimentConfig") -> float:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .elements import QuartzRod, RodAxis, quartz_group_delay
-from .oracle import oracle_rates
+from .oracle import oracle_rate
 from .pathsum import assemble_amplitude, enumerate_paths, path_overlap
 from .presets import PRESET_NAMES, ExperimentConfig, preset
 from .scan import (
@@ -190,7 +190,7 @@ def check_engine_oracle_lattice() -> CheckResult:
             for name in PRESET_NAMES:
                 config = replace(preset(name), spectral=spectral)
                 rates = kernel.rate(enumerate_paths(config), delays)
-                for engine, reference in zip(rates, oracle_rates(config, delays)):
+                for engine, reference in zip(rates, oracle_rate(config, delays)):
                     delta = abs(engine - reference) / max(reference, 1e-12)
                     worst = max(worst, delta)
     return CheckResult("engine_oracle_lattice", worst < 1e-3, worst, 1e-3)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from biphoton.cli import main, parse_config_file
 from biphoton.elements import RodAxis
-from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES
+from biphoton.oracle import oracle_rate
+from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES, preset
+from biphoton.scan import scan_delay
 
 # Default outputs pinned byte for byte: a change that moves any of them
 # changes what users get from the documented commands.
@@ -97,6 +99,23 @@ class TestRun:
             assert code == 2
             assert stdout == ""
             assert stderr.startswith(f"error: cannot write {target}: ")
+            # A command that exits 2 leaves none of its outputs behind.
+            assert not (tmp_path / "scan.csv").exists()
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_printed_oracle_delta_is_the_worst_over_the_scan(self, tmp_path, capsys, name):
+        # The worst relative delta over the default scan, from one
+        # closed-form rate per delay in scan order.
+        code, stdout, _ = run_cli(capsys, "run", name, "--out", str(tmp_path / "scan.csv"))
+        assert code == 0
+        config = preset(name)
+        result = scan_delay(config)
+        worst = 0.0
+        for d, rate in zip(result.delays, result.rates):
+            reference = oracle_rate(config, float(d))
+            worst = max(worst, abs(rate - reference) / max(reference, 1e-12))
+        summary = dict(part.split("=", 1) for part in stdout.split() if "=" in part)
+        assert summary["oracle_max_rel_delta"] == f"{worst:.3e}"
 
     @pytest.mark.parametrize("flags", [
         ("--steps", "2000000000"),

@@ -15,7 +15,6 @@ from biphoton import (
     enumerate_paths,
     jsa_swap_distance,
     oracle_rate,
-    oracle_rates,
     oracle_terms,
     oracle_visibility,
     path_overlap,
@@ -159,6 +158,13 @@ def test_oracle_rates_equal_oracle_rate_exactly(name, rho):
     )
     rng = np.random.default_rng(PRESET_NAMES.index(name))
     delays = np.concatenate((rng.uniform(-5000.0, 5000.0, 40), np.linspace(-1500.0, 1500.0, 151)))
-    rates = oracle_rates(config, delays)
-    assert rates == [oracle_rate(config, float(d)) for d in delays]
-    assert rates == [oracle_terms(config, d).rate for d in delays]
+    singles = [oracle_rate(config, float(d)) for d in delays]
+    from_numpy = [oracle_rate(config, d) for d in delays]
+    assert {type(rate) for rate in singles + from_numpy} == {float}
+    assert from_numpy == singles == [oracle_terms(config, d).rate for d in delays]
+    for given in (delays, delays.tolist(), tuple(delays.tolist())):
+        rates = oracle_rate(config, given)
+        assert isinstance(rates, np.ndarray)
+        assert rates.dtype == np.float64 and rates.shape == delays.shape
+        assert rates.tobytes() == np.array(singles).tobytes()
+
