@@ -31,6 +31,7 @@ from .scan import (
     DEFAULT_SCAN_MIN,
     DEFAULT_SCAN_STEPS,
     MAX_SCAN_STEPS,
+    MAX_SWEEP_ROWS,
     ScanResult,
     scan_delay,
 )
@@ -271,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--config", type=str, default=None, help="base config file path")
     sweep_parser.add_argument("--axis", type=str, required=True, help="parameter to sweep")
     sweep_parser.add_argument("--values", type=str, required=True,
-                              help="comma-separated values")
+                              help=f"comma-separated values (1 to {MAX_SWEEP_ROWS})")
     add_scan_flags(sweep_parser)
     sweep_parser.set_defaults(handler=_cmd_sweep)
 

@@ -22,6 +22,7 @@ from .scan import (
     DEFAULT_SCAN_MAX,
     DEFAULT_SCAN_MIN,
     DEFAULT_SCAN_STEPS,
+    MAX_SWEEP_ROWS,
     scan_delay,
 )
 from .spectral import FrequencyGrid, SpectralParams, _is_real, auto_grid
@@ -187,8 +188,10 @@ class SweepSpec:
             raise ConfigurationError(
                 f"unknown sweep axis {self.axis!r}; valid axes: {', '.join(sorted(SWEEP_AXES))}"
             )
-        if len(self.values) == 0:
-            raise ConfigurationError("sweep needs at least one value")
+        if not 1 <= len(self.values) <= MAX_SWEEP_ROWS:
+            raise ConfigurationError(
+                f"sweep needs between 1 and {MAX_SWEEP_ROWS} values, got {len(self.values)}"
+            )
 
 
 @dataclass(frozen=True)

@@ -21,15 +21,17 @@ real amplitude is real, and so are the C_k of a pair with no delay
 differences, every self pair among them.
 
 A scan therefore costs one diagonal reduction per distinct pair and, per
-delay point, O(n) complex multiplies and O(sqrt(n)) complex exps: the
-phases e^{i s d k h}, k = K B + j with B ~ sqrt(n), are the products of
-e^{i s d K B h} and e^{i s d j h}. It runs in O(n) working memory: the
-reduction draws the kernel f_p conj(f_q) a block of rows at a time and
-never holds it whole. It runs on an unnormalized amplitude F,
-f = F / (sqrt(S) w), and divides by S = sum |F|^2 afterwards, so w^2
-cancels and no rate depends on the scale of F; S is the total of the
-zero-delay self sums of unswapped paths, which a scan needs anyway. The
-rows come from one of two sources.
+delay point, about 2 sqrt(n) complex exps and n complex multiply-adds:
+with k = K B + j and B ~ sqrt(n), the phase e^{i s d k h} is the product
+of e^{i s d K B h} and e^{i s d j h}, so the sums, laid out as a
+(2 n / B) x B matrix, take the B fine phases in one matrix-vector product
+and the n / B coarse phases in a short sum after it. It runs in O(n)
+working memory: the reduction draws the kernel f_p conj(f_q) a block of
+rows at a time and never holds it whole. It runs on an unnormalized
+amplitude F, f = F / (sqrt(S) w), and divides by S = sum |F|^2
+afterwards, so w^2 cancels and no rate depends on the scale of F; S is
+the total of the zero-delay self sums of unswapped paths, which a scan
+needs anyway. The rows come from one of two sources.
 
 * Factors, from ``build_jsa``: F(i, j) = g1[i] g2[j] P[i + j], so every
   kernel of F is a(i) b(j) Q[i + j], where Q = P^2 and a, b are products
@@ -88,9 +90,13 @@ DEFAULT_SCAN_STEPS = 151
 #: linearly with it, but the bound keeps a mistyped count from asking for
 #: gigabytes or running for hours.
 MAX_SCAN_STEPS = 100_000
+#: Largest number of values one sweep accepts: each is a scan of its own,
+#: which can take seconds on a raised grid.
+MAX_SWEEP_ROWS = 1000
 
-# Complex elements per block of the diagonal reduction and of the phase
-# table, so that working memory stays O(n) whatever n and the step count.
+# Complex elements per block of the diagonal reduction and of the slopes
+# that ``RateKernel._at`` sums at once, so that working memory stays O(n)
+# whatever n and the step count.
 _BLOCK = 1 << 14
 
 
@@ -269,34 +275,33 @@ class RateKernel:
         return sums
 
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """sum_k C_k e^{i x k h} for each slope x = s d, one row per slope.
+        """sum_k C_k e^{i x k h} for each slope x = s d.
 
-        The phase table for the lags k = K B + j >= 0 is the outer product
-        of the coarse phases e^{i x K B h} and the fine phases e^{i x j h},
-        j < B ~ sqrt(n), so a row costs about 2 sqrt(n) complex exps and n
-        complex multiplies; it is read as its conjugate for -k. A slope of
-        +-0 gives a row of exactly 1 +- 0i. Each row is reduced on its own,
-        so a slope gives the same bits wherever it sits in ``slopes``.
+        The sums are laid out as a (2 n / B) x B matrix, B ~ sqrt(n), whose
+        row K holds C_{K B + j} in its first half and conj(C_-(K B + j)) in
+        its second. A slope costs about 2 sqrt(n) complex exps and n complex
+        multiply-adds: the matrix times its fine phases e^{i x j h}, each half
+        summed against its coarse phases e^{i x K B h}, T = pos + conj(neg).
+        At x = +-0 every phase is 1 +- 0i. A slope runs the same calls on the
+        same shapes wherever it sits in ``slopes``, so it gets the same bits.
         """
         n = self.grid.n
         coarse_lags, fine_lags = self._coarse_lags, self._fine_lags
-        # A grid of n points that is not a power of two pads the k >= 0 half
-        # to a whole number of coarse steps; the padding is never read.
-        padded = len(coarse_lags) * len(fine_lags)
+        # Zeros pad each half to whole coarse steps, and fill k = 0 in the second.
+        matrix = np.zeros((2, len(coarse_lags) * len(fine_lags)), dtype=np.complex128)
+        matrix[0, :n], matrix[1, 1:n] = sums[n - 1 :], np.conj(sums[n - 2 :: -1])
+        matrix = matrix.reshape(-1, len(fine_lags))
         out = np.empty(len(slopes), dtype=np.complex128)
-        rows = max(1, _BLOCK // len(sums))
-        phase = np.empty((min(rows, len(slopes)), n - 1 + padded), dtype=np.complex128)
+        # A block's products fill _BLOCK / 2; all its arrays stay under 2 _BLOCK.
+        rows = max(1, _BLOCK // (2 * len(matrix)))
         for start in range(0, len(slopes), rows):
             chunk = slopes[start : start + rows]
-            coarse = np.exp(1j * np.multiply.outer(chunk, coarse_lags))
             fine = np.exp(1j * np.multiply.outer(chunk, fine_lags))
-            table = phase[: len(chunk)]
-            half = table[:, n - 1 :].reshape(len(chunk), len(coarse_lags), len(fine_lags))
-            np.multiply(coarse[:, :, None], fine[:, None, :], out=half)
-            table = table[:, : 2 * n - 1]
-            np.conjugate(table[:, : n - 1 : -1], out=table[:, : n - 1])
-            table *= sums
-            out[start : start + rows] = table.sum(axis=1)
+            coarse = np.exp(1j * np.multiply.outer(chunk, coarse_lags))
+            halves = np.matmul(matrix, fine[:, :, None]).reshape(len(chunk), 2, -1)
+            halves *= coarse[:, None, :]
+            pos, neg = halves.sum(axis=-1).T
+            out[start : start + rows] = pos + neg.conj()
         return out
 
     def rate(self, paths: Sequence[PathAmplitude], delays) -> np.ndarray:

@@ -14,7 +14,7 @@ from biphoton.cli import main, parse_config_file
 from biphoton.elements import RodAxis
 from biphoton.oracle import oracle_rate
 from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES, preset
-from biphoton.scan import scan_delay
+from biphoton.scan import MAX_SWEEP_ROWS, scan_delay
 
 # Default outputs pinned byte for byte: a change that moves any of them
 # changes what users get from the documented commands.
@@ -384,6 +384,23 @@ class TestSweep:
             capsys, "sweep", "fig3a_dip", "--axis", "asymmetry_ratio", "--values", "a,b"
         )
         assert code == 2
+
+    def test_too_many_values_exit_2_before_any_scan(self, tmp_path, capsys, monkeypatch):
+        import biphoton.presets as presets_module
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a refused sweep ran a scan")
+
+        monkeypatch.setattr(presets_module, "scan_delay", no_scan)
+        out = tmp_path / "sweep.csv"
+        values = ",".join(["1"] * (MAX_SWEEP_ROWS + 1))
+        code, _, stderr = run_cli(
+            capsys, "sweep", "fig3a_dip", "--axis", "asymmetry_ratio",
+            "--values", values, "--out", str(out),
+        )
+        assert code == 2
+        assert f"between 1 and {MAX_SWEEP_ROWS} values, got {MAX_SWEEP_ROWS + 1}" in stderr
+        assert not out.exists()
 
 
 class TestVerify:

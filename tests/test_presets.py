@@ -18,6 +18,7 @@ from biphoton import (
     scan_delay,
 )
 from biphoton.presets import CONFIG_KEYS, with_value
+from biphoton.scan import MAX_SWEEP_ROWS
 
 
 class TestPresetFidelity:
@@ -146,6 +147,13 @@ class TestRunSweep:
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigurationError):
             SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=())
+
+    def test_more_values_than_the_row_bound_rejected(self):
+        values = tuple(1.0 + i / MAX_SWEEP_ROWS for i in range(MAX_SWEEP_ROWS + 1))
+        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=values[:-1])
+        assert len(spec.values) == MAX_SWEEP_ROWS
+        with pytest.raises(ConfigurationError, match=f"between 1 and {MAX_SWEEP_ROWS} values"):
+            SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=values)
 
     def test_row_errors_carry_the_index(self):
         spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio",

@@ -370,20 +370,20 @@ class TestRealEngine:
     """A real amplitude runs through the same code as a complex one, with
     the phases factored out of the kernel."""
 
-    # The scan slopes, +-0 and a slope far outside any scan. The phase
-    # table is the product of a coarse and a fine table, so it matches a
-    # full exp table to rounding, not bit for bit.
+    # The scan slopes, +-0 and a slope far outside any scan. Each phase is
+    # the product of a coarse and a fine phase, and the sums run in another
+    # order, so they match a full exp table to rounding, not bit for bit.
     SLOPES = np.concatenate([np.linspace(-1500.0, 1500.0, 151), [0.0, -0.0, 2.5e4]])
 
     @pytest.fixture(
         scope="class",
-        params=[(120.0, 256), (6300.0, 1024), (120.0, 100)],
-        ids=["n256", "n1024", "n100"],
+        params=[(120.0, 256, 1.0), (6300.0, 1024, 1.0), (120.0, 100, 1.0), (6300.0, 8192, 2.0)],
+        ids=["n256", "n1024", "n100", "n8192"],
     )
     def fig4c_pairs(self, request):
-        tau_p, n = request.param
-        params = SpectralParams(pump_coherence_time=tau_p)
-        # A grid of 100 points, not a power of two, pads the coarse table.
+        tau_p, n, rho = request.param
+        params = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
+        # A grid of 100 points, not a power of two, pads the coarse steps.
         kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
         rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
         return kernel, [kernel.pair_sum(p, q) for p, q in ((rr, rr), (rr, tt), (tt, rr))]
@@ -392,9 +392,9 @@ class TestRealEngine:
         kernel, pairs = fig4c_pairs
         n = kernel.grid.n
         lags = np.arange(1 - n, n) * kernel.grid.weight
-        table = np.exp(1j * np.multiply.outer(self.SLOPES, lags))
         for sums in pairs:
-            error = np.abs(kernel._at(sums, self.SLOPES) - (table * sums).sum(axis=1)).max()
+            direct = [(np.exp(1j * (x * lags)) * sums).sum() for x in self.SLOPES]
+            error = np.abs(kernel._at(sums, self.SLOPES) - direct).max()
             assert error <= 1e-14 * np.abs(sums).sum()
 
     def test_signed_zero_slopes_give_the_bits_of_zero(self, fig4c_pairs):
@@ -406,12 +406,33 @@ class TestRealEngine:
 
     def test_a_slope_gives_the_same_bits_alone_and_in_a_batch(self, fig4c_pairs):
         kernel, pairs = fig4c_pairs
-        # Rows per block of the phase table: the batch spans more than one.
-        assert len(self.SLOPES) > scan._BLOCK // (2 * kernel.grid.n - 1)
+        # Slopes per block, 2 x 2 n / B complex elements each: the batch
+        # spans more than one.
+        slopes = np.tile(self.SLOPES, 4)
+        assert len(slopes) > scan._BLOCK // (2 * 2 * len(kernel._coarse_lags))
         for sums in pairs:
-            batch = kernel._at(sums, self.SLOPES)
+            batch = kernel._at(sums, slopes)
             alone = [kernel._at(sums, self.SLOPES[i : i + 1]) for i in range(len(self.SLOPES))]
-            assert np.concatenate(alone).tobytes() == batch.tobytes()
+            assert np.tile(np.concatenate(alone), 4).tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("n", [256, 8192])
+    def test_working_memory_does_not_grow_with_the_slopes(self, n):
+        # The padded sums, 2 n complex elements, and a block of slopes, under
+        # 2 _BLOCK; a phase table or ufunc buffers as wide as the sums would
+        # add to it.
+        params = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=6300.0)
+        kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+        rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
+        sums = kernel.pair_sum(rr, tt)
+        for count in (151, 100_000):
+            slopes = np.linspace(-1500.0, 1500.0, count)
+            tracemalloc.start()
+            try:
+                out = kernel._at(sums, slopes)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - out.nbytes <= 16 * (2 * n + 2 * scan._BLOCK)
 
     @pytest.mark.parametrize("rho", [1.0, 2.0])
     @pytest.mark.parametrize("name", PRESET_NAMES)
