@@ -25,7 +25,7 @@ from .scan import (
     MAX_SWEEP_ROWS,
     scan_delay,
 )
-from .spectral import FrequencyGrid, SpectralParams, _is_real, auto_grid
+from .spectral import FrequencyGrid, SpectralParams, _check_grid_request, _is_real, auto_grid
 
 
 def _check_field_types(config) -> None:
@@ -51,14 +51,16 @@ def _check_field_types(config) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Requested grid resolution; the engine may raise n (power-of-two
-    steps) when the spectral model needs finer sampling."""
+    """Requested grid resolution: n a power of two from 64 to 8192 and a
+    span of at least 4 sigma, checked on construction. The engine may raise
+    n (power-of-two steps) when the spectral model needs finer sampling."""
 
     n: int = 256
     span_sigma: float = 6.0
 
     def __post_init__(self) -> None:
         _check_field_types(self)
+        _check_grid_request(self.n, self.span_sigma)
 
 
 @dataclass(frozen=True)

@@ -25,24 +25,26 @@ delay point, about 2 sqrt(n) complex exps and n complex multiply-adds:
 with k = K B + j and B ~ sqrt(n), the phase e^{i s d k h} is the product
 of e^{i s d K B h} and e^{i s d j h}, so the sums, laid out as a
 (2 n / B) x B matrix, take the B fine phases in one matrix-vector product
-and the n / B coarse phases in a short sum after it. It runs in O(n)
-working memory: the reduction draws the kernel f_p conj(f_q) a block of
-rows at a time and never holds it whole. It runs on an unnormalized
-amplitude F, f = F / (sqrt(S) w), and divides by S = sum |F|^2
-afterwards, so w^2 cancels and no rate depends on the scale of F; S is
-the total of the zero-delay self sums of unswapped paths, which a scan
-needs anyway. The rows come from one of two sources.
+and the n / B coarse phases in a short sum after it. It runs on an
+unnormalized amplitude F, f = F / (sqrt(S) w), and divides by S =
+sum |F|^2 afterwards, so w^2 cancels and no rate depends on the scale of
+F; S is the total of the zero-delay self sums of unswapped paths, which
+a scan needs anyway.
+
+The reduction walks the kernel by grid sum: with i + j = 2u + p and
+i - j = 2t + p of one parity p, C_{2t+p} = sum_u Q[2u+p] K(u+t+p, u-t)
+(up to the phases), so t indexes the sums and a block of a few u, both
+parities at once, is reduced against its Q in one matrix product, in
+O(n) working memory. K and Q come from one of two sources.
 
 * Factors, from ``build_jsa``: F(i, j) = g1[i] g2[j] P[i + j], so every
   kernel of F is a(i) b(j) Q[i + j], where Q = P^2 and a, b are products
-  of g1 and g2, which trade places on a swapped path. A block writes
-  only the columns that meet a grid sum on which Q is non-zero; the
-  others hold exact zeros. So the reduction costs
-  O(n (W + rows per block)), W the number of such grid sums, with the
+  of g1 and g2, which trade places on a swapped path. Blocks that meet no
+  grid sum on which Q is non-zero hold exact zeros and are skipped, so
+  the reduction costs O(n W), W the number of such grid sums, with the
   same bits as the full O(n^2) pass.
-* Dense values, of an amplitude a caller built: rows of F_p times rows
-  of conj(F_q), a swapped path reading columns, and the sums divided by
-  S like those of factors.
+* Dense values, of an amplitude a caller built: K = F_p conj(F_q), a
+  swapped path reading the transpose, and Q = 1.
 
 The grid sums repeat in each port delay with period 2 pi / h, so delays
 at which a rate would read an alias of the interference term are refused
@@ -100,6 +102,12 @@ MAX_SWEEP_ROWS = 1000
 _BLOCK = 1 << 14
 
 
+def _lattice(flat: np.ndarray, start: int, strides: tuple[int, ...], shape) -> np.ndarray:
+    """View of the float64 array ``flat`` from element ``start`` on, with
+    ``strides`` counted in elements; numpy refuses a view that leaves it."""
+    return np.ndarray(shape, buffer=flat, offset=8 * start, strides=[8 * s for s in strides])
+
+
 def _support(values: np.ndarray) -> tuple[int, int] | None:
     """First and last index at which ``values`` is non-zero, or None if
     it is zero everywhere."""
@@ -107,17 +115,52 @@ def _support(values: np.ndarray) -> tuple[int, int] | None:
     return (int(nonzero[0]), int(nonzero[-1])) if len(nonzero) else None
 
 
+def _walk_grid_sums(n: int, rows: int, write, weights: np.ndarray, parts: int) -> np.ndarray:
+    """C_{2t+p} = sum_u Q[2u+p] K(u+t+p, u-t) for k = 2t + p = 1 - n, ...,
+    n - 1, Q the ``weights`` on the 2n - 1 grid sums, in float64 ``parts``.
+    A block of ``rows`` values of u, which ``write(u0, t0, out)`` fills
+    with K at (p, u - u0, part, t - t0), is reduced in one matrix product.
+
+    Blocks start at multiples of ``rows``, and only those that meet a grid
+    sum 2u + p on which Q is non-zero are walked. Any other block holds
+    products with Q = 0, zeros of either sign since the products of factors
+    are finite (``JointSpectralAmplitude`` checks), and would add them to
+    sums that start at +0 and never turn -0; so a narrower support gives
+    the same bits. A block spans the t at which some (u + t + p, u - t) lies
+    on the grid, and the writers read zeros for the rest.
+    """
+    # sums[p, :, t + n // 2] holds C_{2t+p}, and pairs[p, u] is Q[2u + p],
+    # with Q = 0 at the grid sum 2n - 1.
+    sums = np.zeros((2, parts, n))
+    pairs = np.append(weights, 0.0).reshape(n, 2).T.copy()
+    buffer = np.empty(2 * rows * parts * n)
+    support = _support(weights)
+    first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
+    for u0 in range(first - first % rows, last + 1, rows):
+        u1 = min(n, u0 + rows)
+        t0 = max(u0 - n + 1, -u1, -(n // 2))
+        t1 = min(u1 - 1, n - 1 - u0, (n - 1) // 2) + 1
+        shape = (2, u1 - u0, parts, t1 - t0)
+        block = buffer[: math.prod(shape)].reshape(shape)
+        write(u0, t0, block)
+        reduced = np.matmul(pairs[:, None, u0:u1], block.reshape(2, u1 - u0, -1))
+        sums[:, :, t0 + n // 2 : t1 + n // 2] += reduced.reshape(2, parts, -1)
+    # Interleaved, C_k sits at 2 (n // 2) + k.
+    sums = sums.transpose(2, 0, 1).copy().view(np.complex128 if parts == 2 else np.float64)
+    return sums.reshape(-1)[1 - n % 2 :][: 2 * n - 1]
+
+
 class RateKernel:
     """Per-amplitude cache of the pair sums behind the rate.
 
     Each distinct pair of paths costs one diagonal reduction of its kernel
     f_p conj(f_q), cached under the swap flags and the delay differences
-    at d = 0; each delay point then costs O(n). The reduction draws the
-    kernel a block of rows at a time and never holds it whole: from the
-    1-D factors of a ``build_jsa`` amplitude, or from the rows of a dense
-    amplitude's values. An amplitude that is exchange symmetric bit for
-    bit makes swapping the identity, so every pair reads the sums of
-    unswapped paths.
+    at d = 0; each delay point then costs O(n). The reduction walks the
+    kernel a few grid sums at a time, O(n W) for W grid sums with a
+    non-zero pump, and never holds it whole: from the 1-D factors of a
+    ``build_jsa`` amplitude, or from a dense amplitude's values. An
+    amplitude that is exchange symmetric bit for bit makes swapping the
+    identity, so every pair reads the sums of unswapped paths.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude):
@@ -161,68 +204,53 @@ class RateKernel:
             self._diagonals[key] = sums
         return sums
 
-    def _factored_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
-        """Writer of kernel rows a(i) b(j) Q[i + j] for the factors' model,
-        the reversed ``columns`` only, times ``phase_b``; the kernel's
-        dtype; and the grid sums on which Q is non-zero.
-
-        f_p(i, j) is g1[i] g2[j] pump[i + j], with g1 and g2 trading places
-        for a swapped path, so a and b are the products of the filter
-        factors on each axis and Q = pump^2 on the 2n - 1 grid sums.
-        """
-        g1, g2, _ = self.jsa.factors
+    def _factored_source(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None, pad: int):
+        """``_walk_grid_sums`` arguments for the factors' model, read from
+        a and b with ``pad`` zeros at either end: f_p(i, j) is g1[i] g2[j]
+        pump[i + j], with g1 and g2 trading places for a swapped path, so
+        K = a(i) b(j), a and b the products of the filter factors on each
+        axis, b times the column ``phase``, and Q = pump^2."""
+        g1, g2, pump = self.jsa.factors
         n = self.grid.n
-        a = (g2 if swap_p else g1) * (g2 if swap_q else g1)
-        b = ((g1 if swap_p else g2) * (g1 if swap_q else g2))[::-1]
-        if phase_b is not None:
-            b = b * phase_b
-        windows, support = self._pump_band
+        b = (g1 if swap_p else g2) * (g1 if swap_q else g2)
+        b = b if phase is None else b * phase
+        parts = b.itemsize // 8
+        a, reversed_b = np.zeros(n + 2 * pad), np.zeros((n + 2 * pad) * parts)
+        a[pad : pad + n] = (g2 if swap_p else g1) * (g2 if swap_q else g1)
+        reversed_b.view(b.dtype)[pad : pad + n] = b[::-1]
 
-        def write(start: int, stop: int, out: np.ndarray, columns: slice) -> None:
-            q = windows[n - stop : n - start][::-1]
-            np.multiply(q[:, columns], b[columns], out=out)
-            out *= a[start:stop, None]
+        def write(u0: int, t0: int, out: np.ndarray) -> None:
+            # a(u + t + p) advances with p, u and t; b(u - t), at n - 1 - u + t
+            # of the reversed b, falls with u and advances with t.
+            a_view = _lattice(a, pad + u0 + t0, (1, 1, 0, 1), out.shape)
+            b_start = parts * (pad + n - 1 - u0 + t0)
+            b_view = _lattice(reversed_b, b_start, (0, -parts, 1, parts), out.shape)
+            np.multiply(a_view, b_view, out=out)
 
-        return write, b.dtype, support
+        return write, pump * pump, parts
 
-    @cached_property
-    def _pump_band(self) -> tuple[np.ndarray, tuple[int, int] | None]:
-        """The windows of the reversed Q = pump^2 that the factored rows
-        read, and the first and last grid sum on which Q is non-zero.
-
-        Reversed row i reads Q[i + n - 1 - j], i.e. the window of the
-        reversed Q that starts at n - 1 - i. The support is that of Q
-        itself, since pump^2 underflows to 0 where pump may not.
-        """
-        q = self.jsa.factors[2] * self.jsa.factors[2]
-        windows = np.lib.stride_tricks.sliding_window_view(q[::-1].copy(), self.grid.n)
-        return windows, _support(q)
-
-    def _dense_rows(self, swap_p: bool, swap_q: bool, phase_b: np.ndarray | None):
-        """Writer of kernel rows f_p conj(f_q) from dense values, the
-        reversed ``columns`` only, times ``phase_b``; the kernel's dtype;
-        and every grid sum as the support. A swapped path reads its rows
-        from the columns of the values."""
+    def _dense_source(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None, pad: int):
+        """``_walk_grid_sums`` arguments for dense values, read from a copy
+        of K = f_p conj(f_q) times the column ``phase`` with ``pad`` zeros
+        around it, and Q = 1. A swapped path reads the transposed values."""
         v = self.jsa.values
-        # Conjugation is the identity on a real amplitude, which therefore
-        # takes a single pass.
-        conjugate = np.iscomplexobj(v)
+        n, width = self.grid.n, self.grid.n + 2 * pad
+        parts = 2 if np.iscomplexobj(v) or phase is not None else 1
+        padded = np.zeros((width, width), dtype=np.complex128 if parts == 2 else np.float64)
+        kernel = padded[pad : pad + n, pad : pad + n]
+        np.conjugate(v.T if swap_q else v, out=kernel)
+        kernel *= v.T if swap_p else v
+        if phase is not None:
+            kernel *= phase
+        padded = padded.reshape(-1).view(np.float64)
 
-        def rows(swapped: bool, start: int, stop: int, columns: slice) -> np.ndarray:
-            return (v[:, start:stop].T if swapped else v[start:stop])[:, ::-1][:, columns]
+        def write(u0: int, t0: int, out: np.ndarray) -> None:
+            # K(i, j) sits at (pad + i) width + pad + j, i = u + t + p, j = u - t.
+            start = parts * ((pad + u0 + t0) * width + pad + u0 - t0)
+            strides = (parts * width, parts * (width + 1), 1, parts * (width - 1))
+            np.copyto(out, _lattice(padded, start, strides, out.shape))
 
-        def write(start: int, stop: int, out: np.ndarray, columns: slice) -> None:
-            f_p, f_q = rows(swap_p, start, stop, columns), rows(swap_q, start, stop, columns)
-            if conjugate:
-                np.conjugate(f_q, out=out)
-                out *= f_p
-            else:
-                np.multiply(f_p, f_q, out=out)
-            if phase_b is not None:
-                out *= phase_b[columns]
-
-        complex_ = conjugate or phase_b is not None
-        return write, np.dtype(np.complex128 if complex_ else np.float64), (0, 2 * len(v) - 2)
+        return write, np.ones(2 * n - 1), parts
 
     def _diagonal_sums(
         self, swap_p: bool, swap_q: bool, delta_a: float, delta_b: float
@@ -236,40 +264,10 @@ class RateKernel:
         # the reduction and one per diagonal after it. A real kernel whose
         # column phase vanishes stays real.
         column = delta_a + delta_b
-        phase_b = np.exp(1j * self.grid.points[::-1] * column) if column else None
-        source = self._dense_rows if self.jsa.factors is None else self._factored_rows
-        write, dtype, support = source(swap_p, swap_q, phase_b)
-        sums = np.zeros(2 * n - 1, dtype=dtype)
-        if support is None:
-            return sums
-        m_lo, m_hi = support
+        phase = np.exp(1j * self.grid.points * column) if column else None
         rows = min(n, max(1, _BLOCK // n))
-        buffer = None
-        for start in range(0, n, rows):
-            stop = min(n, start + rows)
-            # Only the reversed columns [lo, hi), c = n - 1 - j, reach a grid
-            # sum i + j in the support. The rest of the block holds products
-            # with Q = 0, zeros of either sign since the factors' squares are
-            # finite (``JointSpectralAmplitude`` checks). They change no
-            # non-zero running sum, and a zero one only in its sign, which
-            # the +0 that ``sums`` starts from absorbs; so a narrower block
-            # sheared the same way gives the same bits.
-            lo, hi = max(0, n - 1 - m_hi + start), min(n, n + stop - 1 - m_lo)
-            if lo >= hi:
-                continue
-            if buffer is None:
-                # hi - lo is at most min(n, m_hi - m_lo + rows).
-                buffer = np.empty(rows * (min(n, m_hi - m_lo + rows) + rows), dtype=dtype)
-            # The block's rows land in a zero-padded buffer of row length
-            # span + 1; read with row length span, row r shifts right by r,
-            # so column sums are the anti-diagonal sums of the reversed
-            # block, i.e. the diagonals i - j of the kernel.
-            span = hi - lo + stop - start - 1
-            block = buffer[: (stop - start) * (span + 1)].reshape(stop - start, span + 1)
-            block[:, hi - lo :] = 0
-            write(start, stop, block[:, : hi - lo], slice(lo, hi))
-            sheared = block.reshape(-1)[: (stop - start) * span].reshape(stop - start, span)
-            sums[start + lo : start + lo + span] += sheared.sum(axis=0)[: 2 * n - 1 - start - lo]
+        source = self._dense_source if self.jsa.factors is None else self._factored_source
+        sums = _walk_grid_sums(n, rows, *source(swap_p, swap_q, phase, rows))
         if delta_a:
             sums = sums * np.exp(1j * self._lags * delta_a)
         return sums

@@ -162,8 +162,10 @@ def _construct_grid(params: SpectralParams, n: int, span_sigma: float) -> Freque
 
 
 def _check_grid_request(n: int, span_sigma: float) -> None:
-    if n < _MIN_GRID_N or (n & (n - 1)) != 0:
-        raise ConfigurationError(f"grid n must be a power of two >= {_MIN_GRID_N}, got {n}")
+    if not _MIN_GRID_N <= n <= _MAX_GRID_N or (n & (n - 1)) != 0:
+        raise ConfigurationError(
+            f"grid n must be a power of two from {_MIN_GRID_N} to {_MAX_GRID_N}, got {n}"
+        )
     if not (span_sigma >= _MIN_SPAN_SIGMA and math.isfinite(span_sigma)):
         raise ConfigurationError(
             f"grid span must be finite and cover at least +-{_MIN_SPAN_SIGMA} sigma, "
@@ -172,7 +174,8 @@ def _check_grid_request(n: int, span_sigma: float) -> None:
 
 
 def build_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> FrequencyGrid:
-    """Validating grid constructor: n a power of two >= 64, span >= 4 sigma."""
+    """Validating grid constructor: n a power of two from 64 to 8192, span
+    >= 4 sigma."""
     _check_grid_request(n, span_sigma)
     return _construct_grid(params, n, span_sigma)
 
@@ -244,12 +247,15 @@ class JointSpectralAmplitude:
             if any(np.iscomplexobj(f) for f in factors):
                 raise ContractViolation("factors must be real; give a complex amplitude as values")
             # The rate engine skips kernel entries where pump^2 is zero; they
-            # are exact zeros only while the products of two factors are
-            # finite, which finite squares guarantee.
+            # are exact zeros only while the products of four filter factors
+            # are finite, which finite fourth powers guarantee.
             with np.errstate(over="ignore", invalid="ignore"):
                 finite = all(np.isfinite(f * f).all() for f in factors)
+                finite = finite and all(np.isfinite(np.abs(g).max() ** 4) for g in factors[:2])
             if not finite:
-                raise ContractViolation("factors must have finite squares")
+                raise ContractViolation(
+                    "factors must have finite squares, and the filter factors finite fourth powers"
+                )
         for array in factors or (values,):
             array.setflags(write=False)
         self.grid = grid

@@ -308,6 +308,18 @@ class TestConfigFile:
         assert code == 2
         assert "axis" in stderr
 
+    @pytest.mark.parametrize("grid_n", ["16384", "100", "32"])
+    def test_grid_outside_the_accepted_range_names_the_line(self, tmp_path, capsys, grid_n):
+        # fig3a_dip needs only n = 256, so the pump is not to blame.
+        path = self.write(tmp_path, f"preset = fig3a_dip\ngrid_n = {grid_n}\n")
+        code, stdout, stderr = run_cli(capsys, "run", "--config", str(path),
+                                       "--out", str(tmp_path / "scan.csv"))
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith(f"error: {path}:2: grid n must be a power of two from 64 to 8192")
+        assert "pump" not in stderr
+        assert not (tmp_path / "scan.csv").exists()
+
     @pytest.mark.parametrize("line", ["rod_length = True", "qr2_axis = 1", "grid_n = 256.0"])
     def test_wrongly_typed_value_exits_2(self, tmp_path, capsys, line):
         path = self.write(tmp_path, line + "\n")

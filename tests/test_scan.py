@@ -366,6 +366,76 @@ class TestPumpBand:
             RateKernel(jsa).rate(enumerate_paths(preset("fig3a_dip")), [0.0])
 
 
+class TestDiagonalSums:
+    """Each source's pair sums against the traces of the explicit kernel
+    f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a} e^{i nu_j D_b}, diagonal k = i - j."""
+
+    DELTAS = [(0.0, 0.0), (-630.0, -630.0), (100.0, 250.0)]
+
+    @staticmethod
+    def supports(n):
+        """Grid sums on which the pump is non-zero: all, one even, one odd,
+        either corner and both corners."""
+        even, odd = (n - 1) // 2 * 2, (n - 2) // 2 * 2 + 1
+        return [range(2 * n - 1), [even], [odd], [0], [2 * n - 2], [0, 2 * n - 2]]
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 65, 100, 101, 256])
+    @pytest.mark.parametrize("source", ["factors", "dense", "dense-complex"])
+    def test_sums_are_the_traces_of_the_kernel(self, n, source):
+        params = SpectralParams()
+        grid = _construct_grid(params, n, 6.0)
+        nu = grid.points
+        rng = np.random.default_rng(n)
+        g1, g2 = rng.normal(size=(2, n))
+        for support in self.supports(n):
+            pump = np.zeros(2 * n - 1)
+            pump[list(support)] = rng.normal(size=len(support))
+            values = np.outer(g1, g2) * np.lib.stride_tricks.sliding_window_view(pump, n)
+            if source == "dense-complex":
+                values = values * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n, n)))
+            if source == "factors":
+                jsa = JointSpectralAmplitude(grid, factors=(g1, g2, pump))
+            else:
+                jsa = JointSpectralAmplitude(grid, values)
+            kernel = RateKernel(jsa)
+            for swap_p, swap_q in TestPumpBand.SWAPS:
+                for delta_a, delta_b in self.DELTAS:
+                    explicit = (
+                        (values.T if swap_p else values)
+                        * np.conj(values.T if swap_q else values)
+                        * np.exp(1j * np.add.outer(nu * delta_a, nu * delta_b))
+                    )
+                    expected = [np.trace(explicit, offset=-k) for k in range(1 - n, n)]
+                    sums = kernel._diagonal_sums(swap_p, swap_q, delta_a, delta_b)
+                    assert sums.shape == (2 * n - 1,)
+                    error = np.abs(sums - expected).max()
+                    assert error <= 1e-14 * np.abs(expected).sum()
+
+    def test_working_memory_does_not_grow_with_the_band(self):
+        # fig4c at n = 8192: the pump band is every grid sum at 120 fs and
+        # a few hundred at 6300 fs. A pair sum holds O(n) arrays and one
+        # block of 2 _BLOCK entries per part; a kernel as wide as the band
+        # would add to it.
+        n = 8192
+        peaks = {}
+        for tau_p in (120.0, 6300.0):
+            params = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=tau_p)
+            kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+            rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
+            for p, q in ((rr, rr), (rr, tt)):
+                key = (p.swapped, q.swapped, p.delay_a - q.delay_a, p.delay_b - q.delay_b)
+                tracemalloc.start()
+                try:
+                    out = kernel._diagonal_sums(*key)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                peaks[tau_p, out.dtype.name] = peak - out.nbytes
+        assert max(peaks.values()) <= 2 * 2**20
+        for dtype in ("float64", "complex128"):
+            assert abs(peaks[120.0, dtype] - peaks[6300.0, dtype]) <= 16 * n
+
+
 class TestRealEngine:
     """A real amplitude runs through the same code as a complex one, with
     the phases factored out of the kernel."""
@@ -450,7 +520,7 @@ class TestRealEngine:
     def test_real_amplitude_keeps_self_sums_real(self, default_jsa):
         kernel = RateKernel(default_jsa)
         rr, tt = enumerate_paths(preset("fig4c"))
-        assert kernel._factored_rows(False, False, None)[1] == np.float64
+        assert kernel._diagonal_sums(False, False, 0.0, 0.0).dtype == np.float64
         assert kernel.pair_sum(rr, rr).dtype == np.float64
         assert kernel.pair_sum(rr, tt).dtype == np.complex128
 

@@ -8,6 +8,7 @@ import pytest
 from biphoton import (
     ConfigurationError,
     ContractViolation,
+    GridSpec,
     JointSpectralAmplitude,
     SpectralParams,
     build_grid,
@@ -167,6 +168,24 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             build_grid(default_params, n=n)
 
+    @pytest.mark.parametrize("n", [16384, 1 << 40])
+    def test_n_above_the_ceiling_rejected(self, default_params, n):
+        for make in (build_grid, auto_grid):
+            with pytest.raises(ConfigurationError, match="from 64 to 8192, got"):
+                make(default_params, n=n)
+        with pytest.raises(ConfigurationError, match="from 64 to 8192, got"):
+            GridSpec(n=n)
+
+    def test_ceiling_accepted(self, default_params):
+        assert build_grid(default_params, n=8192).n == 8192
+        assert auto_grid(default_params, n=8192).n == 8192
+        assert GridSpec(n=8192).n == 8192
+
+    @pytest.mark.parametrize("kwargs", [{"n": 100}, {"n": 32}, {"span_sigma": 3.0}])
+    def test_grid_spec_checks_its_request(self, kwargs):
+        with pytest.raises(ConfigurationError, match="grid"):
+            GridSpec(**kwargs)
+
     def test_undersized_span_rejected(self, default_params):
         with pytest.raises(ConfigurationError):
             build_grid(default_params, span_sigma=3.0)
@@ -283,6 +302,16 @@ class TestFactoredAmplitude:
         assert (g1.shape, g2.shape, pump.shape) == ((n,), (n,), (2 * n - 1,))
         assert not any(f.flags.writeable for f in default_jsa.factors)
         assert np.array_equal(g1, g2)
+
+    def test_filter_factors_need_finite_fourth_powers(self, default_jsa):
+        # The rate engine forms a(i) b(j), a product of four filter factors,
+        # before it weighs it with pump^2; where that is 0 the product must
+        # be finite, or inf * 0 would put nan into the sums.
+        grid = default_jsa.grid
+        g1, g2, pump = default_jsa.factors
+        with pytest.raises(ContractViolation, match="fourth powers"):
+            JointSpectralAmplitude(grid, factors=(g1, np.where(g2 > 0.5, 1e100, g2), pump))
+        JointSpectralAmplitude(grid, factors=(g1, g2, np.where(pump > 0.5, 1e100, pump)))
 
     def test_takes_either_values_or_factors(self, default_jsa):
         grid = default_jsa.grid
