@@ -37,6 +37,7 @@ from .presets import (
     run_sweep,
 )
 from .scan import (
+    RateKernel,
     ScanResult,
     TimeJointDensity,
     amplitude_rate,
@@ -78,6 +79,7 @@ __all__ = [
     "Polarization",
     "Port",
     "QuartzRod",
+    "RateKernel",
     "RodAxis",
     "ScanResult",
     "SpectralParams",

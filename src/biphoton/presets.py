@@ -23,9 +23,12 @@ from .scan import (
     DEFAULT_SCAN_MIN,
     DEFAULT_SCAN_STEPS,
     MAX_SWEEP_ROWS,
+    RateKernel,
     scan_delay,
 )
-from .spectral import FrequencyGrid, SpectralParams, _check_grid_request, _is_real, auto_grid
+from .spectral import (
+    FrequencyGrid, SpectralParams, _check_grid_request, _is_real, auto_grid, build_jsa
+)
 
 
 def _check_field_types(config) -> None:
@@ -161,6 +164,11 @@ SWEEP_AXES = tuple(
     key for key, (group, _, kind) in CONFIG_KEYS.items() if kind is float and group != "grid"
 )
 
+#: The sweep axes that set only the path coefficients, so that every row
+#: reads the same pair sums off one shared kernel. A rod_length row moves the
+#: path delays and would add a cross-pair sum to a shared kernel's cache.
+REWEIGHTING_AXES = ("analyzer1", "analyzer2", "pair_phase")
+
 
 def with_value(config: ExperimentConfig, key: str, value) -> ExperimentConfig:
     """``config`` with the value of one config key replaced."""
@@ -206,16 +214,20 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One delay scan per swept value, rows in input order.
+    """One delay scan per swept value, rows in input order; the rows of a
+    sweep over one of ``REWEIGHTING_AXES`` share the kernel built in row 0.
 
     The package's own errors name the row they came from; any other
     exception propagates unchanged.
     """
     rows = []
+    kernel = None
     for index, value in enumerate(spec.values):
         try:
             config = with_value(spec.base, spec.axis, value)
-            result = scan_delay(config, spec.d_min, spec.d_max, spec.steps)
+            if index == 0 and spec.axis in REWEIGHTING_AXES:
+                kernel = RateKernel(build_jsa(config.spectral, config.frequency_grid()))
+            result = scan_delay(config, spec.d_min, spec.d_max, spec.steps, kernel=kernel)
         except (ConfigurationError, ContractViolation) as exc:
             raise type(exc)(f"sweep row {index} ({spec.axis}={value}): {exc}") from exc
         rows.append(

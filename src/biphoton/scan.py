@@ -375,31 +375,30 @@ def _check_alias(
                 )
 
 
-def _checked_inputs(
-    config: "ExperimentConfig", d_min: float, d_max: float, jsa: JointSpectralAmplitude | None
-) -> tuple[tuple[PathAmplitude, ...], JointSpectralAmplitude]:
-    """The paths at d = 0 and the amplitude for trombone delays in
-    [d_min, d_max]; the delays are checked against aliasing before the
-    amplitude is built."""
-    paths = enumerate_paths(config)
-    grid = config.frequency_grid() if jsa is None else jsa.grid
-    _check_alias(config, paths, 2.0 * math.pi / grid.weight, d_min, d_max)
-    if jsa is None:
-        jsa = build_jsa(config.spectral, grid)
-    return paths, jsa
+def coincidence_rate(config: "ExperimentConfig", d, kernel: RateKernel | None = None):
+    """Coincidence rate at finite trombone delay ``d`` (arbitrary units,
+    fixed normalization for a given spectral model), a float; for a 1-D
+    sequence of delays, a float64 array with the bits of the single calls.
 
-
-def coincidence_rate(
-    config: "ExperimentConfig", d: float, jsa: JointSpectralAmplitude | None = None
-) -> float:
-    """Coincidence rate at trombone delay d (arbitrary units, fixed
-    normalization for a given spectral model).
-
-    Passing a precomputed ``jsa`` (for this config's spectral parameters)
-    skips rebuilding it; delays enter through phases only.
+    The delays are checked against aliasing on the grid of ``kernel``, or
+    of the config, before anything is built. A ``kernel`` of this config's
+    spectral parameters keeps its pair sums, so configs that differ only in
+    analyzers or pair phase share them; without one, a new one is built.
     """
-    paths, jsa = _checked_inputs(config, d, d, jsa)
-    return float(RateKernel(jsa).rate(paths, [d])[0])
+    delays = np.asarray(d, dtype=float)
+    if delays.ndim > 1:
+        raise ConfigurationError(f"need one delay or a 1-D sequence, got shape {delays.shape}")
+    if delays.size == 0:
+        raise ConfigurationError("need at least one delay, got an empty sequence")
+    if not np.isfinite(delays).all():
+        raise ConfigurationError(f"trombone delays must be finite, got {d}")
+    paths = enumerate_paths(config)
+    grid = config.frequency_grid() if kernel is None else kernel.grid
+    _check_alias(config, paths, 2.0 * math.pi / grid.weight, delays.min(), delays.max())
+    if kernel is None:
+        kernel = RateKernel(build_jsa(config.spectral, grid))
+    rates = kernel.rate(paths, np.atleast_1d(delays))
+    return float(rates[0]) if delays.ndim == 0 else rates
 
 
 def amplitude_rate(amp: CoincidenceAmplitude) -> float:
@@ -436,9 +435,10 @@ def scan_delay(
     d_max: float = DEFAULT_SCAN_MAX,
     steps: int = DEFAULT_SCAN_STEPS,
     *,
-    jsa: JointSpectralAmplitude | None = None,
+    kernel: RateKernel | None = None,
 ) -> ScanResult:
-    """Scan the trombone delay and classify the resulting curve.
+    """Scan the trombone delay with ``coincidence_rate``, on ``kernel`` if
+    one is given, and classify the resulting curve.
 
     The baseline is the mean rate in the wings, |d| > DEFAULT_WING_FACTOR
     times the interference width of the spectral model; the scan range must
@@ -455,9 +455,8 @@ def scan_delay(
         raise ConfigurationError(
             f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {steps}"
         )
-    paths, jsa = _checked_inputs(config, d_min, d_max, jsa)
     delays = np.linspace(d_min, d_max, steps)
-    rates = RateKernel(jsa).rate(paths, delays)
+    rates = coincidence_rate(config, delays, kernel)
 
     wing = DEFAULT_WING_FACTOR * interference_width(config.spectral)
     wing_mask = np.abs(delays) > wing
@@ -594,7 +593,7 @@ def refine_check(config: "ExperimentConfig", d: float) -> float:
     """
     grid = config.frequency_grid()
     fine = _construct_grid(config.spectral, 2 * grid.n, grid.span_sigma)
-    coarse_rate = coincidence_rate(config, d, jsa=build_jsa(config.spectral, grid))
-    fine_rate = coincidence_rate(config, d, jsa=build_jsa(config.spectral, fine))
+    coarse_rate = coincidence_rate(config, d, RateKernel(build_jsa(config.spectral, grid)))
+    fine_rate = coincidence_rate(config, d, RateKernel(build_jsa(config.spectral, fine)))
     scale = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config, d))
     return abs(coarse_rate - fine_rate) / max(fine_rate, 1e-6 * scale, 1e-30)

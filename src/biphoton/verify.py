@@ -80,11 +80,10 @@ def check_normalization_invariance() -> CheckResult:
     config = preset("fig3a_dip")
     jsa = build_jsa(config.spectral, config.frequency_grid())
     scaled = JointSpectralAmplitude(jsa.grid, jsa.values * 7.25)
-    worst = 0.0
-    for d in (0.0, 150.0, 600.0):
-        reference = coincidence_rate(config, d, jsa=jsa)
-        rescaled = coincidence_rate(config, d, jsa=scaled)
-        worst = max(worst, abs(rescaled - reference) / max(reference, 1e-12))
+    delays = (0.0, 150.0, 600.0)
+    reference = coincidence_rate(config, delays, RateKernel(jsa))
+    rescaled = coincidence_rate(config, delays, RateKernel(scaled))
+    worst = float((np.abs(rescaled - reference) / np.maximum(reference, 1e-12)).max())
     return CheckResult("normalization_invariance", worst < 1e-12, worst, 1e-12)
 
 
@@ -108,14 +107,13 @@ def check_outcome_completeness() -> CheckResult:
     delays = np.linspace(-1500.0, 1500.0, LATTICE_DELAYS)
     worst = 0.0
     base = preset("fig3a_dip")
-    jsa = build_jsa(base.spectral, base.frequency_grid())
-    kernel = RateKernel(jsa)
+    kernel = RateKernel(build_jsa(base.spectral, base.frequency_grid()))
     for theta1, theta2 in ((45.0, 45.0), (30.0, 75.0)):
         totals = np.zeros_like(delays)
         for offset1 in (0.0, 90.0):
             for offset2 in (0.0, 90.0):
                 config = replace(base, analyzer1=theta1 + offset1, analyzer2=theta2 + offset2)
-                totals += kernel.rate(enumerate_paths(config), delays)
+                totals += coincidence_rate(config, delays, kernel)
         mean = float(totals.mean())
         worst = max(worst, float(np.abs(totals - mean).max()) / mean)
     return CheckResult("outcome_completeness", worst < 1e-6, worst, 1e-6)
@@ -125,9 +123,8 @@ def check_dip_peak_complementarity() -> CheckResult:
     delays = np.linspace(-1500.0, 1500.0, LATTICE_DELAYS)
     dip = preset("fig3a_dip")
     peak = preset("fig3a_peak")
-    jsa = build_jsa(dip.spectral, dip.frequency_grid())
-    kernel = RateKernel(jsa)
-    totals = kernel.rate(enumerate_paths(dip), delays) + kernel.rate(enumerate_paths(peak), delays)
+    kernel = RateKernel(build_jsa(dip.spectral, dip.frequency_grid()))
+    totals = coincidence_rate(dip, delays, kernel) + coincidence_rate(peak, delays, kernel)
     mean = float(totals.mean())
     worst = float(np.abs(totals - mean).max()) / mean
     return CheckResult("dip_peak_complementarity", worst < 1e-6, worst, 1e-6)
@@ -143,7 +140,7 @@ def check_visibility_overlap_identity() -> CheckResult:
             spectral=replace(SpectralParams(), asymmetry_ratio=rho),
         )
         jsa = build_jsa(config.spectral, config.frequency_grid())
-        result = scan_delay(config, jsa=jsa)
+        result = scan_delay(config, kernel=RateKernel(jsa))
         overlap = abs(path_overlap(enumerate_paths(config), jsa))
         worst = max(worst, abs(result.visibility - overlap))
     return CheckResult("visibility_overlap_identity", worst < 1e-6, worst, 1e-6)
@@ -185,11 +182,10 @@ def check_engine_oracle_lattice() -> CheckResult:
                 SpectralParams(), asymmetry_ratio=rho, pump_coherence_time=tau
             )
             scaffold = ExperimentConfig(spectral=spectral)
-            jsa = build_jsa(spectral, scaffold.frequency_grid())
-            kernel = RateKernel(jsa)
+            kernel = RateKernel(build_jsa(spectral, scaffold.frequency_grid()))
             for name in PRESET_NAMES:
                 config = replace(preset(name), spectral=spectral)
-                rates = kernel.rate(enumerate_paths(config), delays)
+                rates = coincidence_rate(config, delays, kernel)
                 for engine, reference in zip(rates, oracle_rate(config, delays)):
                     delta = abs(engine - reference) / max(reference, 1e-12)
                     worst = max(worst, delta)

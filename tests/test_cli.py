@@ -29,6 +29,10 @@ GOLDEN_RUNS = [
         ("sweep", "fig3a_dip", "--axis", "asymmetry_ratio", "--values", "1,1.5,2"),
         ("fig3a_dip_asymmetry_ratio_sweep.csv",),
     ),
+    (
+        ("sweep", "fig3a_dip", "--axis", "analyzer2", "--values=-45,0,22.5,45,67.5,90"),
+        ("fig3a_dip_analyzer2_sweep.csv",),
+    ),
 ]
 
 

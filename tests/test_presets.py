@@ -18,7 +18,7 @@ from biphoton import (
     scan_delay,
 )
 from biphoton.presets import CONFIG_KEYS, with_value
-from biphoton.scan import MAX_SWEEP_ROWS
+from biphoton.scan import MAX_SWEEP_ROWS, RateKernel
 
 
 class TestPresetFidelity:
@@ -187,6 +187,43 @@ class TestRunSweep:
         with pytest.raises(TwoArgumentError) as info:
             run_sweep(spec)
         assert info.value.args == (7, "disk full")
+
+
+class TestKernelSharing:
+    @pytest.fixture
+    def kernels(self, monkeypatch):
+        """Every RateKernel built while the test runs."""
+        built = []
+        init = RateKernel.__init__
+
+        def spy(self, jsa):
+            built.append(self)
+            init(self, jsa)
+
+        monkeypatch.setattr(RateKernel, "__init__", spy)
+        return built
+
+    @pytest.mark.parametrize("axis", ["analyzer2", "pair_phase"])
+    def test_a_reweighting_sweep_builds_one_kernel(self, kernels, axis):
+        run_sweep(SweepSpec(base=preset("fig3a_dip"), axis=axis, values=(0.0, 1.0, 45.0), steps=31))
+        assert len(kernels) == 1
+
+    @pytest.mark.parametrize(
+        "axis, values", [("rod_length", (0.0, 10.0, 20.0)), ("pump_coherence_time", (60.0, 120.0))]
+    )
+    def test_other_axes_build_a_kernel_per_row(self, kernels, axis, values):
+        run_sweep(SweepSpec(base=preset("fig4c"), axis=axis, values=values, steps=31))
+        assert len(kernels) == len(values)
+
+    def test_a_shared_kernel_stops_growing_after_row_0(self, kernels):
+        base = replace(preset("fig4c"), spectral=SpectralParams(asymmetry_ratio=2.0))
+        values = (-45.0, 0.0, 22.5, 45.0, 67.5, 90.0, 30.0)
+        cached = []
+        for count in (1, 7):
+            run_sweep(SweepSpec(base=base, axis="analyzer2", values=values[:count], steps=31))
+            cached.append(len(kernels[-1]._diagonals))
+        assert len(kernels) == 2
+        assert cached[0] == cached[1] > 0
 
 
 def test_auto_resolution_handles_long_pump_coherence():

@@ -66,9 +66,10 @@ def _level(config) -> float:
 @given(configs(), st.lists(st.integers(0, 40), min_size=1, max_size=3))
 def test_scan_points_match_single_rates(drawn, indices):
     config, jsa = drawn
-    result = scan_delay(config, -1500.0, 1500.0, 41, jsa=jsa)
+    result = scan_delay(config, -1500.0, 1500.0, 41, kernel=RateKernel(jsa))
     for i in indices:
-        assert result.rates[i] == coincidence_rate(config, float(result.delays[i]), jsa=jsa)
+        single = coincidence_rate(config, float(result.delays[i]), kernel=RateKernel(jsa))
+        assert result.rates[i] == single
 
 
 @PROPERTY_SETTINGS

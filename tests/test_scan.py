@@ -11,6 +11,7 @@ from biphoton import (
     PRESET_NAMES,
     ConfigurationError,
     ContractViolation,
+    ExperimentConfig,
     GridSpec,
     JointSpectralAmplitude,
     PathAmplitude,
@@ -47,17 +48,54 @@ class TestCoincidenceRate:
     def test_single_path_rate_is_flat(self, fig3a_dip):
         config = replace(fig3a_dip, analyzer1=0.0, analyzer2=0.0)
         jsa = build_jsa(config.spectral)
-        rates = [coincidence_rate(config, d, jsa=jsa) for d in (-800.0, 0.0, 350.0, 1200.0)]
+        delays = (-800.0, 0.0, 350.0, 1200.0)
+        rates = [coincidence_rate(config, d, kernel=RateKernel(jsa)) for d in delays]
         spread = (max(rates) - min(rates)) / max(rates)
         assert spread < 1e-9
 
     def test_matches_direct_amplitude_sum(self, fig3a_dip, default_jsa):
         d = 300.0
-        expanded = coincidence_rate(fig3a_dip, d, jsa=default_jsa)
+        expanded = coincidence_rate(fig3a_dip, d, kernel=RateKernel(default_jsa))
         assembled = amplitude_rate(
             assemble_amplitude(enumerate_paths(fig3a_dip, d), default_jsa)
         )
         assert expanded == pytest.approx(assembled, rel=1e-12)
+
+
+    @pytest.mark.parametrize("name, rho", [("fig3a_dip", 1.0), ("fig4c", 2.0)])
+    def test_a_delay_array_gives_the_bits_of_single_delays(self, name, rho):
+        config = replace(preset(name), spectral=SpectralParams(asymmetry_ratio=rho))
+        kernel = RateKernel(build_jsa(config.spectral, config.frequency_grid()))
+        rng = np.random.default_rng(PRESET_NAMES.index(name))
+        delays = np.concatenate((rng.uniform(-1500.0, 1500.0, 20), np.linspace(-1500, 1500, 31)))
+        singles = [coincidence_rate(config, float(d), kernel) for d in delays]
+        from_numpy = [coincidence_rate(config, d, kernel) for d in delays]
+        assert {type(rate) for rate in singles + from_numpy} == {float}
+        assert from_numpy == singles
+        for given in (delays, delays.tolist(), tuple(delays.tolist())):
+            for shared in (kernel, None):
+                rates = coincidence_rate(config, given, shared)
+                assert isinstance(rates, np.ndarray)
+                assert rates.dtype == np.float64 and rates.shape == delays.shape
+                assert rates.tobytes() == np.array(singles).tobytes()
+
+    @pytest.mark.parametrize(
+        "delays, message",
+        [
+            (math.nan, "must be finite, got nan"),
+            (-math.inf, "must be finite, got -inf"),
+            ([0.0, math.nan], r"must be finite, got \[0.0, nan\]"),
+            ([], "at least one delay"),
+            (np.zeros((2, 3)), r"1-D sequence, got shape \(2, 3\)"),
+        ],
+    )
+    def test_bad_delays_are_refused_before_any_grid(self, monkeypatch, delays, message):
+        def no_grid(config):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(ExperimentConfig, "frequency_grid", no_grid)
+        with pytest.raises(ConfigurationError, match=message):
+            coincidence_rate(preset("fig3a_dip"), delays)
 
 
 class TestScanDelay:
@@ -265,7 +303,7 @@ class TestRateKernel:
 
     def test_a_scan_leaves_the_values_unbuilt(self, fig3a_dip):
         jsa = build_jsa(fig3a_dip.spectral)
-        scan_delay(fig3a_dip, jsa=jsa, steps=31)
+        scan_delay(fig3a_dip, kernel=RateKernel(jsa), steps=31)
         assert jsa._values is None
         assert not jsa.values.flags.writeable
         assert jsa.values is jsa.values
@@ -684,7 +722,7 @@ class TestRateInvariants:
         from biphoton import JointSpectralAmplitude, normalize
 
         jsa = normalize(JointSpectralAmplitude(default_jsa.grid, default_jsa.values * scale))
-        assert coincidence_rate(preset(name), 0.0, jsa=jsa) == 0.0
+        assert coincidence_rate(preset(name), 0.0, kernel=RateKernel(jsa)) == 0.0
 
     def test_normalization_invariance(self, fig3a_dip, default_jsa):
         from biphoton import JointSpectralAmplitude, normalize
@@ -700,8 +738,8 @@ class TestRateInvariants:
             JointSpectralAmplitude(grid, factors=(3.7 * g1, g2, pump)),
         ):
             for d in (0.0, 150.0, 600.0):
-                reference = coincidence_rate(fig3a_dip, d, jsa=default_jsa)
-                other = coincidence_rate(fig3a_dip, d, jsa=rescaled)
+                reference = coincidence_rate(fig3a_dip, d, kernel=RateKernel(default_jsa))
+                other = coincidence_rate(fig3a_dip, d, kernel=RateKernel(rescaled))
                 if rescaled.symmetric:
                     assert abs(other - reference) / max(reference, 1e-12) < 1e-12
                 else:
