@@ -12,8 +12,6 @@ generous wings for baseline estimation; it is not a measured quantity.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 from .elements import RodAxis
@@ -27,29 +25,8 @@ from .scan import (
     scan_delay,
 )
 from .spectral import (
-    FrequencyGrid, SpectralParams, _check_grid_request, _is_real, auto_grid, build_jsa
+    FrequencyGrid, SpectralParams, _check_field_types, _check_grid_request, auto_grid, build_jsa
 )
-
-
-def _check_field_types(config) -> None:
-    """Refuse a field value that is not of the type of the field's default.
-
-    A float field takes any real number and an int field any integer,
-    numpy scalars included but bool in neither, and a real must be
-    finite; any other field takes instances of its default's class, so
-    a rod axis must be a RodAxis, not its name.
-    """
-    for f in fields(config):
-        value = getattr(config, f.name)
-        kind = type(f.default)
-        if kind is float or kind is int:
-            if not _is_real(value) or (kind is int and not isinstance(value, numbers.Integral)):
-                noun = "an integer" if kind is int else "a real number"
-                raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
-        elif not isinstance(value, kind):
-            raise ConfigurationError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -31,20 +31,22 @@ sum |F|^2 afterwards, so w^2 cancels and no rate depends on the scale of
 F; S is the total of the zero-delay self sums of unswapped paths, which
 a scan needs anyway.
 
-The reduction walks the kernel by grid sum: with i + j = 2u + p and
-i - j = 2t + p of one parity p, C_{2t+p} = sum_u Q[2u+p] K(u+t+p, u-t)
-(up to the phases), so t indexes the sums and a block of a few u, both
-parities at once, is reduced against its Q in one matrix product, in
-O(n) working memory. K and Q come from one of two sources.
+The reduction never holds the kernel K = f_p conj(f_q) whole; each of
+the two sources of an amplitude has its own, in O(n) working memory.
 
 * Factors, from ``build_jsa``: F(i, j) = g1[i] g2[j] P[i + j], so every
   kernel of F is a(i) b(j) Q[i + j], where Q = P^2 and a, b are products
-  of g1 and g2, which trade places on a swapped path. Blocks that meet no
-  grid sum on which Q is non-zero hold exact zeros and are skipped, so
-  the reduction costs O(n W), W the number of such grid sums, with the
-  same bits as the full O(n^2) pass.
+  of g1 and g2, which trade places on a swapped path. The reduction walks
+  it by grid sum: with i + j = 2u + p and i - j = 2t + p of one parity p,
+  C_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) (up to the phases), so t
+  indexes the sums and a block of a few u, both parities at once, is
+  reduced against its Q in one matrix product. Blocks that meet no grid
+  sum on which Q is non-zero hold exact zeros and are skipped, so the
+  reduction costs O(n W), W the number of such grid sums, with the same
+  bits as the full O(n^2) pass.
 * Dense values, of an amplitude a caller built: K = F_p conj(F_q), a
-  swapped path reading the transpose, and Q = 1.
+  swapped path reading the transpose, is formed one row at a time, and
+  each row adds to n of the diagonal sums; O(n^2).
 
 The grid sums repeat in each port delay with period 2 pi / h, so delays
 at which a rate would read an alias of the interference term are refused
@@ -96,7 +98,7 @@ MAX_SCAN_STEPS = 100_000
 #: which can take seconds on a raised grid.
 MAX_SWEEP_ROWS = 1000
 
-# Complex elements per block of the diagonal reduction and of the slopes
+# Complex elements per block of the factored reduction and of the slopes
 # that ``RateKernel._at`` sums at once, so that working memory stays O(n)
 # whatever n and the step count.
 _BLOCK = 1 << 14
@@ -115,50 +117,16 @@ def _support(values: np.ndarray) -> tuple[int, int] | None:
     return (int(nonzero[0]), int(nonzero[-1])) if len(nonzero) else None
 
 
-def _walk_grid_sums(n: int, rows: int, write, weights: np.ndarray, parts: int) -> np.ndarray:
-    """C_{2t+p} = sum_u Q[2u+p] K(u+t+p, u-t) for k = 2t + p = 1 - n, ...,
-    n - 1, Q the ``weights`` on the 2n - 1 grid sums, in float64 ``parts``.
-    A block of ``rows`` values of u, which ``write(u0, t0, out)`` fills
-    with K at (p, u - u0, part, t - t0), is reduced in one matrix product.
-
-    Blocks start at multiples of ``rows``, and only those that meet a grid
-    sum 2u + p on which Q is non-zero are walked. Any other block holds
-    products with Q = 0, zeros of either sign since the products of factors
-    are finite (``JointSpectralAmplitude`` checks), and would add them to
-    sums that start at +0 and never turn -0; so a narrower support gives
-    the same bits. A block spans the t at which some (u + t + p, u - t) lies
-    on the grid, and the writers read zeros for the rest.
-    """
-    # sums[p, :, t + n // 2] holds C_{2t+p}, and pairs[p, u] is Q[2u + p],
-    # with Q = 0 at the grid sum 2n - 1.
-    sums = np.zeros((2, parts, n))
-    pairs = np.append(weights, 0.0).reshape(n, 2).T.copy()
-    buffer = np.empty(2 * rows * parts * n)
-    support = _support(weights)
-    first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
-    for u0 in range(first - first % rows, last + 1, rows):
-        u1 = min(n, u0 + rows)
-        t0 = max(u0 - n + 1, -u1, -(n // 2))
-        t1 = min(u1 - 1, n - 1 - u0, (n - 1) // 2) + 1
-        shape = (2, u1 - u0, parts, t1 - t0)
-        block = buffer[: math.prod(shape)].reshape(shape)
-        write(u0, t0, block)
-        reduced = np.matmul(pairs[:, None, u0:u1], block.reshape(2, u1 - u0, -1))
-        sums[:, :, t0 + n // 2 : t1 + n // 2] += reduced.reshape(2, parts, -1)
-    # Interleaved, C_k sits at 2 (n // 2) + k.
-    sums = sums.transpose(2, 0, 1).copy().view(np.complex128 if parts == 2 else np.float64)
-    return sums.reshape(-1)[1 - n % 2 :][: 2 * n - 1]
-
-
 class RateKernel:
     """Per-amplitude cache of the pair sums behind the rate.
 
     Each distinct pair of paths costs one diagonal reduction of its kernel
     f_p conj(f_q), cached under the swap flags and the delay differences
-    at d = 0; each delay point then costs O(n). The reduction walks the
-    kernel a few grid sums at a time, O(n W) for W grid sums with a
-    non-zero pump, and never holds it whole: from the 1-D factors of a
-    ``build_jsa`` amplitude, or from a dense amplitude's values. An
+    at d = 0; each delay point then costs O(n). The reduction never holds
+    the kernel whole: ``_factored_sums`` walks the 1-D factors of a
+    ``build_jsa`` amplitude a few grid sums at a time, O(n W) for W grid
+    sums with a non-zero pump, and ``_dense_sums`` reads a dense
+    amplitude's values one kernel row at a time, O(n^2). An
     amplitude that is exchange symmetric bit for bit makes swapping the
     identity, so every pair reads the sums of unswapped paths.
     """
@@ -204,53 +172,75 @@ class RateKernel:
             self._diagonals[key] = sums
         return sums
 
-    def _factored_source(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None, pad: int):
-        """``_walk_grid_sums`` arguments for the factors' model, read from
-        a and b with ``pad`` zeros at either end: f_p(i, j) is g1[i] g2[j]
-        pump[i + j], with g1 and g2 trading places for a swapped path, so
-        K = a(i) b(j), a and b the products of the filter factors on each
-        axis, b times the column ``phase``, and Q = pump^2."""
+    def _factored_sums(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None) -> np.ndarray:
+        """C_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) for k = 2t + p = 1 - n,
+        ..., n - 1, from the factors: f_p(i, j) is g1[i] g2[j] pump[i + j],
+        with g1 and g2 trading places for a swapped path, so a and b are the
+        products of the filter factors on each axis, b times the column
+        ``phase``, and Q = pump^2. A block of ``rows`` values of u is reduced
+        in one matrix product.
+
+        Blocks start at multiples of ``rows``, and only those that meet a grid
+        sum 2u + p on which Q is non-zero are walked. Any other block holds
+        products with Q = 0, zeros of either sign since the products of factors
+        are finite (``JointSpectralAmplitude`` checks), and would add them to
+        sums that start at +0 and never turn -0; so a narrower support gives
+        the same bits. A block spans the t at which some (u + t + p, u - t) lies
+        on the grid, and reads the zeros padding a and b for the rest.
+        """
         g1, g2, pump = self.jsa.factors
         n = self.grid.n
+        rows = min(n, max(1, _BLOCK // n))
         b = (g1 if swap_p else g2) * (g1 if swap_q else g2)
         b = b if phase is None else b * phase
         parts = b.itemsize // 8
-        a, reversed_b = np.zeros(n + 2 * pad), np.zeros((n + 2 * pad) * parts)
-        a[pad : pad + n] = (g2 if swap_p else g1) * (g2 if swap_q else g1)
-        reversed_b.view(b.dtype)[pad : pad + n] = b[::-1]
-
-        def write(u0: int, t0: int, out: np.ndarray) -> None:
+        a, reversed_b = np.zeros(n + 2 * rows), np.zeros((n + 2 * rows) * parts)
+        a[rows : rows + n] = (g2 if swap_p else g1) * (g2 if swap_q else g1)
+        reversed_b.view(b.dtype)[rows : rows + n] = b[::-1]
+        weights = pump * pump
+        # sums[p, :, t + n // 2] holds C_{2t+p}, and pairs[p, u] is Q[2u + p],
+        # with Q = 0 at the grid sum 2n - 1.
+        sums = np.zeros((2, parts, n))
+        pairs = np.append(weights, 0.0).reshape(n, 2).T.copy()
+        buffer = np.empty(2 * rows * parts * n)
+        support = _support(weights)
+        first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
+        for u0 in range(first - first % rows, last + 1, rows):
+            u1 = min(n, u0 + rows)
+            t0 = max(u0 - n + 1, -u1, -(n // 2))
+            t1 = min(u1 - 1, n - 1 - u0, (n - 1) // 2) + 1
+            shape = (2, u1 - u0, parts, t1 - t0)
+            block = buffer[: math.prod(shape)].reshape(shape)
             # a(u + t + p) advances with p, u and t; b(u - t), at n - 1 - u + t
             # of the reversed b, falls with u and advances with t.
-            a_view = _lattice(a, pad + u0 + t0, (1, 1, 0, 1), out.shape)
-            b_start = parts * (pad + n - 1 - u0 + t0)
-            b_view = _lattice(reversed_b, b_start, (0, -parts, 1, parts), out.shape)
-            np.multiply(a_view, b_view, out=out)
+            a_view = _lattice(a, rows + u0 + t0, (1, 1, 0, 1), shape)
+            b_start = parts * (rows + n - 1 - u0 + t0)
+            b_view = _lattice(reversed_b, b_start, (0, -parts, 1, parts), shape)
+            np.multiply(a_view, b_view, out=block)
+            reduced = np.matmul(pairs[:, None, u0:u1], block.reshape(2, u1 - u0, -1))
+            sums[:, :, t0 + n // 2 : t1 + n // 2] += reduced.reshape(2, parts, -1)
+        # Interleaved, C_k sits at 2 (n // 2) + k.
+        sums = sums.transpose(2, 0, 1).copy().view(b.dtype)
+        return sums.reshape(-1)[1 - n % 2 :][: 2 * n - 1]
 
-        return write, pump * pump, parts
-
-    def _dense_source(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None, pad: int):
-        """``_walk_grid_sums`` arguments for dense values, read from a copy
-        of K = f_p conj(f_q) times the column ``phase`` with ``pad`` zeros
-        around it, and Q = 1. A swapped path reads the transposed values."""
+    def _dense_sums(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None) -> np.ndarray:
+        """C_k from dense values, one row of K = f_p conj(f_q) times the
+        column ``phase`` at a time; a swapped path reads the transposed
+        values. Row i holds diagonals k = i - j, which fall as j rises, so
+        reversed it adds to the sums at k + n - 1 = i, ..., i + n - 1."""
         v = self.jsa.values
-        n, width = self.grid.n, self.grid.n + 2 * pad
-        parts = 2 if np.iscomplexobj(v) or phase is not None else 1
-        padded = np.zeros((width, width), dtype=np.complex128 if parts == 2 else np.float64)
-        kernel = padded[pad : pad + n, pad : pad + n]
-        np.conjugate(v.T if swap_q else v, out=kernel)
-        kernel *= v.T if swap_p else v
-        if phase is not None:
-            kernel *= phase
-        padded = padded.reshape(-1).view(np.float64)
-
-        def write(u0: int, t0: int, out: np.ndarray) -> None:
-            # K(i, j) sits at (pad + i) width + pad + j, i = u + t + p, j = u - t.
-            start = parts * ((pad + u0 + t0) * width + pad + u0 - t0)
-            strides = (parts * width, parts * (width + 1), 1, parts * (width - 1))
-            np.copyto(out, _lattice(padded, start, strides, out.shape))
-
-        return write, np.ones(2 * n - 1), parts
+        n = self.grid.n
+        f_p, f_q = (v.T if swap_p else v), (v.T if swap_q else v)
+        dtype = np.complex128 if np.iscomplexobj(v) or phase is not None else np.float64
+        sums = np.zeros(2 * n - 1, dtype=dtype)
+        row = np.empty(n, dtype=dtype)
+        for i in range(n):
+            np.conjugate(f_q[i], out=row)
+            row *= f_p[i]
+            if phase is not None:
+                row *= phase
+            sums[i : i + n] += row[::-1]
+        return sums
 
     def _diagonal_sums(
         self, swap_p: bool, swap_q: bool, delta_a: float, delta_b: float
@@ -258,16 +248,14 @@ class RateKernel:
         """sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a0} e^{i nu_j D_b0}
         for each diagonal k, unnormalized: of the values for a dense
         amplitude, of the product of the factors otherwise."""
-        n = self.grid.n
         # On diagonal k, nu_i = nu_j + k h, so the port phases factor as
         # e^{i k h D_a} e^{i nu_j (D_a + D_b)}: one phase per column before
         # the reduction and one per diagonal after it. A real kernel whose
         # column phase vanishes stays real.
         column = delta_a + delta_b
         phase = np.exp(1j * self.grid.points * column) if column else None
-        rows = min(n, max(1, _BLOCK // n))
-        source = self._dense_source if self.jsa.factors is None else self._factored_source
-        sums = _walk_grid_sums(n, rows, *source(swap_p, swap_q, phase, rows))
+        reduce = self._dense_sums if self.jsa.factors is None else self._factored_sums
+        sums = reduce(swap_p, swap_q, phase)
         if delta_a:
             sums = sums * np.exp(1j * self._lags * delta_a)
         return sums

@@ -45,6 +45,27 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _check_field_types(config) -> None:
+    """Refuse a field value that is not of the type of the field's default.
+
+    A float field takes any real number and an int field any integer,
+    numpy scalars included but bool in neither, and a real must be
+    finite; any other field takes instances of its default's class, so
+    a rod axis must be a RodAxis, not its name.
+    """
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = type(f.default)
+        if kind is float or kind is int:
+            if not _is_real(value) or (kind is int and not isinstance(value, numbers.Integral)):
+                noun = "an integer" if kind is int else "a real number"
+                raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        elif not isinstance(value, kind):
+            raise ConfigurationError(f"{f.name} must be a {kind.__name__}, got {value!r}")
+
+
 def coherence_time_from_filter(fwhm_nm: float, center_nm: float) -> float:
     """Coherence time (fs) of a photon behind a bandpass filter.
 
@@ -87,12 +108,11 @@ class SpectralParams:
     asymmetry_ratio: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_field_types(self)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not _is_real(value):
-                raise ConfigurationError(f"{f.name} must be a real number, got {value!r}")
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigurationError(f"{f.name} must be positive and finite, got {value}")
+            if not value > 0:
+                raise ConfigurationError(f"{f.name} must be positive, got {value}")
         # Finite inputs can still give widths that underflow to 0 or overflow
         # to inf once squared, which would divide by zero downstream.
         try:
@@ -256,6 +276,14 @@ class JointSpectralAmplitude:
                 raise ContractViolation(
                     "factors must have finite squares, and the filter factors finite fourth powers"
                 )
+        elif values.shape != (n, n):
+            raise ContractViolation(f"values must have shape (n, n) for n = {n}, got {values.shape}")
+        else:
+            # By Cauchy-Schwarz no pair sum exceeds this total, so none overflows.
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = _sum_squares(values)
+            if not math.isfinite(total):
+                raise ContractViolation("values must have a finite sum of squares")
         for array in factors or (values,):
             array.setflags(write=False)
         self.grid = grid

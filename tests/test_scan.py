@@ -473,6 +473,26 @@ class TestDiagonalSums:
         for dtype in ("float64", "complex128"):
             assert abs(peaks[120.0, dtype] - peaks[6300.0, dtype]) <= 16 * n
 
+    def test_a_dense_pair_sum_holds_no_square_array(self):
+        # A dense reduction reads one row of the kernel at a time; an n x n
+        # copy of a complex kernel at n = 1024 would hold 16 MiB.
+        n = 1024
+        params = SpectralParams()
+        jsa = build_jsa(params, _construct_grid(params, n, 6.0))
+        nu = jsa.grid.points
+        kernel = RateKernel(
+            JointSpectralAmplitude(jsa.grid, jsa.values * np.exp(1j * 3000.0 * nu[:, None] ** 2))
+        )
+        for key in [(False, False, 0.0, 0.0), (False, True, -630.0, -630.0)]:
+            tracemalloc.start()
+            try:
+                out = kernel._diagonal_sums(*key)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert out.dtype == np.complex128
+            assert peak - out.nbytes <= 2**20
+
 
 class TestRealEngine:
     """A real amplitude runs through the same code as a complex one, with

@@ -333,6 +333,21 @@ class TestFactoredAmplitude:
                 JointSpectralAmplitude(grid, factors=bad)
         assert JointSpectralAmplitude(grid, default_jsa.values).factors is None
 
+    def test_dense_values_need_the_grid_shape_and_a_finite_sum_of_squares(self, default_jsa):
+        grid = default_jsa.grid
+        values = default_jsa.values
+        for bad in (values[0], values[:8, :8], values[:, :-1]):
+            with pytest.raises(ContractViolation, match=r"shape \(n, n\)"):
+                JointSpectralAmplitude(grid, bad)
+        # The suite turns RuntimeWarnings into errors, so an overflow on the
+        # way to the refusal would fail here too.
+        infinite = np.where(values > 0.5, np.inf, values)
+        for bad in (values * 1e200, values * (1e200 + 1e200j), infinite, values * np.nan):
+            with pytest.raises(ContractViolation, match="finite sum of squares"):
+                JointSpectralAmplitude(grid, bad)
+        # A zero amplitude is accepted here and refused by normalize.
+        JointSpectralAmplitude(grid, np.zeros_like(values))
+
 
 class TestNormalize:
     def test_rescales_any_positive_factor(self, default_jsa):
