@@ -25,7 +25,6 @@ from .pathsum import (
     PathAmplitude,
     assemble_amplitude,
     enumerate_paths,
-    path_overlap,
 )
 from .presets import (
     PRESET_NAMES,
@@ -43,6 +42,8 @@ from .scan import (
     amplitude_rate,
     arrival_time_joint,
     coincidence_rate,
+    jsa_swap_distance,
+    path_overlap,
     refine_check,
     scan_delay,
     time_joint_density,
@@ -56,7 +57,6 @@ from .spectral import (
     build_jsa,
     coherence_time_from_filter,
     interference_width,
-    jsa_swap_distance,
     l2_norm,
     normalize,
     sigma_from_coherence_time,

@@ -13,6 +13,11 @@ where f_p is the joint spectral amplitude, transposed when the source
 photon of arm 1 exits port B (``swapped``), and the delays are linear
 phase coefficients on the detunings. Whether the two paths interfere is
 entirely a question of how well their summands overlap on the grid.
+
+This module enumerates the paths and assembles A as a dense n x n array,
+the reference that the time-domain diagnostics and the checks read. The
+rates and the path overlaps come from the pair sums of ``scan``, which
+never form A.
 """
 
 from __future__ import annotations
@@ -31,8 +36,7 @@ from .elements import (
     pbs_action,
     rod_delays,
 )
-from .errors import ContractViolation
-from .spectral import FrequencyGrid, JointSpectralAmplitude, _sum_squares
+from .spectral import FrequencyGrid, JointSpectralAmplitude
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -171,27 +175,3 @@ def assemble_amplitude(
     for path in paths:
         total += _path_matrix(path, jsa)
     return CoincidenceAmplitude(grid=jsa.grid, values=total)
-
-
-def path_overlap(
-    paths: tuple[PathAmplitude, ...] | list[PathAmplitude],
-    jsa: JointSpectralAmplitude,
-) -> complex:
-    """Normalized overlap <A_1 | A_2> / (||A_1|| ||A_2||) of the two paths.
-
-    Its magnitude is the degree of indistinguishability of the paths and
-    bounds the achievable interference visibility.
-    """
-    if len(paths) != 2:
-        raise ContractViolation(f"path_overlap needs exactly two paths, got {len(paths)}")
-    if paths[0] == paths[1]:
-        # A path overlaps itself perfectly by definition.
-        return complex(1.0)
-    a = _path_matrix(paths[0], jsa)
-    b = _path_matrix(paths[1], jsa)
-    w2 = jsa.grid.weight**2
-    norm_a = math.sqrt(_sum_squares(a) * w2)
-    norm_b = math.sqrt(_sum_squares(b) * w2)
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ContractViolation("path overlap is undefined for a zero-norm path")
-    return complex(np.vdot(a, b)) * w2 / (norm_a * norm_b)

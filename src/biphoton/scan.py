@@ -1,4 +1,5 @@
-"""Coincidence rates, trombone-delay scans and time-domain diagnostics.
+"""Coincidence rates, path overlaps, trombone-delay scans and time-domain
+diagnostics.
 
 The rate is the uniform-weight grid sum R = sum |A(nu_a, nu_b)|^2 w^2 of
 the assembled coincidence amplitude, expanded over pairs of paths:
@@ -48,6 +49,11 @@ the two sources of an amplitude has its own, in O(n) working memory.
   swapped path reading the transpose, is formed one row at a time, and
   each row adds to n of the diagonal sums; O(n^2).
 
+The path overlaps read the same pair sums at d = 0: two paths overlap
+by conj(c_p) c_q T(q, p) / (|c_p| |c_q|), the self pairs summing to 1,
+and an amplitude's exchange asymmetry is 1 - |T(p, q)| for delay-free
+paths p unswapped and q swapped.
+
 The grid sums repeat in each port delay with period 2 pi / h, so delays
 at which a rate would read an alias of the interference term are refused
 before anything is built.
@@ -80,6 +86,7 @@ from .spectral import (
     _sum_squares,
     build_jsa,
     interference_width,
+    l2_norm,
 )
 
 if TYPE_CHECKING:
@@ -290,6 +297,10 @@ class RateKernel:
             out[start : start + rows] = pos + neg.conj()
         return out
 
+    def at_rest(self, p: PathAmplitude, q: PathAmplitude) -> complex:
+        """T(p, q) at d = 0, by the same ``_at`` call as any other delay."""
+        return self._at(self.pair_sum(p, q), np.zeros(1))[0]
+
     def rate(self, paths: Sequence[PathAmplitude], delays) -> np.ndarray:
         """Rates at each trombone delay in ``delays`` for ``paths``, the
         coincidence paths at d = 0."""
@@ -297,16 +308,60 @@ class RateKernel:
         total = np.zeros(delays.shape)
         # |c|^2 is formed as c conj(c), the same product as the cross terms,
         # so two paths with equal pair sums and c_q = -c_p cancel exactly.
-        at_rest = np.zeros(1)
         for p in paths:
             weight = (p.coefficient * p.coefficient.conjugate()).real
-            total += weight * self._at(self.pair_sum(p, p), at_rest)[0].real
+            total += weight * self.at_rest(p, p).real
         for i, p in enumerate(paths):
             for q in paths[i + 1 :]:
                 cross = p.coefficient * np.conj(q.coefficient)
                 slope = int(q.swapped) - int(p.swapped)
                 total += 2.0 * (cross * self._at(self.pair_sum(p, q), slope * delays)).real
         return total
+
+
+def path_overlap(
+    paths: tuple[PathAmplitude, ...] | list[PathAmplitude],
+    jsa: JointSpectralAmplitude,
+) -> complex:
+    """Normalized overlap <A_1 | A_2> / (||A_1|| ||A_2||) of the two paths.
+
+    Its magnitude is the degree of indistinguishability of the paths and
+    bounds the achievable interference visibility. It is read off the
+    pair sums at d = 0, as the module docstring sets out.
+    """
+    if len(paths) != 2:
+        raise ContractViolation(f"path_overlap needs exactly two paths, got {len(paths)}")
+    p, q = paths
+    if p == q:
+        # A path overlaps itself perfectly by definition.
+        return complex(1.0)
+    if p.coefficient == 0 or q.coefficient == 0:
+        raise ContractViolation("path overlap is undefined for a zero-norm path")
+    # Unit phases, so that tiny coefficients do not underflow to 0 / 0.
+    phase = (p.coefficient / abs(p.coefficient)).conjugate() * (q.coefficient / abs(q.coefficient))
+    return complex(phase * RateKernel(jsa).at_rest(q, p))
+
+
+def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
+    """Exchange asymmetry 1 - |<f | f_swapped>|, in [0, 1].
+
+    Zero iff the amplitude is exchange symmetric; this bounds the visibility
+    any analyzer setting can reach. Requires a normalized input, which an
+    amplitude given by its factors is by construction. It is 1 - |sum_k C_k|
+    of the (unswapped, swapped) pair of delay-free paths.
+    """
+    if jsa.factors is None:
+        norm = l2_norm(jsa)
+        if abs(norm - 1.0) > 1e-6:
+            raise ContractViolation(
+                f"jsa_swap_distance requires a normalized amplitude, norm={norm!r}"
+            )
+    if jsa.symmetric:
+        # Identical arrays overlap perfectly by definition.
+        return 0.0
+    unswapped = PathAmplitude("unswapped", 1.0, 0.0, 0.0, False)
+    swapped = PathAmplitude("swapped", 1.0, 0.0, 0.0, True)
+    return 1.0 - float(abs(RateKernel(jsa).at_rest(unswapped, swapped)))
 
 
 def _check_alias(

@@ -245,9 +245,10 @@ class JointSpectralAmplitude:
     f(nu_i, nu_j) = g1[i] g2[j] pump[i + j] / N, with pump on the 2n - 1
     grid sums and N the L2 norm of the product, and forms ``values`` only
     when they are first read. ``factors`` is None for a dense amplitude.
-    Either way the arrays are read-only. Factors are real; a complex
-    amplitude is given as its values. ``symmetric`` tells whether swapping
-    the two arguments is the identity bit for bit.
+    Either way the arrays are read-only and of a float or complex dtype.
+    Factors are real; a complex amplitude is given as its values.
+    ``symmetric`` tells whether swapping the two arguments is the identity
+    bit for bit.
     """
 
     def __init__(
@@ -259,6 +260,13 @@ class JointSpectralAmplitude:
     ):
         if (values is None) == (factors is None):
             raise ContractViolation("an amplitude takes either its values or its factors")
+        # Integer squares wrap and bool arrays read as 0 and 1, so neither
+        # has a meaningful norm.
+        for array in factors or (values,):
+            if not np.issubdtype(array.dtype, np.inexact):
+                raise ContractViolation(
+                    f"amplitude arrays must be float or complex, got dtype {array.dtype}"
+                )
         n = grid.n
         if factors is not None:
             if [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
@@ -317,7 +325,7 @@ def _sum_squares(values: np.ndarray) -> float:
     interleaved real and imaginary parts, so no part is copied out."""
     flat = np.ravel(values)
     if np.iscomplexobj(flat):
-        flat = flat.view(np.float64)
+        flat = flat.view(flat.real.dtype)
     return float(np.einsum("i,i->", flat, flat))
 
 
@@ -369,23 +377,6 @@ def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> Join
     sums = np.concatenate((nu + nu[0], nu[1:] + nu[-1]))
     pump = np.exp(-0.5 * (params.pump_coherence_time * sums) ** 2)
     return JointSpectralAmplitude(grid, factors=(g1, g2, pump))
-
-
-def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
-    """Exchange asymmetry 1 - |<f | f_swapped>|, in [0, 1].
-
-    Zero iff the amplitude is exchange symmetric; this bounds the visibility
-    any analyzer setting can reach. Requires a normalized input.
-    """
-    norm = l2_norm(jsa)
-    if abs(norm - 1.0) > 1e-6:
-        raise ContractViolation(f"jsa_swap_distance requires a normalized amplitude, norm={norm!r}")
-    if jsa.symmetric:
-        # Identical arrays overlap perfectly by definition.
-        return 0.0
-    v = jsa.values
-    overlap = complex(np.vdot(v, np.ascontiguousarray(v.T))) * jsa.grid.weight**2
-    return 1.0 - abs(overlap)
 
 
 def interference_width(params: SpectralParams) -> float:

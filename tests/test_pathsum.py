@@ -18,6 +18,7 @@ from biphoton import (
     path_overlap,
     preset,
 )
+from biphoton.verify import dense_overlap
 
 HALF_OVER_ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
@@ -120,6 +121,22 @@ class TestPathOverlap:
     def test_symmetric_pair_fully_overlaps(self, fig3a_dip, default_jsa):
         overlap = path_overlap(enumerate_paths(fig3a_dip), default_jsa)
         assert abs(overlap) == pytest.approx(1.0, abs=1e-9)
+
+    # fig4c's pair has rod delay differences and one swapped path, here with
+    # a complex coefficient; the skewed pair's delays make the overlap complex.
+    PAIRS = {
+        "fig3a_dip": enumerate_paths(preset("fig3a_dip")),
+        "fig4c": enumerate_paths(replace(preset("fig4c"), pair_phase=1.0)),
+        "skewed": (
+            PathAmplitude("rr", 0.5 + 0.0j, 0.0, 630.0, False),
+            PathAmplitude("tt", 0.5j, 100.0, 250.0, True),
+        ),
+    }
+
+    @pytest.mark.parametrize("paths", PAIRS.values(), ids=PAIRS)
+    def test_agrees_with_the_dense_reference(self, paths, reference_jsa):
+        expected = dense_overlap(paths, reference_jsa)
+        assert abs(path_overlap(paths, reference_jsa) - expected) <= 1e-12
 
     def test_pump_clock_suppresses_overlap(self):
         config = preset("fig4c")

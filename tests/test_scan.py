@@ -24,7 +24,9 @@ from biphoton import (
     coincidence_rate,
     enumerate_paths,
     interference_width,
+    jsa_swap_distance,
     oracle_rate,
+    path_overlap,
     preset,
     refine_check,
     scan_delay,
@@ -472,6 +474,22 @@ class TestDiagonalSums:
         assert max(peaks.values()) <= 2 * 2**20
         for dtype in ("float64", "complex128"):
             assert abs(peaks[120.0, dtype] - peaks[6300.0, dtype]) <= 16 * n
+
+    def test_overlaps_hold_no_square_array(self):
+        # fig4c at n = 8192, where one n x n float64 array is 512 MiB: each
+        # overlap reads two pair sums, O(n) apiece.
+        n = 8192
+        params = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=6300.0)
+        jsa = build_jsa(params, _construct_grid(params, n, 6.0))
+        paths = enumerate_paths(replace(preset("fig4c"), spectral=params))
+        for overlap in (lambda: path_overlap(paths, jsa), lambda: jsa_swap_distance(jsa)):
+            tracemalloc.start()
+            try:
+                overlap()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2**20
 
     def test_a_dense_pair_sum_holds_no_square_array(self):
         # A dense reduction reads one row of the kernel at a time; an n x n

@@ -10,6 +10,7 @@ from biphoton import (
     ContractViolation,
     GridSpec,
     JointSpectralAmplitude,
+    PathAmplitude,
     SpectralParams,
     build_grid,
     build_jsa,
@@ -21,6 +22,7 @@ from biphoton import (
     sigma_from_coherence_time,
 )
 from biphoton.spectral import auto_grid, pump_ridge_sigma
+from biphoton.verify import dense_overlap
 
 C_NM_FS = 299.792458
 
@@ -333,6 +335,21 @@ class TestFactoredAmplitude:
                 JointSpectralAmplitude(grid, factors=bad)
         assert JointSpectralAmplitude(grid, default_jsa.values).factors is None
 
+    def test_arrays_must_be_float_or_complex(self, default_jsa):
+        # Integer squares wrap (2^40 squared sums to 0 in int64), and bool
+        # arrays have no meaningful norm.
+        grid = default_jsa.grid
+        g1, g2, pump = default_jsa.factors
+        n = grid.n
+        for values in (np.full((n, n), 2**40, dtype=np.int64), np.ones((n, n), dtype=bool)):
+            with pytest.raises(ContractViolation, match=str(values.dtype)):
+                JointSpectralAmplitude(grid, values)
+        wrapping = np.full(n, 2**40, dtype=np.int64)
+        with pytest.raises(ContractViolation, match="int64"):
+            JointSpectralAmplitude(grid, factors=(g1, wrapping, pump))
+        single = JointSpectralAmplitude(grid, default_jsa.values.astype(np.complex64))
+        assert l2_norm(single) == pytest.approx(1.0, abs=1e-6)
+
     def test_dense_values_need_the_grid_shape_and_a_finite_sum_of_squares(self, default_jsa):
         grid = default_jsa.grid
         values = default_jsa.values
@@ -378,6 +395,12 @@ class TestSwapDistance:
         distance = jsa_swap_distance(build_jsa(params))
         assert distance == pytest.approx(1.0 - swap_overlap_closed_form(params), abs=1e-8)
         assert 0.0 < distance < 1.0
+
+    def test_agrees_with_the_dense_reference(self, reference_jsa):
+        unswapped = PathAmplitude("unswapped", 1.0, 0.0, 0.0, False)
+        swapped = PathAmplitude("swapped", 1.0, 0.0, 0.0, True)
+        expected = 1.0 - abs(dense_overlap([unswapped, swapped], reference_jsa))
+        assert abs(jsa_swap_distance(reference_jsa) - expected) <= 1e-12
 
     def test_increases_with_log_ratio(self):
         distances = [
