@@ -7,47 +7,50 @@ the assembled coincidence amplitude, expanded over pairs of paths:
     R = sum_p |c_p|^2 T(p,p) + sum_{p<q} 2 Re[c_p conj(c_q) T(p,q)],
     T(p,q) = sum_ij f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a} e^{i nu_j D_b} w^2.
 
-The trombone delay d rides on the arm-1 photon, so it shifts D_a of an
-unswapped path and D_b of a swapped one, and drops out of T(p,p). On the
-uniform grid nu_i - nu_j = (i - j) h, so with the delay differences
-D_a0, D_b0 of the paths at d = 0 and s = swap_q - swap_p in {-1, 0, 1},
+The trombone delay d rides on the arm-1 photon, so with the delay
+differences D_a0, D_b0 of the paths at d = 0 and s = swap_q - swap_p in
+{-1, 0, 1} it moves D_a = D_a0 + s d and D_b = D_b0 - s d and leaves
+U = D_a + D_b, the shift of the pair emission time, fixed. On the uniform
+grid nu_i = nu_j + k h on diagonal k = i - j, so for p unswapped
 
-    T(p,q)(d) = sum_k C_k e^{i s d k h},
-    C_k = w^2 sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a0} e^{i nu_j D_b0}
-        = w^2 e^{i k h D_a0} sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_j (D_a0 + D_b0)},
+    T(p,q)(d) = sum_k P_k e^{i k h D(d)},
+    P_k(crossed, U) = w^2 sum_{i-j=k} F(i,j) conj(F_c(i,j)) e^{i nu_j U},
 
-since nu_i = nu_j + k h on diagonal k: one phase per column before the
-reduction and one per diagonal after it. The kernel f_p conj(f_q) of a
-real amplitude is real, and so are the C_k of a pair with no delay
-differences, every self pair among them.
+with D = D_a, f_p = F and f_q = F_c, which is F transposed when the pair
+is crossed, exactly one path swapped. A swapped p transposes the summand,
+which exchanges the ports, so its pair reads the same P_k at D = D_b: D(d)
+is the delay difference at the port that p's arm-1 photon reaches,
+D_a0 + s d or D_b0 - s d. Each pair sum is thus keyed by (crossed, U)
+alone, with one phase per column before the reduction and none after it.
+The kernel of a real amplitude is real, and so are its P_k at U = 0,
+every self pair's among them.
 
-A scan therefore costs one diagonal reduction per distinct pair and, per
-delay point, about 2 sqrt(n) complex exps and n complex multiply-adds:
-with k = K B + j and B ~ sqrt(n), the phase e^{i s d k h} is the product
-of e^{i s d K B h} and e^{i s d j h}, so the sums, laid out as a
+A scan therefore costs one diagonal reduction per distinct (crossed, U)
+and, per delay point, about 2 sqrt(n) complex exps and n complex
+multiply-adds: with k = K B + j and B ~ sqrt(n), the phase e^{i D k h} is
+the product of e^{i D K B h} and e^{i D j h}, so the sums, laid out as a
 (2 n / B) x B matrix, take the B fine phases in one matrix-vector product
 and the n / B coarse phases in a short sum after it. It runs on an
 unnormalized amplitude F, f = F / (sqrt(S) w), and divides by S =
 sum |F|^2 afterwards, so w^2 cancels and no rate depends on the scale of
-F; S is the total of the zero-delay self sums of unswapped paths, which
-a scan needs anyway.
+F; S is the total of the uncrossed sums at U = 0, which a scan needs
+anyway.
 
-The reduction never holds the kernel K = f_p conj(f_q) whole; each of
-the two sources of an amplitude has its own, in O(n) working memory.
+The reduction never holds the kernel K = F conj(F_c) whole; each of the
+two sources of an amplitude has its own, in O(n) working memory.
 
 * Factors, from ``build_jsa``: F(i, j) = g1[i] g2[j] P[i + j], so every
   kernel of F is a(i) b(j) Q[i + j], where Q = P^2 and a, b are products
-  of g1 and g2, which trade places on a swapped path. The reduction walks
+  of g1 and g2, which trade places in F_c. The reduction walks
   it by grid sum: with i + j = 2u + p and i - j = 2t + p of one parity p,
-  C_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) (up to the phases), so t
+  P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) (up to the phase), so t
   indexes the sums and a block of a few u, both parities at once, is
   reduced against its Q in one matrix product. Blocks that meet no grid
   sum on which Q is non-zero hold exact zeros and are skipped, so the
   reduction costs O(n W), W the number of such grid sums, with the same
   bits as the full O(n^2) pass.
-* Dense values, of an amplitude a caller built: K = F_p conj(F_q), a
-  swapped path reading the transpose, is formed one row at a time, and
-  each row adds to n of the diagonal sums; O(n^2).
+* Dense values, of an amplitude a caller built: K = F conj(F_c) is formed
+  one row at a time, and each row adds to n of the diagonal sums; O(n^2).
 
 The path overlaps read the same pair sums at d = 0: two paths overlap
 by conj(c_p) c_q T(q, p) / (|c_p| |c_q|), the self pairs summing to 1,
@@ -104,6 +107,9 @@ MAX_SCAN_STEPS = 100_000
 #: Largest number of values one sweep accepts: each is a scan of its own,
 #: which can take seconds on a raised grid.
 MAX_SWEEP_ROWS = 1000
+#: Largest grid the arrival-time diagnostic accepts: it holds n x n arrays,
+#: 192 MiB at n = 2048 and four times that per doubling of n.
+MAX_TIME_GRID_N = 2048
 
 # Complex elements per block of the factored reduction and of the slopes
 # that ``RateKernel._at`` sums at once, so that working memory stays O(n)
@@ -124,28 +130,36 @@ def _support(values: np.ndarray) -> tuple[int, int] | None:
     return (int(nonzero[0]), int(nonzero[-1])) if len(nonzero) else None
 
 
+def _port_delay(p: PathAmplitude, q: PathAmplitude, delays: np.ndarray) -> np.ndarray:
+    """D(d) of each trombone delay d, the delay difference of paths p and q
+    at the port that p's arm-1 photon reaches: the slope at which ``_at``
+    reads their pair sum."""
+    slope = int(q.swapped) - int(p.swapped)
+    if p.swapped:
+        return (p.delay_b - q.delay_b) - slope * delays
+    return (p.delay_a - q.delay_a) + slope * delays
+
+
 class RateKernel:
     """Per-amplitude cache of the pair sums behind the rate.
 
-    Each distinct pair of paths costs one diagonal reduction of its kernel
-    f_p conj(f_q), cached under the swap flags and the delay differences
-    at d = 0; each delay point then costs O(n). The reduction never holds
-    the kernel whole: ``_factored_sums`` walks the 1-D factors of a
-    ``build_jsa`` amplitude a few grid sums at a time, O(n W) for W grid
-    sums with a non-zero pump, and ``_dense_sums`` reads a dense
-    amplitude's values one kernel row at a time, O(n^2). An
-    amplitude that is exchange symmetric bit for bit makes swapping the
-    identity, so every pair reads the sums of unswapped paths.
+    Each distinct (crossed, U) costs one diagonal reduction of the kernel
+    F conj(F_c) times its column phase, and each delay point then costs
+    O(n), read at the slope ``_port_delay`` gives the pair; so a pair and
+    its mirror image, both paths' swaps flipped, share one reduction. The
+    reduction never holds the kernel whole: ``_factored_sums`` walks the
+    1-D factors of a ``build_jsa`` amplitude a few grid sums at a time,
+    O(n W) for W grid sums with a non-zero pump, and ``_dense_sums`` reads
+    a dense amplitude's values one kernel row at a time, O(n^2). An
+    amplitude that is exchange symmetric bit for bit makes crossing the
+    identity, so every pair reads uncrossed sums.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude):
         self.jsa = jsa
         self.grid = jsa.grid
-        self._diagonals: dict[tuple[bool, bool, float, float], np.ndarray] = {}
-        n = self.grid.n
-        h = self.grid.weight
-        # k h for the diagonals k = i - j = 1 - n, ..., n - 1.
-        self._lags = np.arange(1 - n, n) * h
+        self._diagonals: dict[tuple[bool, float], np.ndarray] = {}
+        n, h = self.grid.n, self.grid.weight
         # k h for k = K B + j >= 0 with B = 2^floor(log2(n) / 2): the coarse
         # lags K B h and the fine lags j h, j < B, each the product fl(k h).
         stride = 1 << (int(n).bit_length() - 1) // 2
@@ -155,35 +169,33 @@ class RateKernel:
     @cached_property
     def _total(self) -> float:
         """S = sum |F|^2 over the grid for the unnormalized amplitude F: the
-        total of the zero-delay self sums of unswapped paths (imaginary
-        parts +-0 if complex), which are cached, normalized, on the way."""
-        raw = self._diagonal_sums(False, False, 0.0, 0.0)
+        total of the uncrossed sums at U = 0 (imaginary parts +-0 if
+        complex), which are cached, normalized, on the way."""
+        raw = self._diagonal_sums(False, 0.0)
         total = float(raw.sum().real)
         if not (total > 0.0 and math.isfinite(total)):
             raise ContractViolation("cannot normalize a zero or non-finite amplitude")
-        self._diagonals[(False, False, 0.0, 0.0)] = raw / total
+        self._diagonals[(False, 0.0)] = raw / total
         return total
 
     def pair_sum(self, p: PathAmplitude, q: PathAmplitude) -> np.ndarray:
-        """The diagonal sums C_k of T(p, q) above, for paths p, q taken at
-        d = 0; index k + n - 1 holds diagonal k = i - j."""
-        swaps = (p.swapped, q.swapped)
-        if any(swaps) and self.jsa.symmetric:
-            swaps = (False, False)
-        key = (*swaps, p.delay_a - q.delay_a, p.delay_b - q.delay_b)
-        # With f = F / (sqrt(S) w), w^2 sum F_p F_q / (S w^2) = sum F_p F_q / S.
+        """The diagonal sums P_k(crossed, U) of paths p, q taken at d = 0;
+        index k + n - 1 holds diagonal k = i - j. T(p, q) at trombone delay
+        d is sum_k P_k e^{i k h D(d)}, at the slope D(d) = D_a0 + s d when p
+        is unswapped and D_b0 - s d when p is swapped, s = swap_q - swap_p."""
+        crossed = p.swapped != q.swapped and not self.jsa.symmetric
+        key = (crossed, (p.delay_a - q.delay_a) + (p.delay_b - q.delay_b))
+        # With f = F / (sqrt(S) w), w^2 sum F F_c / (S w^2) = sum F F_c / S.
         total = self._total
-        sums = self._diagonals.get(key)
-        if sums is None:
-            sums = self._diagonal_sums(*key) / total
-            self._diagonals[key] = sums
-        return sums
+        if key not in self._diagonals:
+            self._diagonals[key] = self._diagonal_sums(*key) / total
+        return self._diagonals[key]
 
-    def _factored_sums(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None) -> np.ndarray:
-        """C_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) for k = 2t + p = 1 - n,
-        ..., n - 1, from the factors: f_p(i, j) is g1[i] g2[j] pump[i + j],
-        with g1 and g2 trading places for a swapped path, so a and b are the
-        products of the filter factors on each axis, b times the column
+    def _factored_sums(self, crossed: bool, phase: np.ndarray | None) -> np.ndarray:
+        """P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) for k = 2t + p = 1 - n,
+        ..., n - 1, from the factors: F(i, j) is g1[i] g2[j] pump[i + j],
+        with g1 and g2 trading places in F_c when ``crossed``, so a and b are
+        the products of the filter factors on each axis, b times the column
         ``phase``, and Q = pump^2. A block of ``rows`` values of u is reduced
         in one matrix product.
 
@@ -198,14 +210,14 @@ class RateKernel:
         g1, g2, pump = self.jsa.factors
         n = self.grid.n
         rows = min(n, max(1, _BLOCK // n))
-        b = (g1 if swap_p else g2) * (g1 if swap_q else g2)
+        b = g2 * (g1 if crossed else g2)
         b = b if phase is None else b * phase
         parts = b.itemsize // 8
         a, reversed_b = np.zeros(n + 2 * rows), np.zeros((n + 2 * rows) * parts)
-        a[rows : rows + n] = (g2 if swap_p else g1) * (g2 if swap_q else g1)
+        a[rows : rows + n] = g1 * (g2 if crossed else g1)
         reversed_b.view(b.dtype)[rows : rows + n] = b[::-1]
         weights = pump * pump
-        # sums[p, :, t + n // 2] holds C_{2t+p}, and pairs[p, u] is Q[2u + p],
+        # sums[p, :, t + n // 2] holds P_{2t+p}, and pairs[p, u] is Q[2u + p],
         # with Q = 0 at the grid sum 2n - 1.
         sums = np.zeros((2, parts, n))
         pairs = np.append(weights, 0.0).reshape(n, 2).T.copy()
@@ -226,52 +238,43 @@ class RateKernel:
             np.multiply(a_view, b_view, out=block)
             reduced = np.matmul(pairs[:, None, u0:u1], block.reshape(2, u1 - u0, -1))
             sums[:, :, t0 + n // 2 : t1 + n // 2] += reduced.reshape(2, parts, -1)
-        # Interleaved, C_k sits at 2 (n // 2) + k.
+        # Interleaved, P_k sits at 2 (n // 2) + k.
         sums = sums.transpose(2, 0, 1).copy().view(b.dtype)
         return sums.reshape(-1)[1 - n % 2 :][: 2 * n - 1]
 
-    def _dense_sums(self, swap_p: bool, swap_q: bool, phase: np.ndarray | None) -> np.ndarray:
-        """C_k from dense values, one row of K = f_p conj(f_q) times the
-        column ``phase`` at a time; a swapped path reads the transposed
-        values. Row i holds diagonals k = i - j, which fall as j rises, so
-        reversed it adds to the sums at k + n - 1 = i, ..., i + n - 1."""
+    def _dense_sums(self, crossed: bool, phase: np.ndarray | None) -> np.ndarray:
+        """P_k from dense values, one row of K = F conj(F_c) times the
+        column ``phase`` at a time; F_c reads the transposed values when
+        ``crossed``. Row i holds diagonals k = i - j, which fall as j rises,
+        so reversed it adds to the sums at k + n - 1 = i, ..., i + n - 1."""
         v = self.jsa.values
         n = self.grid.n
-        f_p, f_q = (v.T if swap_p else v), (v.T if swap_q else v)
+        f_c = v.T if crossed else v
         dtype = np.complex128 if np.iscomplexobj(v) or phase is not None else np.float64
         sums = np.zeros(2 * n - 1, dtype=dtype)
         row = np.empty(n, dtype=dtype)
         for i in range(n):
-            np.conjugate(f_q[i], out=row)
-            row *= f_p[i]
+            np.conjugate(f_c[i], out=row)
+            row *= v[i]
             if phase is not None:
                 row *= phase
             sums[i : i + n] += row[::-1]
         return sums
 
-    def _diagonal_sums(
-        self, swap_p: bool, swap_q: bool, delta_a: float, delta_b: float
-    ) -> np.ndarray:
-        """sum_{i-j=k} f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a0} e^{i nu_j D_b0}
-        for each diagonal k, unnormalized: of the values for a dense
-        amplitude, of the product of the factors otherwise."""
-        # On diagonal k, nu_i = nu_j + k h, so the port phases factor as
-        # e^{i k h D_a} e^{i nu_j (D_a + D_b)}: one phase per column before
-        # the reduction and one per diagonal after it. A real kernel whose
-        # column phase vanishes stays real.
-        column = delta_a + delta_b
-        phase = np.exp(1j * self.grid.points * column) if column else None
+    def _diagonal_sums(self, crossed: bool, shift: float) -> np.ndarray:
+        """sum_{i-j=k} F(i,j) conj(F_c(i,j)) e^{i nu_j U} for each diagonal
+        k and U = ``shift``, unnormalized: of the values for a dense
+        amplitude, of the product of the factors otherwise. A real kernel
+        whose column phase vanishes stays real."""
+        phase = np.exp(1j * self.grid.points * shift) if shift else None
         reduce = self._dense_sums if self.jsa.factors is None else self._factored_sums
-        sums = reduce(swap_p, swap_q, phase)
-        if delta_a:
-            sums = sums * np.exp(1j * self._lags * delta_a)
-        return sums
+        return reduce(crossed, phase)
 
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """sum_k C_k e^{i x k h} for each slope x = s d.
+        """sum_k P_k e^{i x k h} for each slope x = D(d).
 
         The sums are laid out as a (2 n / B) x B matrix, B ~ sqrt(n), whose
-        row K holds C_{K B + j} in its first half and conj(C_-(K B + j)) in
+        row K holds P_{K B + j} in its first half and conj(P_-(K B + j)) in
         its second. A slope costs about 2 sqrt(n) complex exps and n complex
         multiply-adds: the matrix times its fine phases e^{i x j h}, each half
         summed against its coarse phases e^{i x K B h}, T = pos + conj(neg).
@@ -299,7 +302,7 @@ class RateKernel:
 
     def at_rest(self, p: PathAmplitude, q: PathAmplitude) -> complex:
         """T(p, q) at d = 0, by the same ``_at`` call as any other delay."""
-        return self._at(self.pair_sum(p, q), np.zeros(1))[0]
+        return self._at(self.pair_sum(p, q), _port_delay(p, q, np.zeros(1)))[0]
 
     def rate(self, paths: Sequence[PathAmplitude], delays) -> np.ndarray:
         """Rates at each trombone delay in ``delays`` for ``paths``, the
@@ -314,8 +317,8 @@ class RateKernel:
         for i, p in enumerate(paths):
             for q in paths[i + 1 :]:
                 cross = p.coefficient * np.conj(q.coefficient)
-                slope = int(q.swapped) - int(p.swapped)
-                total += 2.0 * (cross * self._at(self.pair_sum(p, q), slope * delays)).real
+                slopes = _port_delay(p, q, delays)
+                total += 2.0 * (cross * self._at(self.pair_sum(p, q), slopes)).real
         return total
 
 
@@ -347,7 +350,7 @@ def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
 
     Zero iff the amplitude is exchange symmetric; this bounds the visibility
     any analyzer setting can reach. Requires a normalized input, which an
-    amplitude given by its factors is by construction. It is 1 - |sum_k C_k|
+    amplitude given by its factors is by construction. It is 1 - |sum_k P_k|
     of the (unswapped, swapped) pair of delay-free paths.
     """
     if jsa.factors is None:
@@ -433,8 +436,13 @@ def coincidence_rate(config: "ExperimentConfig", d, kernel: RateKernel | None = 
         raise ConfigurationError(f"need one delay or a 1-D sequence, got shape {delays.shape}")
     if delays.size == 0:
         raise ConfigurationError("need at least one delay, got an empty sequence")
-    if not np.isfinite(delays).all():
-        raise ConfigurationError(f"trombone delays must be finite, got {d}")
+    bad = ~np.isfinite(delays)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ConfigurationError(
+            f"trombone delays must be finite, got {delays.flat[index]:g} at index {index}; "
+            f"{bad.sum()} of {bad.size} delays are not finite"
+        )
     paths = enumerate_paths(config)
     grid = config.frequency_grid() if kernel is None else kernel.grid
     _check_alias(config, paths, 2.0 * math.pi / grid.weight, delays.min(), delays.max())
@@ -490,8 +498,10 @@ def scan_delay(
     otherwise dip or peak by the dominant deviation. ``steps`` runs from 3
     to ``MAX_SCAN_STEPS``.
     """
-    if not (math.isfinite(d_min) and math.isfinite(d_max)):
-        raise ConfigurationError(f"scan edges must be finite, got {d_min}, {d_max}")
+    # Edges that are not finite, or a span past the largest float, would
+    # space the delays by inf or nan.
+    if not math.isfinite(d_max - d_min):
+        raise ConfigurationError(f"scan edges and span must be finite, got {d_min}, {d_max}")
     if not d_min < d_max:
         raise ConfigurationError(f"need d_min < d_max, got {d_min} >= {d_max}")
     if not 3 <= steps <= MAX_SCAN_STEPS:
@@ -613,12 +623,13 @@ def arrival_time_joint(config: "ExperimentConfig", d: float) -> TimeJointDensity
     difference reveals which detector fires first, independently of whether
     the rate curve shows interference. Delays whose arrival times would
     wrap around the time window of the grid are refused before anything is
-    built.
+    built. So are grids above ``MAX_TIME_GRID_N``, whose n x n arrays
+    would not fit in a bounded memory.
     """
     grid = config.frequency_grid()
-    if grid.n < 128:
+    if not 128 <= grid.n <= MAX_TIME_GRID_N:
         raise ConfigurationError(
-            f"arrival-time diagnostics need grid n >= 128, got {grid.n}"
+            f"arrival-time diagnostics need grid n from 128 to {MAX_TIME_GRID_N}, got {grid.n}"
         )
     paths = enumerate_paths(config, d)
     _check_time_window(config, paths, math.pi / grid.weight)

@@ -134,6 +134,20 @@ class TestRun:
         assert code == 2
         assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize(
+        "command", [("run",), ("sweep", "--axis", "analyzer2", "--values", "0,45")]
+    )
+    def test_an_overflowing_scan_span_exits_2(self, tmp_path, capsys, command):
+        # d_max - d_min overflows to inf; the delays would not be finite.
+        out = tmp_path / "scan.csv"
+        code, _, stderr = run_cli(
+            capsys, command[0], "fig3a_dip", *command[1:], "--d-min=-1e308", "--d-max=1e308",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "span must be finite" in stderr and len(stderr) < 200
+        assert not out.exists()
+
     def test_delays_past_the_alias_bound_exit_2(self, tmp_path, capsys):
         out = tmp_path / "scan.csv"
         code, _, stderr = run_cli(capsys, "run", "fig3a_dip", "--d-max", "15000",

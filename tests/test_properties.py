@@ -2,12 +2,14 @@
 
 Each property draws the pair's asymmetry, the pump coherence time (kept to
 grids of n <= 1024), the rod geometry, both analyzers, the source phase
-and the trombone delays. The examples are derandomized, so every run
-checks the same inputs.
+and the trombone delays; one more draws from the whole input space the
+command line accepts. The examples are derandomized, so every run checks
+the same inputs.
 """
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ from hypothesis import strategies as st
 
 from biphoton import (
     PRESET_NAMES,
+    ConfigurationError,
+    ExperimentConfig,
+    GridSpec,
+    RodAxis,
     SpectralParams,
     auto_grid,
     build_jsa,
@@ -25,6 +31,7 @@ from biphoton import (
     preset,
     scan_delay,
 )
+from biphoton import scan
 from biphoton.scan import RateKernel
 
 PROPERTY_SETTINGS = settings(
@@ -115,3 +122,49 @@ def test_analyzer_completeness(drawn, ds):
             )
             totals += kernel.rate(enumerate_paths(rotated), ds)
     assert totals == pytest.approx(np.full(len(ds), 1.0), rel=1e-9)
+
+
+def log_uniform(low, high):
+    return st.floats(math.log(low), math.log(high)).map(math.exp)
+
+
+@st.composite
+def accepted_inputs(draw):
+    """A config from the whole input space that a config file accepts, and
+    1 to 5 delays within +-1500, +-5000 or +-15000 fs: rods that move the
+    pair emission time, raised grids and delays out to the alias bound."""
+    spectral = SpectralParams(
+        asymmetry_ratio=draw(log_uniform(0.25, 4.0)),
+        pump_coherence_time=draw(log_uniform(20.0, 20000.0)),
+    )
+    config = ExperimentConfig(
+        qr1_axis=draw(st.sampled_from(RodAxis)),
+        qr2_axis=draw(st.sampled_from(RodAxis)),
+        rod_length=draw(st.floats(0.0, 80.0)),
+        analyzer1=draw(angles),
+        analyzer2=draw(angles),
+        pair_phase=draw(st.floats(0.0, 2.0 * math.pi)),
+        spectral=spectral,
+        grid=GridSpec(n=draw(st.sampled_from([256, 512, 2048]))),
+    )
+    reach = draw(st.sampled_from([1500.0, 5000.0, 15000.0]))
+    ds = draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=5))
+    return config, ds
+
+
+@settings(PROPERTY_SETTINGS, max_examples=40)
+@given(accepted_inputs())
+def test_accepted_inputs_match_the_oracle(drawn):
+    # Either the delays are refused before any amplitude is built, or every
+    # rate matches the closed form, with the floor of test_engine_matches_oracle.
+    config, ds = drawn
+    with mock.patch.object(scan, "build_jsa", wraps=scan.build_jsa) as built:
+        try:
+            rates = coincidence_rate(config, ds)
+        except ConfigurationError:
+            assert not built.called
+            return
+    floor = 1e-2 * _level(config)
+    for d, engine in zip(ds, rates):
+        reference = oracle_rate(config, d)
+        assert abs(engine - reference) <= 1e-3 * max(reference, floor)

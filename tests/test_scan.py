@@ -86,7 +86,7 @@ class TestCoincidenceRate:
         [
             (math.nan, "must be finite, got nan"),
             (-math.inf, "must be finite, got -inf"),
-            ([0.0, math.nan], r"must be finite, got \[0.0, nan\]"),
+            ([0.0, math.nan], "must be finite, got nan at index 1; 1 of 2 delays"),
             ([], "at least one delay"),
             (np.zeros((2, 3)), r"1-D sequence, got shape \(2, 3\)"),
         ],
@@ -185,6 +185,24 @@ class TestArrivalTimes:
         with pytest.raises(ConfigurationError):
             arrival_time_joint(coarse, 0.0)
 
+    def test_grids_above_the_bound_are_refused_before_anything_is_built(self, monkeypatch):
+        # At n = 4096 the diagnostic's n x n arrays would hold 768 MiB.
+        class Built(Exception):
+            pass
+
+        def built(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(scan, "build_jsa", built)
+        with pytest.raises(ConfigurationError, match=f"128 to {scan.MAX_TIME_GRID_N}, got 4096"):
+            arrival_time_joint(replace(preset("fig3a_peak"), grid=GridSpec(n=4096)), 0.0)
+        # A long pump raises the automatic grid to the bound, which passes.
+        spectral = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=6300.0)
+        raised = replace(preset("fig3a_peak"), spectral=spectral)
+        assert raised.frequency_grid().n == scan.MAX_TIME_GRID_N
+        with pytest.raises(Built):
+            arrival_time_joint(raised, 0.0)
+
     def test_long_rods_inside_the_time_window_read_their_delay(self):
         density = arrival_time_joint(replace(preset("fig3a_peak"), rod_length=200.0), 0.0)
         assert density.mean_b - density.mean_a == pytest.approx(6300.0, abs=1.0)
@@ -247,13 +265,40 @@ class TestRateKernel:
         assert len(kernel._diagonals) == 1
 
     def test_asymmetric_jsa_keeps_separate_kernels(self):
+        # Crossed and uncrossed pairs keep separate sums; a pair and its
+        # mirror image, both swaps flipped, read the same ones at the other
+        # port's delay.
         jsa = build_jsa(SpectralParams(asymmetry_ratio=2.0))
         kernel = RateKernel(jsa)
         sums = self.sums(kernel)
-        assert len({id(s) for s in sums}) == len(sums)
+        assert sums[3] is sums[0] and sums[2] is sums[1]
+        assert len(kernel._diagonals) == 2
         assert not np.array_equal(sums[0], sums[1])
-        # Swapping both paths transposes the kernel, which reverses its diagonals.
-        assert np.allclose(sums[3], sums[0][::-1], rtol=0.0, atol=1e-15)
+        # Transposing the amplitude transposes the kernel, which reverses its
+        # diagonals.
+        unswapped = self.PATHS[0]
+        transposed = RateKernel(JointSpectralAmplitude(jsa.grid, jsa.values.T))
+        reversed_sums = transposed.pair_sum(unswapped, unswapped)[::-1]
+        assert np.allclose(reversed_sums, sums[0], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", ["fig3a_dip", "fig4c"])
+    def test_an_asymmetric_scan_makes_two_reductions(self, monkeypatch, name):
+        config = replace(preset(name), spectral=SpectralParams(asymmetry_ratio=2.0))
+        kernel = RateKernel(build_jsa(config.spectral, config.frequency_grid()))
+        keys = []
+        reduce = RateKernel._diagonal_sums
+
+        def counted(self, *key):
+            keys.append(key)
+            return reduce(self, *key)
+
+        monkeypatch.setattr(RateKernel, "_diagonal_sums", counted)
+        scan_delay(config, kernel=kernel)
+        assert len(keys) == 2 and {crossed for crossed, _ in keys} == {False, True}
+        # The swapped self pair reads the unswapped one's sums at D = 0.
+        rr, tt = enumerate_paths(config)
+        assert rr.swapped != tt.swapped
+        assert kernel.at_rest(tt, tt).tobytes() == kernel.at_rest(rr, rr).tobytes()
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
@@ -331,16 +376,13 @@ class TestPumpBand:
     entry is an exact zero, so the reduction skips those columns; the
     sums keep their bits."""
 
-    SWAPS = [(False, False), (False, True), (True, False), (True, True)]
-    # No column phase, the phase of fig4c's cross pair, and one with both
-    # port phases.
-    DELTAS = [(0.0, 0.0), (-630.0, -630.0), (100.0, 250.0)]
+    # Every key (crossed, U): no column phase, the phase of fig4c's cross
+    # pair, and one of delays D_a0 = 100, D_b0 = 250.
+    KEYS = [(crossed, shift) for crossed in (False, True) for shift in (0.0, -1260.0, 350.0)]
 
     def all_sums(self, jsa):
         kernel = RateKernel(jsa)
-        return [
-            kernel._diagonal_sums(*swaps, *deltas) for swaps in self.SWAPS for deltas in self.DELTAS
-        ]
+        return [kernel._diagonal_sums(*key) for key in self.KEYS]
 
     @pytest.mark.parametrize("name", ["fig4c", "fig3a_dip"])
     @pytest.mark.parametrize("tau_p", [630.0, 6300.0])
@@ -408,9 +450,8 @@ class TestPumpBand:
 
 class TestDiagonalSums:
     """Each source's pair sums against the traces of the explicit kernel
-    f_p(i,j) conj(f_q(i,j)) e^{i nu_i D_a} e^{i nu_j D_b}, diagonal k = i - j."""
-
-    DELTAS = [(0.0, 0.0), (-630.0, -630.0), (100.0, 250.0)]
+    F(i,j) conj(F_c(i,j)) e^{i nu_j U}, diagonal k = i - j, F_c the
+    transpose of F for a crossed pair."""
 
     @staticmethod
     def supports(n):
@@ -438,18 +479,15 @@ class TestDiagonalSums:
             else:
                 jsa = JointSpectralAmplitude(grid, values)
             kernel = RateKernel(jsa)
-            for swap_p, swap_q in TestPumpBand.SWAPS:
-                for delta_a, delta_b in self.DELTAS:
-                    explicit = (
-                        (values.T if swap_p else values)
-                        * np.conj(values.T if swap_q else values)
-                        * np.exp(1j * np.add.outer(nu * delta_a, nu * delta_b))
-                    )
-                    expected = [np.trace(explicit, offset=-k) for k in range(1 - n, n)]
-                    sums = kernel._diagonal_sums(swap_p, swap_q, delta_a, delta_b)
-                    assert sums.shape == (2 * n - 1,)
-                    error = np.abs(sums - expected).max()
-                    assert error <= 1e-14 * np.abs(expected).sum()
+            for crossed, shift in TestPumpBand.KEYS:
+                explicit = (
+                    values * np.conj(values.T if crossed else values) * np.exp(1j * nu * shift)
+                )
+                expected = [np.trace(explicit, offset=-k) for k in range(1 - n, n)]
+                sums = kernel._diagonal_sums(crossed, shift)
+                assert sums.shape == (2 * n - 1,)
+                error = np.abs(sums - expected).max()
+                assert error <= 1e-14 * np.abs(expected).sum()
 
     def test_working_memory_does_not_grow_with_the_band(self):
         # fig4c at n = 8192: the pump band is every grid sum at 120 fs and
@@ -463,7 +501,7 @@ class TestDiagonalSums:
             kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
             rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
             for p, q in ((rr, rr), (rr, tt)):
-                key = (p.swapped, q.swapped, p.delay_a - q.delay_a, p.delay_b - q.delay_b)
+                key = (p.swapped != q.swapped, p.delay_a - q.delay_a + p.delay_b - q.delay_b)
                 tracemalloc.start()
                 try:
                     out = kernel._diagonal_sums(*key)
@@ -501,7 +539,7 @@ class TestDiagonalSums:
         kernel = RateKernel(
             JointSpectralAmplitude(jsa.grid, jsa.values * np.exp(1j * 3000.0 * nu[:, None] ** 2))
         )
-        for key in [(False, False, 0.0, 0.0), (False, True, -630.0, -630.0)]:
+        for key in [(False, 0.0), (True, -1260.0)]:
             tracemalloc.start()
             try:
                 out = kernel._diagonal_sums(*key)
@@ -596,7 +634,7 @@ class TestRealEngine:
     def test_real_amplitude_keeps_self_sums_real(self, default_jsa):
         kernel = RateKernel(default_jsa)
         rr, tt = enumerate_paths(preset("fig4c"))
-        assert kernel._diagonal_sums(False, False, 0.0, 0.0).dtype == np.float64
+        assert kernel._diagonal_sums(False, 0.0).dtype == np.float64
         assert kernel.pair_sum(rr, rr).dtype == np.float64
         assert kernel.pair_sum(rr, tt).dtype == np.complex128
 
@@ -688,6 +726,8 @@ class TestPairSums:
         )) > 1e-6 * level
 
     def test_swapped_pairs_match_direct_sums(self, chirped):
+        # pair_sum holds P_k(crossed, U); read at the slope D(d) of the port
+        # that p's arm-1 photon reaches, it gives T(p, q) at each delay d.
         paths = [
             PathAmplitude("x", 1.0, delay_a, delay_b, swapped)
             for delay_a, delay_b in ((0.0, 0.0), (120.0, -340.0), (-55.0, 610.0))
@@ -695,20 +735,58 @@ class TestPairSums:
         ]
         kernel = RateKernel(chirped)
         nu = chirped.grid.points
+        values = chirped.values
         lags = (np.arange(nu.size)[:, None] - np.arange(nu.size)[None, :]).ravel()
         for p in paths:
             for q in paths:
-                f_p = chirped.values.T if p.swapped else chirped.values
-                f_q = chirped.values.T if q.swapped else chirped.values
-                summand = f_p * np.conj(f_q)
-                summand = summand * np.exp(1j * nu[:, None] * (p.delay_a - q.delay_a))
-                summand = summand * np.exp(1j * nu[None, :] * (p.delay_b - q.delay_b))
+                shift = p.delay_a - q.delay_a + p.delay_b - q.delay_b
+                crossed = p.swapped != q.swapped
+                summand = values * np.conj(values.T if crossed else values)
+                summand = summand * np.exp(1j * nu[None, :] * shift)
                 direct = np.bincount(lags + nu.size - 1, weights=summand.real.ravel())
                 direct = direct + 1j * np.bincount(
                     lags + nu.size - 1, weights=summand.imag.ravel()
                 )
                 sums = kernel.pair_sum(p, q) / chirped.grid.weight**2
                 assert np.abs(sums - direct).max() <= 1e-12 * np.abs(direct).max()
+                s = int(q.swapped) - int(p.swapped)
+                f_p = values.T if p.swapped else values
+                f_q = values.T if q.swapped else values
+                for d in (-300.0, 0.0, 450.0):
+                    port_a, port_b = p.delay_a - q.delay_a + s * d, p.delay_b - q.delay_b - s * d
+                    full = f_p * np.conj(f_q) * np.exp(1j * np.add.outer(nu * port_a, nu * port_b))
+                    slope = port_b if p.swapped else port_a
+                    read = kernel._at(sums, np.array([slope]))[0]
+                    assert abs(read - full.sum()) <= 1e-12 * np.abs(full).sum()
+
+    @pytest.mark.parametrize("source", ["factors", "chirped"])
+    def test_swapped_first_paths_match_assembled_amplitude(self, chirped, source):
+        # The first path's arm-1 photon exits port B, and no pair has equal
+        # delay differences at the two ports.
+        if source == "chirped":
+            jsa = chirped
+        else:
+            jsa = build_jsa(SpectralParams(asymmetry_ratio=2.0))
+        paths = [
+            PathAmplitude("p", 0.6, 40.0, -90.0, True),
+            PathAmplitude("q", -0.5 + 0.4j, -25.0, 60.0, False),
+            PathAmplitude("r", 0.3 - 0.2j, 10.0, 130.0, True),
+        ]
+
+        def at_delay(d):
+            # The trombone delay rides on the arm-1 photon.
+            return [
+                replace(p, delay_b=p.delay_b + d) if p.swapped
+                else replace(p, delay_a=p.delay_a + d)
+                for p in paths
+            ]
+
+        delays = (-700.0, -90.0, 35.0, 250.0, 1100.0)
+        rates = RateKernel(jsa).rate(paths, delays)
+        direct = [amplitude_rate(assemble_amplitude(at_delay(d), jsa)) for d in delays]
+        level = sum(abs(p.coefficient) ** 2 for p in paths)
+        assert np.abs(rates - direct).max() <= 1e-12 * level
+        assert np.ptp(direct) > 1e-2 * level
 
 
 class TestScanBounds:
@@ -725,8 +803,9 @@ class TestScanBounds:
         with pytest.raises(ConfigurationError):
             scan_delay(fig3a_dip, steps=2_000_000_000)
 
+    # The last pair of edges is finite, but its span overflows to inf.
     @pytest.mark.parametrize("edges", [(-math.inf, 1500.0), (-1500.0, math.inf),
-                                       (math.nan, 1500.0)])
+                                       (math.nan, 1500.0), (-1e308, 1e308)])
     def test_rejects_non_finite_edges(self, fig3a_dip, edges):
         with pytest.raises(ConfigurationError):
             scan_delay(fig3a_dip, *edges)
