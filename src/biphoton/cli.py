@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -99,10 +101,6 @@ def parse_config_file(path: str | Path) -> ExperimentConfig:
     return config
 
 
-def _format_float(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8", newline="\n")
@@ -111,25 +109,19 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def write_scan_csv(path: Path, result: ScanResult) -> None:
-    lines = ["delay_fs,rate,rate_over_baseline"]
-    rates = result.rates.tolist()
-    if result.baseline != 0:
-        overs = (result.rates / result.baseline).tolist()
-    else:
-        overs = [0.0] * len(rates)
-    for d, rate, over in zip(result.delays.tolist(), rates, overs):
-        lines.append(f"{_format_float(d)},{_format_float(rate)},{_format_float(over)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rates = result.rates
+    overs = rates / result.baseline if result.baseline != 0 else np.zeros_like(rates)
+    rows = np.column_stack((result.delays, rates, overs))
+    body = "%.9g,%.9g,%.9g\n" * len(rows) % tuple(rows.ravel().tolist())
+    _write_text(path, "delay_fs,rate,rate_over_baseline\n" + body)
 
 
 def write_sweep_csv(path: Path, rows) -> None:
-    lines = ["axis_value,visibility,kind,extremum,baseline"]
-    for row in rows:
-        lines.append(
-            f"{_format_float(row.value)},{_format_float(row.visibility)},{row.kind},"
-            f"{_format_float(row.extremum)},{_format_float(row.baseline)}"
-        )
-    _write_text(path, "\n".join(lines) + "\n")
+    fields = tuple(chain.from_iterable(
+        map(attrgetter("value", "visibility", "kind", "extremum", "baseline"), rows)
+    ))
+    body = "%.9g,%.9g,%s,%.9g,%.9g\n" * (len(fields) // 5) % fields
+    _write_text(path, "axis_value,visibility,kind,extremum,baseline\n" + body)
 
 
 def write_scan_svg(path: Path, result: ScanResult, title: str) -> None:
@@ -141,15 +133,15 @@ def write_scan_svg(path: Path, result: ScanResult, title: str) -> None:
     ys = result.rates
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = 0.0, float(ys.max()) * 1.05 if ys.max() > 0 else 1.0
-
-    def sx(x: float) -> str:
-        return f"{margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin):.2f}"
-
-    def sy(y: float) -> str:
-        return f"{height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin):.2f}"
-
-    points = " ".join(f"{sx(float(x))},{sy(float(y))}" for x, y in zip(xs, ys))
-    baseline_y = sy(result.baseline)
+    px = margin + (xs - x_lo) / (x_hi - x_lo) * (width - 2 * margin)
+    # The last y is the baseline's, drawn as the dashed line.
+    py = height - margin - (
+        (np.append(ys, result.baseline) - y_lo) / (y_hi - y_lo) * (height - 2 * margin)
+    )
+    points = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
+        np.column_stack((px, py[:-1])).ravel().tolist()
+    )
+    baseline_y = "%.2f" % py[-1]
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
@@ -162,7 +154,7 @@ def write_scan_svg(path: Path, result: ScanResult, title: str) -> None:
         f'stroke="gray" stroke-dasharray="4 4"/>\n'
         f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>\n'
         f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="12">'
-        f"delay (fs), {_format_float(x_lo)} to {_format_float(x_hi)}</text>\n"
+        f"delay (fs), {x_lo:.9g} to {x_hi:.9g}</text>\n"
         f'<text x="14" y="{height // 2}" font-size="12" '
         f'transform="rotate(-90 14 {height // 2})">rate</text>\n'
         f"</svg>\n"
@@ -198,8 +190,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             out.unlink(missing_ok=True)
             raise
     print(
-        f"preset={label} kind={result.kind} visibility={_format_float(result.visibility)} "
-        f"baseline={_format_float(result.baseline)} extremum={_format_float(result.extremum)} "
+        f"preset={label} kind={result.kind} visibility={result.visibility:.9g} "
+        f"baseline={result.baseline:.9g} extremum={result.extremum:.9g} "
         f"oracle_max_rel_delta={worst:.3e} csv={out}"
     )
     return 0

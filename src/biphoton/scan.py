@@ -75,7 +75,7 @@ multiples of 45 deg.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
@@ -85,7 +85,6 @@ from .errors import ConfigurationError, ContractViolation
 from .pathsum import CoincidenceAmplitude, PathAmplitude, assemble_amplitude, enumerate_paths
 from .spectral import (
     JointSpectralAmplitude,
-    _construct_grid,
     _sum_squares,
     build_jsa,
     interference_width,
@@ -643,11 +642,11 @@ def refine_check(config: "ExperimentConfig", d: float) -> float:
     above ~1e-6 at the default resolution signals an undersampled grid.
     The denominator is floored at 1e-6 of the non-interfering level so
     that a perfectly cancelled dip point does not turn rounding noise
-    into a spurious ratio.
+    into a spurious ratio. The doubled grid is a ``GridSpec`` like any
+    other, so a grid whose double passes the size ceiling is refused.
     """
-    grid = config.frequency_grid()
-    fine = _construct_grid(config.spectral, 2 * grid.n, grid.span_sigma)
-    coarse_rate = coincidence_rate(config, d, RateKernel(build_jsa(config.spectral, grid)))
-    fine_rate = coincidence_rate(config, d, RateKernel(build_jsa(config.spectral, fine)))
+    fine = replace(config, grid=replace(config.grid, n=2 * config.frequency_grid().n))
+    coarse_rate = coincidence_rate(config, d)
+    fine_rate = coincidence_rate(fine, d)
     scale = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config, d))
     return abs(coarse_rate - fine_rate) / max(fine_rate, 1e-6 * scale, 1e-30)

@@ -3,18 +3,20 @@
 import contextlib
 import csv
 import io
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biphoton.cli import main, parse_config_file
+from biphoton.cli import main, parse_config_file, write_scan_csv, write_scan_svg, write_sweep_csv
 from biphoton.elements import RodAxis
 from biphoton.oracle import oracle_rate
-from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES, preset
-from biphoton.scan import MAX_SWEEP_ROWS, scan_delay
+from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES, SweepRow, preset
+from biphoton.scan import MAX_SWEEP_ROWS, ScanResult, scan_delay
 
 # Default outputs pinned byte for byte: a change that moves any of them
 # changes what users get from the documented commands.
@@ -65,6 +67,26 @@ class TestRun:
         )
         assert code == 0
         assert "kind=flat" in stdout
+
+    def test_a_config_without_paths_writes_a_zero_baseline_scan(self, tmp_path, capsys):
+        # Crossed analyzers pass no path, so every rate and the baseline are 0.
+        config = tmp_path / "dark.txt"
+        config.write_text("analyzer1 = 0\nanalyzer2 = 90\n")
+        out, svg = tmp_path / "dark.csv", tmp_path / "dark.svg"
+        code, stdout, _ = run_cli(capsys, "run", "--config", str(config), "--steps", "21",
+                                  "--out", str(out), "--svg", str(svg))
+        assert code == 0
+        assert "kind=flat visibility=0 baseline=0 extremum=0 " in stdout
+        with out.open() as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 21
+        assert {row["rate"] for row in rows} == {row["rate_over_baseline"] for row in rows} == {"0"}
+        # On the y range 0..1, a zero rate sits on the x axis at y = 350.
+        text = svg.read_text()
+        points = text.split('<polyline points="', 1)[1].split('"', 1)[0].split()
+        assert len(points) == 21
+        assert {point.split(",")[1] for point in points} == {"350.00"}
+        assert '<line x1="50" y1="350.00" x2="590" y2="350.00" stroke="gray"' in text
 
     def test_csv_is_deterministic(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -182,6 +204,16 @@ def test_outputs_match_golden_bytes(tmp_path, capsys, argv, files):
     assert run_cli(capsys, *argv, *flags)[0] == 0
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_summary_lines_match_golden(tmp_path, capsys):
+    # perfbench reads kind, visibility and oracle_max_rel_delta off these lines.
+    lines = []
+    for argv, files in GOLDEN_RUNS:
+        code, stdout, _ = run_cli(capsys, *argv, "--out", str(tmp_path / files[0]))
+        assert code == 0
+        lines.append(stdout.replace(str(tmp_path), "<out>"))
+    assert "".join(lines) == (GOLDEN / "stdout.txt").read_text(encoding="utf-8")
 
 
 class TestConfigFile:
@@ -537,3 +569,119 @@ class TestFuzz:
                     with out.open() as f:
                         visibilities = [float(row["visibility"]) for row in csv.DictReader(f)]
                 assert visibilities and all(0.0 <= v <= 1.0 for v in visibilities)
+
+
+# The writers as they were when each value was formatted on its own; the
+# one-pass writers must give the same text.
+def _format_float(x: float) -> str:
+    return f"{x:.9g}"
+
+
+def reference_scan_csv(result):
+    lines = ["delay_fs,rate,rate_over_baseline"]
+    rates = result.rates.tolist()
+    if result.baseline != 0:
+        overs = (result.rates / result.baseline).tolist()
+    else:
+        overs = [0.0] * len(rates)
+    for d, rate, over in zip(result.delays.tolist(), rates, overs):
+        lines.append(f"{_format_float(d)},{_format_float(rate)},{_format_float(over)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_sweep_csv(rows):
+    lines = ["axis_value,visibility,kind,extremum,baseline"]
+    for row in rows:
+        lines.append(
+            f"{_format_float(row.value)},{_format_float(row.visibility)},{row.kind},"
+            f"{_format_float(row.extremum)},{_format_float(row.baseline)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_scan_svg(result, title):
+    width, height = 640, 400
+    margin = 50
+    xs = result.delays
+    ys = result.rates
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = 0.0, float(ys.max()) * 1.05 if ys.max() > 0 else 1.0
+
+    def sx(x: float) -> str:
+        return f"{margin + (x - x_lo) / (x_hi - x_lo) * (width - 2 * margin):.2f}"
+
+    def sy(y: float) -> str:
+        return f"{height - margin - (y - y_lo) / (y_hi - y_lo) * (height - 2 * margin):.2f}"
+
+    points = " ".join(f"{sx(float(x))},{sy(float(y))}" for x, y in zip(xs, ys))
+    baseline_y = sy(result.baseline)
+    return (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
+        f'<rect width="{width}" height="{height}" fill="white"/>\n'
+        f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>\n'
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>\n'
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" '
+        f'stroke="black"/>\n'
+        f'<line x1="{margin}" y1="{baseline_y}" x2="{width - margin}" y2="{baseline_y}" '
+        f'stroke="gray" stroke-dasharray="4 4"/>\n'
+        f'<polyline points="{points}" fill="none" stroke="steelblue" stroke-width="1.5"/>\n'
+        f'<text x="{width // 2}" y="{height - 12}" text-anchor="middle" font-size="12">'
+        f"delay (fs), {_format_float(x_lo)} to {_format_float(x_hi)}</text>\n"
+        f'<text x="14" y="{height // 2}" font-size="12" '
+        f'transform="rotate(-90 14 {height // 2})">rate</text>\n'
+        f"</svg>\n"
+    )
+
+
+# Signed zeros, the smallest subnormal, values near the ends of the range and
+# exact ties at the ninth significant digit, among ordinary floats. A span of
+# 2e306 times the plot width overflows, so a change in the order of the
+# coordinate arithmetic shows as inf.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e306, -1e306, 1234567885.0,
+               123456788.5, -2.0000000050000001, 0.1234567895, 0.25]
+any_float = st.sampled_from(EDGE_FLOATS) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def scan_results(draw):
+    n = draw(st.integers(2, 12))
+    delays = draw(st.lists(any_float, min_size=n, max_size=n))
+    assume(min(delays) < max(delays))
+    rates = draw(st.lists(any_float, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # Signed zeros only, so that ys.max() == 0.
+        rates = [math.copysign(0.0, rate) for rate in rates]
+    return ScanResult(
+        delays=np.array(delays), rates=np.array(rates),
+        baseline=draw(st.sampled_from([0.0, -0.0]) | any_float),
+        extremum=draw(any_float), visibility=draw(any_float),
+        kind=draw(st.sampled_from(["dip", "peak", "flat"])),
+    )
+
+
+sweep_rows = st.lists(
+    st.builds(SweepRow, any_float, any_float, st.sampled_from(["dip", "peak", "flat"]),
+              any_float, any_float),
+    max_size=8,
+)
+
+
+class TestWriters:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(result=scan_results(), rows=sweep_rows)
+    def test_one_pass_writers_match_the_per_value_loops(self, result, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = scan_csv, scan_svg, sweep_csv = [
+                Path(tmp) / name for name in ("s.csv", "s.svg", "w.csv")
+            ]
+            # Python floats overflow to inf silently where numpy warns; the
+            # text must match either way.
+            with np.errstate(all="ignore"):
+                write_scan_csv(scan_csv, result)
+                write_scan_svg(scan_svg, result, "t")
+                write_sweep_csv(sweep_csv, rows)
+                expected = (reference_scan_csv(result), reference_scan_svg(result, "t"),
+                            reference_sweep_csv(rows))
+            written = tuple(path.read_bytes().decode("utf-8") for path in paths)
+        assert written == expected

@@ -251,6 +251,15 @@ class TestRefinement:
     def test_flat_configuration_converged(self):
         assert refine_check(preset("fig4c"), 0.0) < 1e-6
 
+    def test_doubling_past_the_grid_ceiling_is_refused_before_any_jsa(self, fig3a_dip,
+                                                                    monkeypatch):
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the doubled grid must be checked first")
+
+        monkeypatch.setattr(scan, "build_jsa", unexpected)
+        with pytest.raises(ConfigurationError, match="8192"):
+            refine_check(replace(fig3a_dip, grid=GridSpec(n=8192)), 0.0)
+
 
 class TestRateKernel:
     PATHS = [PathAmplitude("x", 1.0, 0.0, 0.0, swapped) for swapped in (False, True)]
