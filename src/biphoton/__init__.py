@@ -57,8 +57,6 @@ from .spectral import (
     build_jsa,
     coherence_time_from_filter,
     interference_width,
-    l2_norm,
-    normalize,
     sigma_from_coherence_time,
 )
 
@@ -98,8 +96,6 @@ __all__ = [
     "enumerate_paths",
     "interference_width",
     "jsa_swap_distance",
-    "l2_norm",
-    "normalize",
     "oracle_rate",
     "oracle_terms",
     "oracle_visibility",

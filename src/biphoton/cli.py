@@ -9,6 +9,7 @@ identical inputs give byte-identical CSV, SVG and reports.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from itertools import chain
 from operator import attrgetter
@@ -231,8 +232,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(result.passed for result in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reads a token of a minus sign followed by a
+    digit, or by a point and a digit, as a value, so that ``--values -45,45``
+    and ``--d-min -1.5e3`` parse; no option starts that way. argparse sets
+    the pattern per parser in ``__init__``, and the subparsers are of this
+    class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="biphoton",
         description=(
             "Two-photon interference simulator: coincidence rates of a "

@@ -11,6 +11,6 @@ class ConfigurationError(ValueError):
 
 
 class ContractViolation(RuntimeError):
-    """An internal numerical contract was broken: mismatched grids,
-    unnormalized amplitudes where normalization is required, zero-norm
-    inputs to normalized quantities."""
+    """An internal numerical contract was broken: amplitude factors of the
+    wrong dtype, length or size, zero-norm inputs to normalized
+    quantities."""

@@ -22,8 +22,8 @@ which exchanges the ports, so its pair reads the same P_k at D = D_b: D(d)
 is the delay difference at the port that p's arm-1 photon reaches,
 D_a0 + s d or D_b0 - s d. Each pair sum is thus keyed by (crossed, U)
 alone, with one phase per column before the reduction and none after it.
-The kernel of a real amplitude is real, and so are its P_k at U = 0,
-every self pair's among them.
+Uncrossed kernels are real, |F|^2 however complex F, and so are their
+P_k at U = 0, every self pair's among them.
 
 A scan therefore costs one diagonal reduction per distinct (crossed, U)
 and, per delay point, about 2 sqrt(n) complex exps and n complex
@@ -36,21 +36,18 @@ sum |F|^2 afterwards, so w^2 cancels and no rate depends on the scale of
 F; S is the total of the uncrossed sums at U = 0, which a scan needs
 anyway.
 
-The reduction never holds the kernel K = F conj(F_c) whole; each of the
-two sources of an amplitude has its own, in O(n) working memory.
-
-* Factors, from ``build_jsa``: F(i, j) = g1[i] g2[j] P[i + j], so every
-  kernel of F is a(i) b(j) Q[i + j], where Q = P^2 and a, b are products
-  of g1 and g2, which trade places in F_c. The reduction walks
-  it by grid sum: with i + j = 2u + p and i - j = 2t + p of one parity p,
-  P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) (up to the phase), so t
-  indexes the sums and a block of a few u, both parities at once, is
-  reduced against its Q in one matrix product. Blocks that meet no grid
-  sum on which Q is non-zero hold exact zeros and are skipped, so the
-  reduction costs O(n W), W the number of such grid sums, with the same
-  bits as the full O(n^2) pass.
-* Dense values, of an amplitude a caller built: K = F conj(F_c) is formed
-  one row at a time, and each row adds to n of the diagonal sums; O(n^2).
+The reduction never holds the kernel K = F conj(F_c) whole; it reads the
+amplitude's 1-D factors, F(i, j) = g1[i] g2[j] P[i + j], in O(n) working
+memory. Every kernel of F is a(i) b(j) Q[i + j], where Q = |P|^2, so a
+pump phase cancels, and a = g1 conj(g1 or g2), b = g2 conj(g2 or g1) are
+products of the filter factors, which trade places in F_c. The reduction
+walks it by grid sum: with i + j = 2u + p and i - j = 2t + p of one
+parity p, P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) (up to the phase), so
+t indexes the sums and a block of a few u, both parities at once, is
+reduced against its Q in one matrix product. Blocks that meet no grid sum
+on which Q is non-zero hold exact zeros and are skipped, so the reduction
+costs O(n W), W the number of such grid sums, with the same bits as the
+full O(n^2) pass.
 
 The path overlaps read the same pair sums at d = 0: two paths overlap
 by conj(c_p) c_q T(q, p) / (|c_p| |c_q|), the self pairs summing to 1,
@@ -65,11 +62,10 @@ Every term, the d-independent self terms included, is evaluated by the
 same routine, so identical summands cancel exactly. An ideal dip bottoms
 out at a rate of exactly zero rather than at rounding noise when two
 things hold: the amplitude is bitwise exchange symmetric (equal filter
-factors, or dense values equal to their transpose), so at d = 0 the
-cross pair of two equal-rod paths reads the very diagonal sums of the
-self pairs, and the path coefficients are exact, |c_rr| == |c_tt| bit for
-bit, which the degree-exact analyzer trig of ``elements`` gives at
-multiples of 45 deg.
+factors), so at d = 0 the cross pair of two equal-rod paths reads the
+very diagonal sums of the self pairs, and the path coefficients are
+exact, |c_rr| == |c_tt| bit for bit, which the degree-exact analyzer trig
+of ``elements`` gives at multiples of 45 deg.
 """
 
 from __future__ import annotations
@@ -83,13 +79,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .pathsum import CoincidenceAmplitude, PathAmplitude, assemble_amplitude, enumerate_paths
-from .spectral import (
-    JointSpectralAmplitude,
-    _sum_squares,
-    build_jsa,
-    interference_width,
-    l2_norm,
-)
+from .spectral import JointSpectralAmplitude, _sum_squares, build_jsa, interference_width
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -117,9 +107,17 @@ _BLOCK = 1 << 14
 
 
 def _lattice(flat: np.ndarray, start: int, strides: tuple[int, ...], shape) -> np.ndarray:
-    """View of the float64 array ``flat`` from element ``start`` on, with
+    """View of the 1-D array ``flat`` from element ``start`` on, with
     ``strides`` counted in elements; numpy refuses a view that leaves it."""
-    return np.ndarray(shape, buffer=flat, offset=8 * start, strides=[8 * s for s in strides])
+    size = flat.itemsize
+    return np.ndarray(
+        shape, flat.dtype, flat, offset=size * start, strides=[size * s for s in strides]
+    )
+
+
+def _times_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x conj(y), with no conjugate taken of a real y."""
+    return x * np.conj(y) if np.iscomplexobj(y) else x * y
 
 
 def _support(values: np.ndarray) -> tuple[int, int] | None:
@@ -146,12 +144,11 @@ class RateKernel:
     F conj(F_c) times its column phase, and each delay point then costs
     O(n), read at the slope ``_port_delay`` gives the pair; so a pair and
     its mirror image, both paths' swaps flipped, share one reduction. The
-    reduction never holds the kernel whole: ``_factored_sums`` walks the
-    1-D factors of a ``build_jsa`` amplitude a few grid sums at a time,
-    O(n W) for W grid sums with a non-zero pump, and ``_dense_sums`` reads
-    a dense amplitude's values one kernel row at a time, O(n^2). An
-    amplitude that is exchange symmetric bit for bit makes crossing the
-    identity, so every pair reads uncrossed sums.
+    reduction never holds the kernel whole: ``_diagonal_sums`` walks the
+    amplitude's 1-D factors a few grid sums at a time, O(n W) for W grid
+    sums with a non-zero pump. An amplitude that is exchange symmetric bit
+    for bit makes crossing the identity, so every pair reads uncrossed
+    sums.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude):
@@ -168,10 +165,10 @@ class RateKernel:
     @cached_property
     def _total(self) -> float:
         """S = sum |F|^2 over the grid for the unnormalized amplitude F: the
-        total of the uncrossed sums at U = 0 (imaginary parts +-0 if
-        complex), which are cached, normalized, on the way."""
+        total of the uncrossed sums at U = 0, which are real and are
+        cached, normalized, on the way."""
         raw = self._diagonal_sums(False, 0.0)
-        total = float(raw.sum().real)
+        total = float(raw.sum())
         if not (total > 0.0 and math.isfinite(total)):
             raise ContractViolation("cannot normalize a zero or non-finite amplitude")
         self._diagonals[(False, 0.0)] = raw / total
@@ -190,13 +187,14 @@ class RateKernel:
             self._diagonals[key] = self._diagonal_sums(*key) / total
         return self._diagonals[key]
 
-    def _factored_sums(self, crossed: bool, phase: np.ndarray | None) -> np.ndarray:
+    def _diagonal_sums(self, crossed: bool, shift: float) -> np.ndarray:
         """P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) for k = 2t + p = 1 - n,
-        ..., n - 1, from the factors: F(i, j) is g1[i] g2[j] pump[i + j],
-        with g1 and g2 trading places in F_c when ``crossed``, so a and b are
-        the products of the filter factors on each axis, b times the column
-        ``phase``, and Q = pump^2. A block of ``rows`` values of u is reduced
-        in one matrix product.
+        ..., n - 1, unnormalized: the sums sum_{i-j=k} F(i,j) conj(F_c(i,j))
+        e^{i nu_j U} of the kernel a(i) b(j) Q[i + j], U = ``shift``. F(i, j)
+        is g1[i] g2[j] pump[i + j], with g1 and g2 trading places in F_c when
+        ``crossed``, so a = g1 conj(g1 or g2), b = g2 conj(g2 or g1) times the
+        column phase and Q = |pump|^2. A block of ``rows`` values of u is
+        reduced in one matrix product, on real views unless a is complex.
 
         Blocks start at multiples of ``rows``, and only those that meet a grid
         sum 2u + p on which Q is non-zero are walked. Any other block holds
@@ -209,18 +207,25 @@ class RateKernel:
         g1, g2, pump = self.jsa.factors
         n = self.grid.n
         rows = min(n, max(1, _BLOCK // n))
-        b = g2 * (g1 if crossed else g2)
-        b = b if phase is None else b * phase
-        parts = b.itemsize // 8
-        a, reversed_b = np.zeros(n + 2 * rows), np.zeros((n + 2 * rows) * parts)
-        a[rows : rows + n] = g1 * (g2 if crossed else g1)
+        if crossed:
+            a, b = _times_conj(g1, g2), _times_conj(g2, g1)
+        else:
+            # |g1|^2 and |g2|^2, real however complex the factors.
+            a, b = _times_conj(g1, g1).real, _times_conj(g2, g2).real
+        if shift:
+            b = b * np.exp(1j * self.grid.points * shift)
+        # A real a multiplies the real and imaginary parts of b alike.
+        parts = b.itemsize // a.itemsize
+        padded_a = np.zeros(n + 2 * rows, dtype=a.dtype)
+        reversed_b = np.zeros((n + 2 * rows) * parts, dtype=a.dtype)
+        padded_a[rows : rows + n] = a
         reversed_b.view(b.dtype)[rows : rows + n] = b[::-1]
-        weights = pump * pump
+        weights = _times_conj(pump, pump).real
         # sums[p, :, t + n // 2] holds P_{2t+p}, and pairs[p, u] is Q[2u + p],
         # with Q = 0 at the grid sum 2n - 1.
-        sums = np.zeros((2, parts, n))
+        sums = np.zeros((2, parts, n), dtype=a.dtype)
         pairs = np.append(weights, 0.0).reshape(n, 2).T.copy()
-        buffer = np.empty(2 * rows * parts * n)
+        buffer = np.empty(2 * rows * parts * n, dtype=a.dtype)
         support = _support(weights)
         first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
         for u0 in range(first - first % rows, last + 1, rows):
@@ -231,7 +236,7 @@ class RateKernel:
             block = buffer[: math.prod(shape)].reshape(shape)
             # a(u + t + p) advances with p, u and t; b(u - t), at n - 1 - u + t
             # of the reversed b, falls with u and advances with t.
-            a_view = _lattice(a, rows + u0 + t0, (1, 1, 0, 1), shape)
+            a_view = _lattice(padded_a, rows + u0 + t0, (1, 1, 0, 1), shape)
             b_start = parts * (rows + n - 1 - u0 + t0)
             b_view = _lattice(reversed_b, b_start, (0, -parts, 1, parts), shape)
             np.multiply(a_view, b_view, out=block)
@@ -240,34 +245,6 @@ class RateKernel:
         # Interleaved, P_k sits at 2 (n // 2) + k.
         sums = sums.transpose(2, 0, 1).copy().view(b.dtype)
         return sums.reshape(-1)[1 - n % 2 :][: 2 * n - 1]
-
-    def _dense_sums(self, crossed: bool, phase: np.ndarray | None) -> np.ndarray:
-        """P_k from dense values, one row of K = F conj(F_c) times the
-        column ``phase`` at a time; F_c reads the transposed values when
-        ``crossed``. Row i holds diagonals k = i - j, which fall as j rises,
-        so reversed it adds to the sums at k + n - 1 = i, ..., i + n - 1."""
-        v = self.jsa.values
-        n = self.grid.n
-        f_c = v.T if crossed else v
-        dtype = np.complex128 if np.iscomplexobj(v) or phase is not None else np.float64
-        sums = np.zeros(2 * n - 1, dtype=dtype)
-        row = np.empty(n, dtype=dtype)
-        for i in range(n):
-            np.conjugate(f_c[i], out=row)
-            row *= v[i]
-            if phase is not None:
-                row *= phase
-            sums[i : i + n] += row[::-1]
-        return sums
-
-    def _diagonal_sums(self, crossed: bool, shift: float) -> np.ndarray:
-        """sum_{i-j=k} F(i,j) conj(F_c(i,j)) e^{i nu_j U} for each diagonal
-        k and U = ``shift``, unnormalized: of the values for a dense
-        amplitude, of the product of the factors otherwise. A real kernel
-        whose column phase vanishes stays real."""
-        phase = np.exp(1j * self.grid.points * shift) if shift else None
-        reduce = self._dense_sums if self.jsa.factors is None else self._factored_sums
-        return reduce(crossed, phase)
 
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """sum_k P_k e^{i x k h} for each slope x = D(d).
@@ -348,16 +325,9 @@ def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
     """Exchange asymmetry 1 - |<f | f_swapped>|, in [0, 1].
 
     Zero iff the amplitude is exchange symmetric; this bounds the visibility
-    any analyzer setting can reach. Requires a normalized input, which an
-    amplitude given by its factors is by construction. It is 1 - |sum_k P_k|
-    of the (unswapped, swapped) pair of delay-free paths.
+    any analyzer setting can reach. It is 1 - |sum_k P_k| of the
+    (unswapped, swapped) pair of delay-free paths.
     """
-    if jsa.factors is None:
-        norm = l2_norm(jsa)
-        if abs(norm - 1.0) > 1e-6:
-            raise ContractViolation(
-                f"jsa_swap_distance requires a normalized amplitude, norm={norm!r}"
-            )
     if jsa.symmetric:
         # Identical arrays overlap perfectly by definition.
         return 0.0

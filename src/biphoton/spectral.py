@@ -237,74 +237,55 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
 
 
 class JointSpectralAmplitude:
-    """Pair amplitude f(nu1, nu2) on a shared grid, real or complex.
+    """Pair amplitude f(nu_i, nu_j) = g1[i] g2[j] pump[i + j] / N on a
+    shared grid, given by its 1-D ``factors`` (g1, g2, pump), real or
+    complex.
 
-    Axis 0 is the photon sent into arm 1, axis 1 the photon in arm 2.
-    ``JointSpectralAmplitude(grid, values)`` holds a caller's n x n array.
-    ``build_jsa`` gives instead the 1-D ``factors`` (g1, g2, pump) of
-    f(nu_i, nu_j) = g1[i] g2[j] pump[i + j] / N, with pump on the 2n - 1
-    grid sums and N the L2 norm of the product, and forms ``values`` only
-    when they are first read. ``factors`` is None for a dense amplitude.
-    Either way the arrays are read-only and of a float or complex dtype.
-    Factors are real; a complex amplitude is given as its values.
-    ``symmetric`` tells whether swapping the two arguments is the identity
-    bit for bit.
+    Axis 0 is the photon sent into arm 1, axis 1 the photon in arm 2; pump
+    lives on the 2n - 1 grid sums and N is the L2 norm of the product. A
+    spectral phase on either photon, from dispersion or a birefringent
+    element, is a complex g1 or g2. The factors are kept read-only, as
+    float64 or complex128, and ``values``, the n x n array, is formed only
+    when first read. ``symmetric`` tells whether swapping the two
+    arguments is the identity bit for bit.
     """
 
-    def __init__(
-        self,
-        grid: FrequencyGrid,
-        values: np.ndarray | None = None,
-        *,
-        factors: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-    ):
-        if (values is None) == (factors is None):
-            raise ContractViolation("an amplitude takes either its values or its factors")
+    def __init__(self, grid: FrequencyGrid, factors: tuple[np.ndarray, np.ndarray, np.ndarray]):
         # Integer squares wrap and bool arrays read as 0 and 1, so neither
         # has a meaningful norm.
-        for array in factors or (values,):
+        for array in factors:
             if not np.issubdtype(array.dtype, np.inexact):
                 raise ContractViolation(
                     f"amplitude arrays must be float or complex, got dtype {array.dtype}"
                 )
         n = grid.n
-        if factors is not None:
-            if [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
-                raise ContractViolation(f"factors must have lengths n, n and 2n - 1 for n = {n}")
-            # The rate engine forms products of factors without conjugates.
-            if any(np.iscomplexobj(f) for f in factors):
-                raise ContractViolation("factors must be real; give a complex amplitude as values")
-            # The rate engine skips kernel entries where pump^2 is zero; they
-            # are exact zeros only while the products of four filter factors
-            # are finite, which finite fourth powers guarantee.
-            with np.errstate(over="ignore", invalid="ignore"):
-                finite = all(np.isfinite(f * f).all() for f in factors)
-                finite = finite and all(np.isfinite(np.abs(g).max() ** 4) for g in factors[:2])
-            if not finite:
-                raise ContractViolation(
-                    "factors must have finite squares, and the filter factors finite fourth powers"
-                )
-        elif values.shape != (n, n):
-            raise ContractViolation(f"values must have shape (n, n) for n = {n}, got {values.shape}")
-        else:
-            # By Cauchy-Schwarz no pair sum exceeds this total, so none overflows.
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = _sum_squares(values)
-            if not math.isfinite(total):
-                raise ContractViolation("values must have a finite sum of squares")
-        for array in factors or (values,):
+        if [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
+            raise ContractViolation(f"factors must have lengths n, n and 2n - 1 for n = {n}")
+        factors = tuple(f.astype(np.result_type(f, np.float64), copy=False) for f in factors)
+        # The rate engine skips kernel entries where |pump|^2 is zero; they
+        # are exact zeros only while the products of four filter factors
+        # are finite, which finite fourth powers guarantee.
+        with np.errstate(over="ignore", invalid="ignore"):
+            peaks = [np.abs(f).max() for f in factors]
+            finite = all(np.isfinite(peak * peak) for peak in peaks)
+            finite = finite and all(np.isfinite(peak**4) for peak in peaks[:2])
+        if not finite:
+            raise ContractViolation(
+                "factors must have finite squares, and the filter factors finite fourth powers"
+            )
+        for array in factors:
             array.setflags(write=False)
         self.grid = grid
         self.factors = factors
-        self._values = values
+        self._values = None
 
     @property
     def values(self) -> np.ndarray:
-        """The n x n array f; from factors, the filter outer product times
-        the Hankel view pump[i + j], divided by its norm in place."""
+        """The n x n array f: the filter outer product times the Hankel view
+        pump[i + j], divided by its norm in place."""
         if self._values is None:
             g1, g2, pump = self.factors
-            values = np.outer(g1, g2)
+            values = np.outer(g1, g2).astype(np.result_type(g1, g2, pump), copy=False)
             values *= np.lib.stride_tricks.sliding_window_view(pump, self.grid.n)
             values /= _unit_scale(values, self.grid.weight)
             values.setflags(write=False)
@@ -313,11 +294,9 @@ class JointSpectralAmplitude:
 
     @cached_property
     def symmetric(self) -> bool:
-        """Whether f(nu1, nu2) == f(nu2, nu1) bit for bit: g1 == g2 for
-        factors, values == values.T for a dense amplitude."""
-        if self.factors is not None:
-            return np.array_equal(self.factors[0], self.factors[1])
-        return np.array_equal(self.values, self.values.T)
+        """Whether f(nu1, nu2) == f(nu2, nu1) bit for bit, which g1 == g2
+        guarantees."""
+        return np.array_equal(self.factors[0], self.factors[1])
 
 
 def _sum_squares(values: np.ndarray) -> float:
@@ -330,21 +309,12 @@ def _sum_squares(values: np.ndarray) -> float:
 
 
 def _unit_scale(values: np.ndarray, weight: float) -> float:
-    """The L2 norm that normalize divides by; refuses zero and non-finite."""
+    """The L2 norm sqrt(sum |f|^2) w of ``values``; refuses zero and
+    non-finite."""
     norm = math.sqrt(_sum_squares(values)) * weight
     if norm == 0.0 or not math.isfinite(norm):
         raise ContractViolation("cannot normalize a zero or non-finite amplitude")
     return norm
-
-
-def l2_norm(jsa: JointSpectralAmplitude) -> float:
-    """sqrt of sum |f|^2 w^2 with the grid's uniform quadrature weight."""
-    return math.sqrt(_sum_squares(jsa.values)) * jsa.grid.weight
-
-
-def normalize(jsa: JointSpectralAmplitude) -> JointSpectralAmplitude:
-    norm = _unit_scale(jsa.values, jsa.grid.weight)
-    return JointSpectralAmplitude(grid=jsa.grid, values=jsa.values / norm)
 
 
 def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> JointSpectralAmplitude:
@@ -376,7 +346,7 @@ def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> Join
     g2 = np.exp(-(nu**2) / (4.0 * params.sigma2**2))
     sums = np.concatenate((nu + nu[0], nu[1:] + nu[-1]))
     pump = np.exp(-0.5 * (params.pump_coherence_time * sums) ** 2)
-    return JointSpectralAmplitude(grid, factors=(g1, g2, pump))
+    return JointSpectralAmplitude(grid, (g1, g2, pump))
 
 
 def interference_width(params: SpectralParams) -> float:

@@ -81,7 +81,8 @@ def check_grid_refinement() -> CheckResult:
 def check_normalization_invariance() -> CheckResult:
     config = preset("fig3a_dip")
     jsa = build_jsa(config.spectral, config.frequency_grid())
-    scaled = JointSpectralAmplitude(jsa.grid, jsa.values * 7.25)
+    g1, g2, pump = jsa.factors
+    scaled = JointSpectralAmplitude(jsa.grid, (7.25 * g1, g2, pump))
     delays = (0.0, 150.0, 600.0)
     reference = coincidence_rate(config, delays, RateKernel(jsa))
     rescaled = coincidence_rate(config, delays, RateKernel(scaled))

@@ -5,7 +5,7 @@ from biphoton import JointSpectralAmplitude, SpectralParams, build_jsa, preset
 
 # Amplitudes on which the pair-sum overlaps are held against the dense
 # reference: asymmetry ratio, pump coherence time (fs) and a chirp (fs^2)
-# on the arm-1 photon that makes the values complex.
+# on the arm-1 photon that makes its filter factor complex.
 REFERENCE_AMPLITUDES = {
     "default": (1.0, 120.0, 0.0),
     "rho=0.5": (0.5, 120.0, 0.0),
@@ -24,8 +24,8 @@ def reference_jsa(request):
     jsa = build_jsa(SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p))
     if not chirp:
         return jsa
-    nu = jsa.grid.points
-    return JointSpectralAmplitude(jsa.grid, jsa.values * np.exp(1j * chirp * nu[:, None] ** 2))
+    g1, g2, pump = jsa.factors
+    return JointSpectralAmplitude(jsa.grid, (g1 * np.exp(1j * chirp * jsa.grid.points**2), g2, pump))
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ GOLDEN_RUNS = [
         ("fig3a_dip_asymmetry_ratio_sweep.csv",),
     ),
     (
-        ("sweep", "fig3a_dip", "--axis", "analyzer2", "--values=-45,0,22.5,45,67.5,90"),
+        ("sweep", "fig3a_dip", "--axis", "analyzer2", "--values", "-45,0,22.5,45,67.5,90"),
         ("fig3a_dip_analyzer2_sweep.csv",),
     ),
 ]
@@ -204,6 +204,26 @@ def test_outputs_match_golden_bytes(tmp_path, capsys, argv, files):
     assert run_cli(capsys, *argv, *flags)[0] == 0
     for name in files:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (("sweep", "fig3a_dip", "--axis", "analyzer2"), "--values", "-45,45"),
+        (("run", "fig3a_dip"), "--d-min", "-1.5e3"),
+        (("run", "fig3a_dip"), "--d-min", "-.5e3"),
+    ],
+    ids=["values", "d-min", "d-min-point"],
+)
+def test_negative_values_read_alike_in_either_spelling(tmp_path, capsys, argv, flag, value):
+    # Plain argparse reads "-45,45" and "-1.5e3" after a space as options.
+    outputs = []
+    for spelling in ((flag, value), (f"{flag}={value}",)):
+        out = tmp_path / "out.csv"
+        code, stdout, stderr = run_cli(capsys, *argv, *spelling, "--out", str(out))
+        assert code == 0, stderr
+        outputs.append((stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_summary_lines_match_golden(tmp_path, capsys):

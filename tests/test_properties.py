@@ -3,11 +3,13 @@
 Each property draws the pair's asymmetry, the pump coherence time (kept to
 grids of n <= 1024), the rod geometry, both analyzers, the source phase
 and the trombone delays; one more draws from the whole input space the
-command line accepts. The examples are derandomized, so every run checks
-the same inputs.
+command line accepts, and one the dtypes, lengths and entries of the
+factors an amplitude is built from. The examples are derandomized, so
+every run checks the same inputs.
 """
 
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -19,11 +21,14 @@ from hypothesis import strategies as st
 from biphoton import (
     PRESET_NAMES,
     ConfigurationError,
+    ContractViolation,
     ExperimentConfig,
     GridSpec,
+    JointSpectralAmplitude,
     RodAxis,
     SpectralParams,
     auto_grid,
+    build_grid,
     build_jsa,
     coincidence_rate,
     enumerate_paths,
@@ -168,3 +173,48 @@ def test_accepted_inputs_match_the_oracle(drawn):
     for d, engine in zip(ds, rates):
         reference = oracle_rate(config, d)
         assert abs(engine - reference) <= 1e-3 * max(reference, floor)
+
+
+INEXACT_DTYPES = [np.float16, np.float32, np.float64, np.complex64, np.complex128]
+
+
+@st.composite
+def factor_tuples(draw):
+    """The factors of a Gaussian amplitude on 64 points, each chirped or
+    not and of a drawn float or complex dtype; one of them may instead be
+    of an integer or bool dtype, one off in length, or hold a non-finite
+    or huge entry."""
+    params = SpectralParams(asymmetry_ratio=draw(st.sampled_from([0.5, 1.0, 2.0])))
+    grid = build_grid(params, n=64)
+    factors = []
+    for base in build_jsa(params, grid).factors:
+        size = len(base)
+        factors.append(base * np.exp(1j * draw(st.floats(-3.0, 3.0)) * np.arange(size) ** 2 / size))
+    dtypes = [draw(st.sampled_from(INEXACT_DTYPES)) for _ in factors]
+    index = draw(st.integers(0, 2))
+    fault = draw(st.sampled_from([None, None, "dtype", "length", "entry"]))
+    if fault == "dtype":
+        dtypes[index] = draw(st.sampled_from([np.int64, np.bool_]))
+    elif fault == "length":
+        f = factors[index]
+        factors[index] = f[:-1] if draw(st.booleans()) else np.append(f, f[-1])
+    elif fault == "entry":
+        entry = draw(st.integers(0, len(factors[index]) - 1))
+        factors[index][entry] = draw(st.sampled_from([math.nan, math.inf, 1e200, 1e200j]))
+    # Casts drop imaginary parts, wrap or overflow here on purpose.
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return grid, tuple(f.astype(dtype) for f, dtype in zip(factors, dtypes))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(factor_tuples())
+def test_factors_are_accepted_or_refused_with_a_contract_violation(drawn):
+    # An accepted amplitude normalizes; any other exception, a warning from
+    # the suite's filters included, fails the property.
+    grid, factors = drawn
+    try:
+        total = RateKernel(JointSpectralAmplitude(grid, factors=factors))._total
+    except ContractViolation:
+        return
+    assert total > 0.0 and math.isfinite(total)

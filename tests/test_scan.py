@@ -286,7 +286,8 @@ class TestRateKernel:
         # Transposing the amplitude transposes the kernel, which reverses its
         # diagonals.
         unswapped = self.PATHS[0]
-        transposed = RateKernel(JointSpectralAmplitude(jsa.grid, jsa.values.T))
+        g1, g2, pump = jsa.factors
+        transposed = RateKernel(JointSpectralAmplitude(jsa.grid, factors=(g2, g1, pump)))
         reversed_sums = transposed.pair_sum(unswapped, unswapped)[::-1]
         assert np.allclose(reversed_sums, sums[0], rtol=0.0, atol=1e-15)
 
@@ -311,12 +312,15 @@ class TestRateKernel:
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
-    def test_factors_and_dense_values_give_the_same_sums(self, rho, tau_p):
+    def test_factors_and_dense_values_give_the_same_sums(self, monkeypatch, rho, tau_p):
+        # The second kernel reads its sums off the n x n values instead of
+        # the factors, through the same normalization and phases.
         spectral = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
-        factored = build_jsa(spectral)
-        dense = JointSpectralAmplitude(factored.grid, factored.values)
-        assert dense.factors is None
-        kernels = RateKernel(factored), RateKernel(dense)
+        jsa = build_jsa(spectral)
+        dense = RateKernel(jsa)
+        nu = jsa.grid.points
+        monkeypatch.setattr(dense, "_diagonal_sums", lambda *key: dense_sums(jsa.values, nu, *key))
+        kernels = RateKernel(jsa), dense
         delays = np.linspace(-1500.0, 1500.0, 41)
         for name in PRESET_NAMES:
             paths = enumerate_paths(replace(preset(name), spectral=spectral))
@@ -363,6 +367,20 @@ class TestRateKernel:
         assert jsa._values is None
         assert not jsa.values.flags.writeable
         assert jsa.values is jsa.values
+
+
+def dense_sums(values, nu, crossed, shift):
+    """sum_{i-j=k} v(i,j) conj(v_c(i,j)) e^{i nu_j U} for k = 1 - n, ...,
+    n - 1 and U = ``shift``, the traces of the explicit kernel of the n x n
+    ``values``; v_c is their transpose when ``crossed``. Uncrossed at U = 0
+    they are real."""
+    kernel = values * np.conj(values.T if crossed else values)
+    if shift:
+        kernel = kernel * np.exp(1j * nu * shift)
+    elif not crossed:
+        kernel = kernel.real
+    n = len(nu)
+    return np.array([np.trace(kernel, offset=-k) for k in range(1 - n, n)])
 
 
 def same_bits(x, y):
@@ -458,9 +476,9 @@ class TestPumpBand:
 
 
 class TestDiagonalSums:
-    """Each source's pair sums against the traces of the explicit kernel
-    F(i,j) conj(F_c(i,j)) e^{i nu_j U}, diagonal k = i - j, F_c the
-    transpose of F for a crossed pair."""
+    """The pair sums of real and complex factors against the traces of the
+    explicit kernel F(i,j) conj(F_c(i,j)) e^{i nu_j U}, diagonal k = i - j,
+    F_c the transpose of F for a crossed pair."""
 
     @staticmethod
     def supports(n):
@@ -470,8 +488,11 @@ class TestDiagonalSums:
         return [range(2 * n - 1), [even], [odd], [0], [2 * n - 2], [0, 2 * n - 2]]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 65, 100, 101, 256])
-    @pytest.mark.parametrize("source", ["factors", "dense", "dense-complex"])
+    @pytest.mark.parametrize("source", ["factors", "dense"])
     def test_sums_are_the_traces_of_the_kernel(self, n, source):
+        # Real factors, and a 3000 fs^2 chirp on g1 with a pump phase, which
+        # cancels. The traces are those of the product of the factors, or of
+        # the amplitude's own n x n values, rescaled by the norm S w^2.
         params = SpectralParams()
         grid = _construct_grid(params, n, 6.0)
         nu = grid.points
@@ -480,23 +501,23 @@ class TestDiagonalSums:
         for support in self.supports(n):
             pump = np.zeros(2 * n - 1)
             pump[list(support)] = rng.normal(size=len(support))
-            values = np.outer(g1, g2) * np.lib.stride_tricks.sliding_window_view(pump, n)
-            if source == "dense-complex":
-                values = values * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n, n)))
-            if source == "factors":
-                jsa = JointSpectralAmplitude(grid, factors=(g1, g2, pump))
-            else:
-                jsa = JointSpectralAmplitude(grid, values)
-            kernel = RateKernel(jsa)
-            for crossed, shift in TestPumpBand.KEYS:
-                explicit = (
-                    values * np.conj(values.T if crossed else values) * np.exp(1j * nu * shift)
-                )
-                expected = [np.trace(explicit, offset=-k) for k in range(1 - n, n)]
-                sums = kernel._diagonal_sums(crossed, shift)
-                assert sums.shape == (2 * n - 1,)
-                error = np.abs(sums - expected).max()
-                assert error <= 1e-14 * np.abs(expected).sum()
+            pump_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2 * n - 1))
+            chirped = (g1 * np.exp(1j * 3000.0 * nu**2), g2, pump * pump_phase)
+            for factors in ((g1, g2, pump), chirped):
+                kernel = RateKernel(JointSpectralAmplitude(grid, factors=factors))
+                if source == "factors":
+                    f1, f2, f3 = factors
+                    values = np.outer(f1, f2) * np.lib.stride_tricks.sliding_window_view(f3, n)
+                    scale = 1.0
+                else:
+                    values = kernel.jsa.values
+                    scale = kernel._total * grid.weight**2
+                for crossed, shift in TestPumpBand.KEYS:
+                    expected = dense_sums(values, nu, crossed, shift) * scale
+                    sums = kernel._diagonal_sums(crossed, shift)
+                    assert sums.shape == (2 * n - 1,)
+                    error = np.abs(sums - expected).max()
+                    assert error <= 1e-14 * np.abs(expected).sum()
 
     def test_working_memory_does_not_grow_with_the_band(self):
         # fig4c at n = 8192: the pump band is every grid sum at 120 fs and
@@ -538,25 +559,25 @@ class TestDiagonalSums:
                 tracemalloc.stop()
             assert peak <= 8 * 2**20
 
-    def test_a_dense_pair_sum_holds_no_square_array(self):
-        # A dense reduction reads one row of the kernel at a time; an n x n
-        # copy of a complex kernel at n = 1024 would hold 16 MiB.
-        n = 1024
-        params = SpectralParams()
-        jsa = build_jsa(params, _construct_grid(params, n, 6.0))
-        nu = jsa.grid.points
-        kernel = RateKernel(
-            JointSpectralAmplitude(jsa.grid, jsa.values * np.exp(1j * 3000.0 * nu[:, None] ** 2))
-        )
-        for key in [(False, 0.0), (True, -1260.0)]:
-            tracemalloc.start()
-            try:
-                out = kernel._diagonal_sums(*key)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert out.dtype == np.complex128
-            assert peak - out.nbytes <= 2**20
+    def test_a_complex_crossed_pair_sum_holds_no_square_array(self):
+        # fig4c at n = 8192 with a 3000 fs^2 chirp on g1: the crossed walk of
+        # complex factors runs on complex views, in the bound of a real one.
+        n = 8192
+        for tau_p in (120.0, 6300.0):
+            params = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=tau_p)
+            jsa = build_jsa(params, _construct_grid(params, n, 6.0))
+            g1, g2, pump = jsa.factors
+            chirp = np.exp(1j * 3000.0 * jsa.grid.points**2)
+            kernel = RateKernel(JointSpectralAmplitude(jsa.grid, factors=(g1 * chirp, g2, pump)))
+            for key in [(True, 0.0), (True, -1260.0)]:
+                tracemalloc.start()
+                try:
+                    out = kernel._diagonal_sums(*key)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert out.dtype == np.complex128
+                assert peak - out.nbytes <= 2 * 2**20
 
 
 class TestRealEngine:
@@ -632,7 +653,9 @@ class TestRealEngine:
     def test_real_and_complex_amplitudes_give_the_same_rates(self, name, rho):
         config = replace(preset(name), spectral=SpectralParams(asymmetry_ratio=rho))
         jsa = build_jsa(config.spectral)
-        as_complex = JointSpectralAmplitude(jsa.grid, jsa.values.astype(np.complex128))
+        as_complex = JointSpectralAmplitude(
+            jsa.grid, factors=tuple(f.astype(np.complex128) for f in jsa.factors)
+        )
         paths = enumerate_paths(config)
         delays = np.linspace(-1500.0, 1500.0, 61)
         real = RateKernel(jsa).rate(paths, delays)
@@ -717,8 +740,9 @@ class TestPairSums:
         params = SpectralParams(asymmetry_ratio=1.5)
         jsa = build_jsa(params, build_grid(params, n=64))
         nu = jsa.grid.points
-        chirp = np.exp(1j * 4000.0 * nu[:, None] ** 2 + 1j * 150.0 * nu[None, :])
-        return JointSpectralAmplitude(jsa.grid, jsa.values * chirp)
+        g1, g2, pump = jsa.factors
+        chirped = (g1 * np.exp(1j * 4000.0 * nu**2), g2 * np.exp(1j * 150.0 * nu), pump)
+        return JointSpectralAmplitude(jsa.grid, factors=chirped)
 
     @pytest.mark.parametrize("name", ["fig3a_dip", "fig3b_peak", "fig4c"])
     def test_rates_match_assembled_amplitude(self, chirped, name):
@@ -745,17 +769,10 @@ class TestPairSums:
         kernel = RateKernel(chirped)
         nu = chirped.grid.points
         values = chirped.values
-        lags = (np.arange(nu.size)[:, None] - np.arange(nu.size)[None, :]).ravel()
         for p in paths:
             for q in paths:
                 shift = p.delay_a - q.delay_a + p.delay_b - q.delay_b
-                crossed = p.swapped != q.swapped
-                summand = values * np.conj(values.T if crossed else values)
-                summand = summand * np.exp(1j * nu[None, :] * shift)
-                direct = np.bincount(lags + nu.size - 1, weights=summand.real.ravel())
-                direct = direct + 1j * np.bincount(
-                    lags + nu.size - 1, weights=summand.imag.ravel()
-                )
+                direct = dense_sums(values, nu, p.swapped != q.swapped, shift)
                 sums = kernel.pair_sum(p, q) / chirped.grid.weight**2
                 assert np.abs(sums - direct).max() <= 1e-12 * np.abs(direct).max()
                 s = int(q.swapped) - int(p.swapped)
@@ -845,21 +862,26 @@ class TestRateInvariants:
     @pytest.mark.parametrize("name", ["fig3a_dip", "fig3b_dip"])
     @pytest.mark.parametrize("scale", [1.0, 2.0, 3.7, 7.25])
     def test_ideal_dip_is_exactly_zero(self, default_jsa, name, scale):
-        from biphoton import JointSpectralAmplitude, normalize
+        g1, g2, pump = default_jsa.factors
+        jsa = JointSpectralAmplitude(default_jsa.grid, factors=(scale * g1, scale * g2, pump))
+        assert coincidence_rate(preset(name), 0.0, kernel=RateKernel(jsa)) == 0.0
 
-        jsa = normalize(JointSpectralAmplitude(default_jsa.grid, default_jsa.values * scale))
+    @pytest.mark.parametrize("name", ["fig3a_dip", "fig3b_dip"])
+    def test_a_chirp_on_both_photons_keeps_the_dip_exactly_zero(self, default_jsa, name):
+        # g1 == g2 with the same chirp is exchange symmetric bit for bit, so
+        # the cross pair reads the self pairs' real sums.
+        g1, g2, pump = default_jsa.factors
+        chirp = np.exp(1j * 3000.0 * default_jsa.grid.points**2)
+        jsa = JointSpectralAmplitude(default_jsa.grid, factors=(g1 * chirp, g2 * chirp, pump))
+        assert jsa.symmetric
         assert coincidence_rate(preset(name), 0.0, kernel=RateKernel(jsa)) == 0.0
 
     def test_normalization_invariance(self, fig3a_dip, default_jsa):
-        from biphoton import JointSpectralAmplitude, normalize
-
         grid = default_jsa.grid
         g1, g2, pump = default_jsa.factors
-        scaled = JointSpectralAmplitude(grid, default_jsa.values * 3.7)
         level = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(fig3a_dip))
         for rescaled in (
-            normalize(scaled),
-            scaled,
+            JointSpectralAmplitude(grid, factors=(3.7 * g1, 3.7 * g2, pump)),
             JointSpectralAmplitude(grid, factors=(g1, g2, 3.7 * pump)),
             JointSpectralAmplitude(grid, factors=(3.7 * g1, g2, pump)),
         ):

@@ -17,14 +17,18 @@ from biphoton import (
     coherence_time_from_filter,
     interference_width,
     jsa_swap_distance,
-    l2_norm,
-    normalize,
     sigma_from_coherence_time,
 )
+from biphoton.scan import RateKernel
 from biphoton.spectral import auto_grid, pump_ridge_sigma
 from biphoton.verify import dense_overlap
 
 C_NM_FS = 299.792458
+
+
+def l2_norm(jsa) -> float:
+    """sqrt(sum |f|^2) w of the amplitude's n x n values."""
+    return math.sqrt(float((np.abs(jsa.values) ** 2).sum())) * jsa.grid.weight
 
 
 def swap_overlap_closed_form(params: SpectralParams) -> float:
@@ -315,25 +319,20 @@ class TestFactoredAmplitude:
             JointSpectralAmplitude(grid, factors=(g1, np.where(g2 > 0.5, 1e100, g2), pump))
         JointSpectralAmplitude(grid, factors=(g1, g2, np.where(pump > 0.5, 1e100, pump)))
 
-    def test_takes_either_values_or_factors(self, default_jsa):
+    def test_factors_need_the_grid_lengths_and_finite_squares(self, default_jsa):
         grid = default_jsa.grid
         g1, g2, pump = default_jsa.factors
-        with pytest.raises(ContractViolation):
-            JointSpectralAmplitude(grid)
-        with pytest.raises(ContractViolation):
-            JointSpectralAmplitude(grid, default_jsa.values, factors=default_jsa.factors)
         with pytest.raises(ContractViolation, match="2n - 1"):
             JointSpectralAmplitude(grid, factors=(g1, g2, pump[1:]))
-        for bad in (np.inf, np.nan, 1e200):
+        for bad in (np.inf, np.nan, 1e200, 1e200j, complex(np.nan, 0.0)):
             with pytest.raises(ContractViolation, match="finite squares"):
                 JointSpectralAmplitude(grid, factors=(g1, np.where(g2 > 0.5, g2, bad), pump))
-        # The engine forms products of factors without conjugates, so a
-        # complex factor would give wrong rates; it goes in as values.
+        # A spectral phase on either photon, or on the pump, is a complex
+        # factor; the engine conjugates where the kernel needs it.
         chirp = np.exp(1j * 150.0 * grid.points)
-        for bad in ((g1 * chirp, g2, pump), (g1, g2 * chirp, pump), (g1, g2, pump + 0j)):
-            with pytest.raises(ContractViolation, match="real"):
-                JointSpectralAmplitude(grid, factors=bad)
-        assert JointSpectralAmplitude(grid, default_jsa.values).factors is None
+        for complex_ in ((g1 * chirp, g2, pump), (g1, g2 * chirp, pump), (g1, g2, pump + 0j)):
+            jsa = JointSpectralAmplitude(grid, factors=complex_)
+            assert [f.dtype for f in jsa.factors] == [f.dtype for f in complex_]
 
     def test_arrays_must_be_float_or_complex(self, default_jsa):
         # Integer squares wrap (2^40 squared sums to 0 in int64), and bool
@@ -341,49 +340,38 @@ class TestFactoredAmplitude:
         grid = default_jsa.grid
         g1, g2, pump = default_jsa.factors
         n = grid.n
-        for values in (np.full((n, n), 2**40, dtype=np.int64), np.ones((n, n), dtype=bool)):
-            with pytest.raises(ContractViolation, match=str(values.dtype)):
-                JointSpectralAmplitude(grid, values)
-        wrapping = np.full(n, 2**40, dtype=np.int64)
-        with pytest.raises(ContractViolation, match="int64"):
-            JointSpectralAmplitude(grid, factors=(g1, wrapping, pump))
-        single = JointSpectralAmplitude(grid, default_jsa.values.astype(np.complex64))
+        for bad in (np.full(n, 2**40, dtype=np.int64), np.ones(n, dtype=bool)):
+            with pytest.raises(ContractViolation, match=str(bad.dtype)):
+                JointSpectralAmplitude(grid, factors=(g1, bad, pump))
+        # Narrower floats are kept as float64 and complex128.
+        single = JointSpectralAmplitude(grid, factors=(g1.astype(np.complex64), g2, pump))
+        assert single.factors[0].dtype == np.complex128
         assert l2_norm(single) == pytest.approx(1.0, abs=1e-6)
-
-    def test_dense_values_need_the_grid_shape_and_a_finite_sum_of_squares(self, default_jsa):
-        grid = default_jsa.grid
-        values = default_jsa.values
-        for bad in (values[0], values[:8, :8], values[:, :-1]):
-            with pytest.raises(ContractViolation, match=r"shape \(n, n\)"):
-                JointSpectralAmplitude(grid, bad)
-        # The suite turns RuntimeWarnings into errors, so an overflow on the
-        # way to the refusal would fail here too.
-        infinite = np.where(values > 0.5, np.inf, values)
-        for bad in (values * 1e200, values * (1e200 + 1e200j), infinite, values * np.nan):
-            with pytest.raises(ContractViolation, match="finite sum of squares"):
-                JointSpectralAmplitude(grid, bad)
-        # A zero amplitude is accepted here and refused by normalize.
-        JointSpectralAmplitude(grid, np.zeros_like(values))
 
 
 class TestNormalize:
+    """The n x n values are the factors' product divided by its L2 norm."""
+
     def test_rescales_any_positive_factor(self, default_jsa):
-        scaled = JointSpectralAmplitude(default_jsa.grid, default_jsa.values * 17.5)
-        renormalized = normalize(scaled)
-        assert abs(l2_norm(renormalized) - 1.0) < 1e-12
+        g1, g2, pump = default_jsa.factors
+        scaled = JointSpectralAmplitude(default_jsa.grid, factors=(17.5 * g1, g2, pump))
+        assert abs(l2_norm(scaled) - 1.0) < 1e-12
 
     def test_complex_amplitude_counts_both_parts(self, default_jsa):
-        nu = default_jsa.grid.points
-        chirp = np.exp(1j * 3000.0 * nu[:, None] ** 2)
-        chirped = JointSpectralAmplitude(default_jsa.grid, default_jsa.values * chirp)
+        g1, g2, pump = default_jsa.factors
+        chirp = np.exp(1j * 3000.0 * default_jsa.grid.points**2)
+        chirped = JointSpectralAmplitude(default_jsa.grid, factors=(g1 * chirp, g2, pump))
         assert l2_norm(chirped) == pytest.approx(1.0, abs=1e-14)
-        scaled = JointSpectralAmplitude(chirped.grid, chirped.values * 4.5)
-        assert l2_norm(normalize(scaled)) == pytest.approx(1.0, abs=1e-14)
+        scaled = JointSpectralAmplitude(chirped.grid, factors=(4.5 * g1 * chirp, g2, pump))
+        assert l2_norm(scaled) == pytest.approx(1.0, abs=1e-14)
 
     def test_zero_amplitude_rejected(self, default_jsa):
-        zero = JointSpectralAmplitude(default_jsa.grid, np.zeros_like(default_jsa.values))
+        g1, g2, pump = default_jsa.factors
+        zero = JointSpectralAmplitude(default_jsa.grid, factors=(g1, g2, np.zeros_like(pump)))
         with pytest.raises(ContractViolation):
-            normalize(zero)
+            zero.values
+        with pytest.raises(ContractViolation):
+            RateKernel(zero)._total
 
 
 class TestSwapDistance:
@@ -414,10 +402,11 @@ class TestSwapDistance:
         d_two = jsa_swap_distance(build_jsa(SpectralParams(asymmetry_ratio=2.0)))
         assert d_half == pytest.approx(d_two, rel=1e-9)
 
-    def test_unnormalized_rejected(self, default_jsa):
-        doubled = JointSpectralAmplitude(default_jsa.grid, default_jsa.values * 2.0)
-        with pytest.raises(ContractViolation):
-            jsa_swap_distance(doubled)
+    def test_scale_of_the_factors_does_not_matter(self):
+        jsa = build_jsa(SpectralParams(asymmetry_ratio=2.0))
+        g1, g2, pump = jsa.factors
+        scaled = JointSpectralAmplitude(jsa.grid, factors=(2.0 * g1, g2, 3.0 * pump))
+        assert jsa_swap_distance(scaled) == pytest.approx(jsa_swap_distance(jsa), abs=1e-15)
 
 
 def test_interference_width_equals_filter_time_for_symmetric_pair(default_params):
