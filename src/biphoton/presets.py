@@ -82,7 +82,16 @@ class ExperimentConfig:
         return auto_grid(self.spectral, self.grid.n, self.grid.span_sigma)
 
 
-PRESET_NAMES = ("fig3a_dip", "fig3a_peak", "fig3b_dip", "fig3b_peak", "fig4c")
+# The fields in which each preset differs from the reference setup.
+_PRESET_FIELDS = {
+    "fig3a_dip": dict(qr1_axis=RodAxis.VERTICAL, qr2_axis=RodAxis.VERTICAL),
+    "fig3a_peak": dict(qr1_axis=RodAxis.VERTICAL, qr2_axis=RodAxis.VERTICAL, analyzer2=-45.0),
+    "fig3b_dip": dict(qr1_axis=RodAxis.HORIZONTAL, qr2_axis=RodAxis.HORIZONTAL),
+    "fig3b_peak": dict(qr1_axis=RodAxis.HORIZONTAL, qr2_axis=RodAxis.HORIZONTAL, analyzer2=-45.0),
+    "fig4c": dict(qr1_axis=RodAxis.VERTICAL, qr2_axis=RodAxis.HORIZONTAL),
+}
+
+PRESET_NAMES = tuple(_PRESET_FIELDS)
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -95,24 +104,13 @@ def preset(name: str) -> ExperimentConfig:
     overlap on the beamsplitter but the two paths are distinguishable by
     their pair emission time, so the rate curve stays flat.
     """
-    base = ExperimentConfig()
-    table = {
-        "fig3a_dip": replace(base, qr1_axis=RodAxis.VERTICAL, qr2_axis=RodAxis.VERTICAL),
-        "fig3a_peak": replace(
-            base, qr1_axis=RodAxis.VERTICAL, qr2_axis=RodAxis.VERTICAL, analyzer2=-45.0
-        ),
-        "fig3b_dip": replace(base, qr1_axis=RodAxis.HORIZONTAL, qr2_axis=RodAxis.HORIZONTAL),
-        "fig3b_peak": replace(
-            base, qr1_axis=RodAxis.HORIZONTAL, qr2_axis=RodAxis.HORIZONTAL, analyzer2=-45.0
-        ),
-        "fig4c": replace(base, qr1_axis=RodAxis.VERTICAL, qr2_axis=RodAxis.HORIZONTAL),
-    }
     try:
-        return table[name]
+        fields_of_preset = _PRESET_FIELDS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown preset {name!r}; valid presets: {', '.join(PRESET_NAMES)}"
         ) from None
+    return ExperimentConfig(**fields_of_preset)
 
 
 def _config_keys() -> dict[str, tuple[str | None, str, type]]:

@@ -21,16 +21,16 @@ is crossed, exactly one path swapped. A swapped p transposes the summand,
 which exchanges the ports, so its pair reads the same P_k at D = D_b: D(d)
 is the delay difference at the port that p's arm-1 photon reaches,
 D_a0 + s d or D_b0 - s d. Each pair sum is thus keyed by (crossed, U)
-alone, with one phase per column before the reduction and none after it.
-Uncrossed kernels are real, |F|^2 however complex F, and so are their
-P_k at U = 0, every self pair's among them.
+alone. Uncrossed kernels are real, |F|^2 however complex F, and so are
+their P_k at U = 0, every self pair's among them.
 
-A scan therefore costs one diagonal reduction per distinct (crossed, U)
-and, per delay point, about 2 sqrt(n) complex exps and n complex
-multiply-adds: with k = K B + j and B ~ sqrt(n), the phase e^{i D k h} is
-the product of e^{i D K B h} and e^{i D j h}, so the sums, laid out as a
-(2 n / B) x B matrix, take the B fine phases in one matrix-vector product
-and the n / B coarse phases in a short sum after it. It runs on an
+A scan therefore costs one reduction walk per crossed that its pairs
+read, which reduces every U of that crossed at once (below), and, per
+delay point, about 2 sqrt(n) complex exps and n complex multiply-adds:
+with k = K B + j and B ~ sqrt(n), the phase e^{i D k h} is the product
+of e^{i D K B h} and e^{i D j h}, so the sums, laid out as a (2 n / B)
+x B matrix, take the B fine phases in one matrix-vector product and the
+n / B coarse phases in a short sum after it. It runs on an
 unnormalized amplitude F, f = F / (sqrt(S) w), and divides by S =
 sum |F|^2 afterwards, so w^2 cancels and no rate depends on the scale of
 F; S is the total of the uncrossed sums at U = 0, which a scan needs
@@ -42,10 +42,16 @@ memory. Every kernel of F is a(i) b(j) Q[i + j], where Q = |P|^2, so a
 pump phase cancels, and a = g1 conj(g1 or g2), b = g2 conj(g2 or g1) are
 products of the filter factors, which trade places in F_c. The reduction
 walks it by grid sum: with i + j = 2u + p and i - j = 2t + p of one
-parity p, P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) (up to the phase), so
+parity p, P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) e^{i nu_{u-t} U}, so
 t indexes the sums and a block of a few u, both parities at once, is
-reduced against its Q in one matrix product. Blocks that meet no grid sum
-on which Q is non-zero hold exact zeros and are skipped, so the reduction
+reduced against its Q in one matrix product. On the uniform grid
+nu_{u-t} = nu_0 + (u - t) h, so the column phase splits into
+e^{i (u - n/2) h U}, which goes on the weights Q[2u+p], and
+e^{i (nu_0 + (n/2 - t) h) U}, which multiplies the reduced sums. The
+blocks of a b then carry no phase, real for real factors, and each is
+formed once and reduced against Q for U = 0 and against the cos and sin
+rows of the weights of every other U. Blocks that meet no grid sum on
+which Q is non-zero hold exact zeros and are skipped, so the reduction
 costs O(n W), W the number of such grid sums, with the same bits as the
 full O(n^2) pass.
 
@@ -72,7 +78,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -105,6 +110,9 @@ MAX_TIME_GRID_N = 2048
 # whatever n and the step count.
 _BLOCK = 1 << 14
 
+# 2 pi to the precision of np.longdouble.
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
+
 
 def _lattice(flat: np.ndarray, start: int, strides: tuple[int, ...], shape) -> np.ndarray:
     """View of the 1-D array ``flat`` from element ``start`` on, with
@@ -127,6 +135,24 @@ def _support(values: np.ndarray) -> tuple[int, int] | None:
     return (int(nonzero[0]), int(nonzero[-1])) if len(nonzero) else None
 
 
+def _phase_angles(origin: float, steps: np.ndarray, h: float, shifts: Sequence[float]):
+    """(origin + m h) U mod 2 pi in float64, one row per U in ``shifts`` and
+    one column per m in ``steps``.
+
+    The angles are formed and reduced in np.longdouble, which is 80-bit
+    extended precision on x86-64 Linux, so that the two angles into which
+    a column phase splits add up to nu_j U about as closely as the float64
+    product fl(nu_j U) does. Split in float64, each angle rounds on its
+    own, and the pair sums of 5- and 100-point grids moved from the traces
+    of their kernels by up to 1.3e-14 of sum_k |P_k|, where the float64
+    product keeps them within 1e-14. Where np.longdouble is float64, the
+    split falls back to that accuracy.
+    """
+    x = np.longdouble(origin) + steps.astype(np.longdouble) * np.longdouble(h)
+    angles = np.multiply.outer(np.asarray(shifts, dtype=np.longdouble), x)
+    return np.remainder(angles, _TWO_PI).astype(np.float64)
+
+
 def _port_delay(p: PathAmplitude, q: PathAmplitude, delays: np.ndarray) -> np.ndarray:
     """D(d) of each trombone delay d, the delay difference of paths p and q
     at the port that p's arm-1 photon reaches: the slope at which ``_at``
@@ -140,21 +166,24 @@ def _port_delay(p: PathAmplitude, q: PathAmplitude, delays: np.ndarray) -> np.nd
 class RateKernel:
     """Per-amplitude cache of the pair sums behind the rate.
 
-    Each distinct (crossed, U) costs one diagonal reduction of the kernel
-    F conj(F_c) times its column phase, and each delay point then costs
+    Each distinct (crossed, U) is reduced once from the kernel
+    F conj(F_c) and its column phase, and each delay point then costs
     O(n), read at the slope ``_port_delay`` gives the pair; so a pair and
     its mirror image, both paths' swaps flipped, share one reduction. The
     reduction never holds the kernel whole: ``_diagonal_sums`` walks the
     amplitude's 1-D factors a few grid sums at a time, O(n W) for W grid
-    sums with a non-zero pump. An amplitude that is exchange symmetric bit
-    for bit makes crossing the identity, so every pair reads uncrossed
-    sums.
+    sums with a non-zero pump, and one walk reduces every U of one
+    ``crossed``. ``rate`` asks for the keys of all its pairs at once, so a
+    scan makes one walk per ``crossed`` that its pairs read. An amplitude
+    that is exchange symmetric bit for bit makes crossing the identity, so
+    every pair reads uncrossed sums, all of them from one walk.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude):
         self.jsa = jsa
         self.grid = jsa.grid
         self._diagonals: dict[tuple[bool, float], np.ndarray] = {}
+        self._norm: float | None = None
         n, h = self.grid.n, self.grid.weight
         # k h for k = K B + j >= 0 with B = 2^floor(log2(n) / 2): the coarse
         # lags K B h and the fine lags j h, j < B, each the product fl(k h).
@@ -162,89 +191,152 @@ class RateKernel:
         self._coarse_lags = np.arange(0, n, stride) * h
         self._fine_lags = np.arange(stride) * h
 
-    @cached_property
+    @property
     def _total(self) -> float:
         """S = sum |F|^2 over the grid for the unnormalized amplitude F: the
-        total of the uncrossed sums at U = 0, which are real and are
-        cached, normalized, on the way."""
-        raw = self._diagonal_sums(False, 0.0)
-        total = float(raw.sum())
-        if not (total > 0.0 and math.isfinite(total)):
-            raise ContractViolation("cannot normalize a zero or non-finite amplitude")
-        self._diagonals[(False, 0.0)] = raw / total
-        return total
+        total of the uncrossed sums at U = 0, which the kernel's first walk
+        reduces along with the keys it was asked for."""
+        if self._norm is None:
+            self._reduce(())
+        return self._norm
+
+    def _key(self, p: PathAmplitude, q: PathAmplitude) -> tuple[bool, float]:
+        """(crossed, U) of paths p, q at d = 0."""
+        crossed = p.swapped != q.swapped and not self.jsa.symmetric
+        return crossed, (p.delay_a - q.delay_a) + (p.delay_b - q.delay_b)
+
+    def _reduce(self, keys) -> None:
+        """Cache the normalized pair sums of each key in ``keys`` that is not
+        cached yet, in one ``_diagonal_sums`` walk per ``crossed``, the
+        uncrossed one first. Until S is known that walk also reduces U = 0,
+        whose total S divides every sum: with f = F / (sqrt(S) w),
+        w^2 sum F F_c / (S w^2) = sum F F_c / S."""
+        missing = {key for key in keys if key not in self._diagonals}
+        if self._norm is None:
+            missing.add((False, 0.0))
+        for crossed in (False, True):
+            shifts = sorted({shift for c, shift in missing if c == crossed})
+            if not shifts:
+                continue
+            raw = self._diagonal_sums(crossed, shifts)
+            if self._norm is None:
+                total = float(raw[shifts.index(0.0)].sum())
+                if not (total > 0.0 and math.isfinite(total)):
+                    raise ContractViolation("cannot normalize a zero or non-finite amplitude")
+                self._norm = total
+            for shift, sums in zip(shifts, raw):
+                self._diagonals[crossed, shift] = sums / self._norm
 
     def pair_sum(self, p: PathAmplitude, q: PathAmplitude) -> np.ndarray:
         """The diagonal sums P_k(crossed, U) of paths p, q taken at d = 0;
         index k + n - 1 holds diagonal k = i - j. T(p, q) at trombone delay
         d is sum_k P_k e^{i k h D(d)}, at the slope D(d) = D_a0 + s d when p
         is unswapped and D_b0 - s d when p is swapped, s = swap_q - swap_p."""
-        crossed = p.swapped != q.swapped and not self.jsa.symmetric
-        key = (crossed, (p.delay_a - q.delay_a) + (p.delay_b - q.delay_b))
-        # With f = F / (sqrt(S) w), w^2 sum F F_c / (S w^2) = sum F F_c / S.
-        total = self._total
-        if key not in self._diagonals:
-            self._diagonals[key] = self._diagonal_sums(*key) / total
+        key = self._key(p, q)
+        self._reduce([key])
         return self._diagonals[key]
 
-    def _diagonal_sums(self, crossed: bool, shift: float) -> np.ndarray:
-        """P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) for k = 2t + p = 1 - n,
-        ..., n - 1, unnormalized: the sums sum_{i-j=k} F(i,j) conj(F_c(i,j))
-        e^{i nu_j U} of the kernel a(i) b(j) Q[i + j], U = ``shift``. F(i, j)
-        is g1[i] g2[j] pump[i + j], with g1 and g2 trading places in F_c when
-        ``crossed``, so a = g1 conj(g1 or g2), b = g2 conj(g2 or g1) times the
-        column phase and Q = |pump|^2. A block of ``rows`` values of u is
-        reduced in one matrix product, on real views unless a is complex.
+    def _diagonal_sums(self, crossed: bool, shifts: Sequence[float]) -> list[np.ndarray]:
+        """For each U in ``shifts``, P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t)
+        e^{i nu_{u-t} U} for k = 2t + p = 1 - n, ..., n - 1, unnormalized:
+        the sums sum_{i-j=k} F(i,j) conj(F_c(i,j)) e^{i nu_j U} of the kernel
+        a(i) b(j) Q[i + j] times its column phase. F(i, j) is g1[i] g2[j]
+        pump[i + j], with g1 and g2 trading places in F_c when ``crossed``,
+        so a = g1 conj(g1 or g2), b = g2 conj(g2 or g1) and Q = |pump|^2.
 
-        Blocks start at multiples of ``rows``, and only those that meet a grid
-        sum 2u + p on which Q is non-zero are walked. Any other block holds
-        products with Q = 0, zeros of either sign since the products of factors
-        are finite (``JointSpectralAmplitude`` checks), and would add them to
-        sums that start at +0 and never turn -0; so a narrower support gives
-        the same bits. A block spans the t at which some (u + t + p, u - t) lies
-        on the grid, and reads the zeros padding a and b for the rest.
+        One walk reduces every U. With nu_j = nu_0 + j h and j = u - t, the
+        column phase splits into e^{i (u - n/2) h U}, which ``_walk`` puts
+        on the pump weights, and e^{i (nu_0 + (n/2 - t) h) U}, which
+        multiplies the sums it returns. So the blocks of a b carry no phase,
+        and the sums at U = 0 get the same bits whatever else the walk
+        reduces.
+        """
+        n, h = self.grid.n, self.grid.weight
+        phased = [shift for shift in shifts if shift]
+        # The walk's blocks and weights are freed before the sums are phased.
+        at_rest, reduced = self._walk(crossed, len(phased) < len(shifts), phased)
+        # The angles (nu_0 + (n/2 - t) h) U for t = -(n // 2), ..., (n - 1) // 2.
+        angles = _phase_angles(self.grid.points[0], n / 2 + n // 2 - np.arange(n), h, phased)
+
+        def interleave(sums):
+            # sums[p, t + n // 2] holds P_{2t+p}, which sits at 2 (n // 2) + k.
+            return sums.T.copy().reshape(-1)[1 - n % 2 :][: 2 * n - 1]
+
+        out = {0.0: interleave(at_rest)} if at_rest is not None else {}
+        for m, (shift, angle) in enumerate(zip(phased, angles)):
+            phased_sums = reduced[:, 2 * m] + 1j * reduced[:, 2 * m + 1]
+            out[shift] = interleave(phased_sums * np.exp(1j * angle))
+        return [out[shift] for shift in shifts]
+
+    def _walk(self, crossed: bool, at_rest: bool, phased: list[float]):
+        """Reduce the blocks of a(u + t + p) b(u - t) against Q[2u + p] when
+        ``at_rest``, and against Q cos and Q sin of the weight angle
+        (u - n/2) h U for each U in ``phased``. Returns the sums at rest,
+        sums[p, t + n // 2], or None, and the phased ones,
+        reduced[p, 2 m + (0 for cos, 1 for sin), t + n // 2] for the m-th U,
+        all of the dtype of a.
+
+        A block of ``rows`` values of u, both parities at once, is formed
+        once. It is reduced in one matrix product against Q, the same call
+        whatever else the walk reduces, and in one more against the stacked
+        cos and sin rows of every phased U, on a real view even when a is
+        complex. Blocks start at multiples of ``rows``, and only those that
+        meet a grid sum 2u + p on which Q is non-zero are walked. Any other
+        block holds products with Q = 0, zeros of either sign since the
+        products of factors are finite (``JointSpectralAmplitude`` checks),
+        and would add them to sums that start at +0 and never turn -0; so a
+        narrower support gives the same bits. A block spans the t at which
+        some (u + t + p, u - t) lies on the grid, and reads the zeros
+        padding a and b for the rest.
         """
         g1, g2, pump = self.jsa.factors
-        n = self.grid.n
+        n, h = self.grid.n, self.grid.weight
         rows = min(n, max(1, _BLOCK // n))
+        # |g1|^2 and |g2|^2 are real however complex the factors.
+        dtype = np.result_type(g1, g2) if crossed else np.dtype(np.float64)
+        padded_a = np.zeros(n + 2 * rows, dtype)
+        reversed_b = np.zeros(n + 2 * rows, dtype)
         if crossed:
-            a, b = _times_conj(g1, g2), _times_conj(g2, g1)
+            padded_a[rows : rows + n] = _times_conj(g1, g2)
+            reversed_b[rows : rows + n] = _times_conj(g2, g1)[::-1]
         else:
-            # |g1|^2 and |g2|^2, real however complex the factors.
-            a, b = _times_conj(g1, g1).real, _times_conj(g2, g2).real
-        if shift:
-            b = b * np.exp(1j * self.grid.points * shift)
-        # A real a multiplies the real and imaginary parts of b alike.
-        parts = b.itemsize // a.itemsize
-        padded_a = np.zeros(n + 2 * rows, dtype=a.dtype)
-        reversed_b = np.zeros((n + 2 * rows) * parts, dtype=a.dtype)
-        padded_a[rows : rows + n] = a
-        reversed_b.view(b.dtype)[rows : rows + n] = b[::-1]
-        weights = _times_conj(pump, pump).real
-        # sums[p, :, t + n // 2] holds P_{2t+p}, and pairs[p, u] is Q[2u + p],
-        # with Q = 0 at the grid sum 2n - 1.
-        sums = np.zeros((2, parts, n), dtype=a.dtype)
-        pairs = np.append(weights, 0.0).reshape(n, 2).T.copy()
-        buffer = np.empty(2 * rows * parts * n, dtype=a.dtype)
-        support = _support(weights)
+            padded_a[rows : rows + n] = _times_conj(g1, g1).real
+            reversed_b[rows : rows + n] = _times_conj(g2, g2).real[::-1]
+        # pairs[p, u] is Q[2u + p], with Q = 0 at the grid sum 2n - 1.
+        pairs = np.zeros(2 * n)
+        pairs[:-1] = _times_conj(pump, pump).real
+        support = _support(pairs)
+        pairs = pairs.reshape(n, 2).T.copy()
+        # Rows 2 m and 2 m + 1 of weights[p] are Q[2u + p] times the cos and
+        # the sin of the m-th weight angle.
+        angles = _phase_angles(0.0, np.arange(n) - n / 2, h, phased)
+        weights = np.empty((2, 2 * len(phased), n))
+        np.multiply(pairs[:, None], np.cos(angles), out=weights[:, 0::2])
+        np.multiply(pairs[:, None], np.sin(angles), out=weights[:, 1::2])
+        # A complex block is reduced against the phased weights as its
+        # interleaved real and imaginary parts.
+        parts = dtype.itemsize // 8
+        sums = np.zeros((2, n), dtype) if at_rest else None
+        reduced = np.zeros((2, 2 * len(phased), parts * n))
+        buffer = np.empty(2 * rows * n, dtype)
         first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
         for u0 in range(first - first % rows, last + 1, rows):
             u1 = min(n, u0 + rows)
             t0 = max(u0 - n + 1, -u1, -(n // 2))
             t1 = min(u1 - 1, n - 1 - u0, (n - 1) // 2) + 1
-            shape = (2, u1 - u0, parts, t1 - t0)
+            shape = (2, u1 - u0, t1 - t0)
             block = buffer[: math.prod(shape)].reshape(shape)
             # a(u + t + p) advances with p, u and t; b(u - t), at n - 1 - u + t
             # of the reversed b, falls with u and advances with t.
-            a_view = _lattice(padded_a, rows + u0 + t0, (1, 1, 0, 1), shape)
-            b_start = parts * (rows + n - 1 - u0 + t0)
-            b_view = _lattice(reversed_b, b_start, (0, -parts, 1, parts), shape)
+            a_view = _lattice(padded_a, rows + u0 + t0, (1, 1, 1), shape)
+            b_view = _lattice(reversed_b, rows + n - 1 - u0 + t0, (0, -1, 1), shape)
             np.multiply(a_view, b_view, out=block)
-            reduced = np.matmul(pairs[:, None, u0:u1], block.reshape(2, u1 - u0, -1))
-            sums[:, :, t0 + n // 2 : t1 + n // 2] += reduced.reshape(2, parts, -1)
-        # Interleaved, P_k sits at 2 (n // 2) + k.
-        sums = sums.transpose(2, 0, 1).copy().view(b.dtype)
-        return sums.reshape(-1)[1 - n % 2 :][: 2 * n - 1]
+            if at_rest:
+                sums[:, t0 + n // 2 : t1 + n // 2] += np.matmul(pairs[:, None, u0:u1], block)[:, 0]
+            if phased:
+                columns = slice(parts * (t0 + n // 2), parts * (t1 + n // 2))
+                reduced[:, :, columns] += np.matmul(weights[:, :, u0:u1], block.view(np.float64))
+        return sums, reduced.view(dtype)
 
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """sum_k P_k e^{i x k h} for each slope x = D(d).
@@ -284,6 +376,7 @@ class RateKernel:
         """Rates at each trombone delay in ``delays`` for ``paths``, the
         coincidence paths at d = 0."""
         delays = np.asarray(delays, dtype=float)
+        self._reduce([self._key(p, q) for i, p in enumerate(paths) for q in paths[i:]])
         total = np.zeros(delays.shape)
         # |c|^2 is formed as c conj(c), the same product as the cross terms,
         # so two paths with equal pair sums and c_q = -c_p cancel exactly.
@@ -326,14 +419,17 @@ def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
 
     Zero iff the amplitude is exchange symmetric; this bounds the visibility
     any analyzer setting can reach. It is 1 - |sum_k P_k| of the
-    (unswapped, swapped) pair of delay-free paths.
+    (unswapped, swapped) pair of delay-free paths. A zero or non-finite
+    amplitude is refused, symmetric or not.
     """
+    kernel = RateKernel(jsa)
+    kernel._total  # refuses an amplitude without a norm
     if jsa.symmetric:
         # Identical arrays overlap perfectly by definition.
         return 0.0
     unswapped = PathAmplitude("unswapped", 1.0, 0.0, 0.0, False)
     swapped = PathAmplitude("swapped", 1.0, 0.0, 0.0, True)
-    return 1.0 - float(abs(RateKernel(jsa).at_rest(unswapped, swapped)))
+    return 1.0 - float(abs(kernel.at_rest(unswapped, swapped)))
 
 
 def _check_alias(

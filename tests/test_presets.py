@@ -17,7 +17,7 @@ from biphoton import (
     run_sweep,
     scan_delay,
 )
-from biphoton.presets import CONFIG_KEYS, with_value
+from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, with_value
 from biphoton.scan import MAX_SWEEP_ROWS, RateKernel
 
 
@@ -48,6 +48,21 @@ class TestPresetFidelity:
     def test_unknown_preset_lists_names(self):
         with pytest.raises(ConfigurationError, match="fig3a_dip"):
             preset("nosuch")
+
+    def test_a_preset_builds_only_its_own_config(self, monkeypatch):
+        built = []
+        check = ExperimentConfig.__post_init__
+
+        def counted(config):
+            built.append(config)
+            check(config)
+
+        monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+        assert PRESET_NAMES == ("fig3a_dip", "fig3a_peak", "fig3b_dip", "fig3b_peak", "fig4c")
+        for name in PRESET_NAMES:
+            built.clear()
+            config = preset(name)
+            assert len(built) == 1 and built[0] is config
 
 
 class TestPresetScans:

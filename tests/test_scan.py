@@ -291,24 +291,45 @@ class TestRateKernel:
         reversed_sums = transposed.pair_sum(unswapped, unswapped)[::-1]
         assert np.allclose(reversed_sums, sums[0], rtol=0.0, atol=1e-15)
 
+    @staticmethod
+    def count_walks(monkeypatch):
+        """The (crossed, shifts) of each reduction walk from now on."""
+        walks = []
+        reduce = RateKernel._diagonal_sums
+
+        def counted(self, crossed, shifts):
+            walks.append((crossed, tuple(shifts)))
+            return reduce(self, crossed, shifts)
+
+        monkeypatch.setattr(RateKernel, "_diagonal_sums", counted)
+        return walks
+
     @pytest.mark.parametrize("name", ["fig3a_dip", "fig4c"])
     def test_an_asymmetric_scan_makes_two_reductions(self, monkeypatch, name):
         config = replace(preset(name), spectral=SpectralParams(asymmetry_ratio=2.0))
         kernel = RateKernel(build_jsa(config.spectral, config.frequency_grid()))
-        keys = []
-        reduce = RateKernel._diagonal_sums
-
-        def counted(self, *key):
-            keys.append(key)
-            return reduce(self, *key)
-
-        monkeypatch.setattr(RateKernel, "_diagonal_sums", counted)
+        walks = self.count_walks(monkeypatch)
         scan_delay(config, kernel=kernel)
-        assert len(keys) == 2 and {crossed for crossed, _ in keys} == {False, True}
+        assert len(walks) == 2 and {crossed for crossed, _ in walks} == {False, True}
         # The swapped self pair reads the unswapped one's sums at D = 0.
         rr, tt = enumerate_paths(config)
         assert rr.swapped != tt.swapped
         assert kernel.at_rest(tt, tt).tobytes() == kernel.at_rest(rr, rr).tobytes()
+
+    @pytest.mark.parametrize("rho, walks", [(1.0, 1), (2.0, 2)])
+    def test_a_fig4c_scan_makes_one_walk_per_crossed(self, monkeypatch, rho, walks):
+        # The cross pair of fig4c has U != 0. A symmetric amplitude reduces
+        # it with the self pairs' U = 0 in one uncrossed walk; an asymmetric
+        # one crosses it and walks twice.
+        config = replace(preset("fig4c"), spectral=SpectralParams(asymmetry_ratio=rho))
+        rr, tt = enumerate_paths(config)
+        shift = rr.delay_a - tt.delay_a + rr.delay_b - tt.delay_b
+        assert shift != 0.0
+        counted = self.count_walks(monkeypatch)
+        scan_delay(config)
+        assert len(counted) == walks
+        assert sorted(s for _, shifts in counted for s in shifts) == sorted([0.0, shift])
+        assert {crossed for crossed, _ in counted} == ({False} if rho == 1.0 else {False, True})
 
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
@@ -319,7 +340,13 @@ class TestRateKernel:
         jsa = build_jsa(spectral)
         dense = RateKernel(jsa)
         nu = jsa.grid.points
-        monkeypatch.setattr(dense, "_diagonal_sums", lambda *key: dense_sums(jsa.values, nu, *key))
+        reduced = []
+
+        def dense_walk(crossed, shifts):
+            reduced.extend((crossed, shift) for shift in shifts)
+            return [dense_sums(jsa.values, nu, crossed, shift) for shift in shifts]
+
+        monkeypatch.setattr(dense, "_diagonal_sums", dense_walk)
         kernels = RateKernel(jsa), dense
         delays = np.linspace(-1500.0, 1500.0, 41)
         for name in PRESET_NAMES:
@@ -331,6 +358,8 @@ class TestRateKernel:
                     assert np.abs(from_factors - from_values).max() <= 1e-13
             rates = [k.rate(paths, delays) for k in kernels]
             assert np.abs(rates[0] - rates[1]).max() <= 1e-13 * level
+        # Every sum of the dense kernel was read off the values.
+        assert reduced and sorted(reduced) == sorted(dense._diagonals)
 
     def test_a_scan_holds_no_square_array(self):
         # One n x n float64 array at n = 2048 is 32 MiB; building the
@@ -403,13 +432,14 @@ class TestPumpBand:
     entry is an exact zero, so the reduction skips those columns; the
     sums keep their bits."""
 
-    # Every key (crossed, U): no column phase, the phase of fig4c's cross
-    # pair, and one of delays D_a0 = 100, D_b0 = 250.
-    KEYS = [(crossed, shift) for crossed in (False, True) for shift in (0.0, -1260.0, 350.0)]
+    # The shifts U of every walk: no column phase, the phase of fig4c's
+    # cross pair, and one of delays D_a0 = 100, D_b0 = 250.
+    SHIFTS = (0.0, -1260.0, 350.0)
 
     def all_sums(self, jsa):
+        """The sums of every shift, crossed and uncrossed, one walk each."""
         kernel = RateKernel(jsa)
-        return [kernel._diagonal_sums(*key) for key in self.KEYS]
+        return [s for crossed in (False, True) for s in kernel._diagonal_sums(crossed, self.SHIFTS)]
 
     @pytest.mark.parametrize("name", ["fig4c", "fig3a_dip"])
     @pytest.mark.parametrize("tau_p", [630.0, 6300.0])
@@ -512,36 +542,41 @@ class TestDiagonalSums:
                 else:
                     values = kernel.jsa.values
                     scale = kernel._total * grid.weight**2
-                for crossed, shift in TestPumpBand.KEYS:
-                    expected = dense_sums(values, nu, crossed, shift) * scale
-                    sums = kernel._diagonal_sums(crossed, shift)
-                    assert sums.shape == (2 * n - 1,)
-                    error = np.abs(sums - expected).max()
-                    assert error <= 1e-14 * np.abs(expected).sum()
+                for crossed in (False, True):
+                    walk = kernel._diagonal_sums(crossed, TestPumpBand.SHIFTS)
+                    for shift, sums in zip(TestPumpBand.SHIFTS, walk, strict=True):
+                        expected = dense_sums(values, nu, crossed, shift) * scale
+                        assert sums.shape == (2 * n - 1,)
+                        error = np.abs(sums - expected).max()
+                        assert error <= 1e-14 * np.abs(expected).sum()
 
     def test_working_memory_does_not_grow_with_the_band(self):
         # fig4c at n = 8192: the pump band is every grid sum at 120 fs and
-        # a few hundred at 6300 fs. A pair sum holds O(n) arrays and one
-        # block of 2 _BLOCK entries per part; a kernel as wide as the band
-        # would add to it.
+        # a few hundred at 6300 fs. A walk holds O(n) arrays and one block
+        # of 2 _BLOCK entries; a kernel as wide as the band would add to it.
+        # At rho = 2 the self and the cross pair walk apart, (False, 0) and
+        # (True, U); at rho = 1 one walk reduces (False, 0) and (False, U).
         n = 8192
         peaks = {}
         for tau_p in (120.0, 6300.0):
-            params = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=tau_p)
-            kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
-            rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
-            for p, q in ((rr, rr), (rr, tt)):
-                key = (p.swapped != q.swapped, p.delay_a - q.delay_a + p.delay_b - q.delay_b)
-                tracemalloc.start()
-                try:
-                    out = kernel._diagonal_sums(*key)
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                peaks[tau_p, out.dtype.name] = peak - out.nbytes
+            for rho in (1.0, 2.0):
+                params = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
+                kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+                rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
+                keys = {kernel._key(rr, rr), kernel._key(rr, tt)}
+                for crossed in sorted({crossed for crossed, _ in keys}):
+                    shifts = sorted(shift for c, shift in keys if c == crossed)
+                    tracemalloc.start()
+                    try:
+                        out = kernel._diagonal_sums(crossed, shifts)
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    peaks[tau_p, rho, crossed] = peak - sum(sums.nbytes for sums in out)
+        assert {key[1:] for key in peaks} == {(1.0, False), (2.0, False), (2.0, True)}
         assert max(peaks.values()) <= 2 * 2**20
-        for dtype in ("float64", "complex128"):
-            assert abs(peaks[120.0, dtype] - peaks[6300.0, dtype]) <= 16 * n
+        for _, rho, crossed in peaks:
+            assert abs(peaks[120.0, rho, crossed] - peaks[6300.0, rho, crossed]) <= 16 * n
 
     def test_overlaps_hold_no_square_array(self):
         # fig4c at n = 8192, where one n x n float64 array is 512 MiB: each
@@ -569,15 +604,15 @@ class TestDiagonalSums:
             g1, g2, pump = jsa.factors
             chirp = np.exp(1j * 3000.0 * jsa.grid.points**2)
             kernel = RateKernel(JointSpectralAmplitude(jsa.grid, factors=(g1 * chirp, g2, pump)))
-            for key in [(True, 0.0), (True, -1260.0)]:
+            for shifts in [(0.0,), (-1260.0,), (0.0, -1260.0)]:
                 tracemalloc.start()
                 try:
-                    out = kernel._diagonal_sums(*key)
+                    out = kernel._diagonal_sums(True, shifts)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                assert out.dtype == np.complex128
-                assert peak - out.nbytes <= 2 * 2**20
+                assert all(sums.dtype == np.complex128 for sums in out)
+                assert peak - sum(sums.nbytes for sums in out) <= 2 * 2**20
 
 
 class TestRealEngine:
@@ -666,7 +701,7 @@ class TestRealEngine:
     def test_real_amplitude_keeps_self_sums_real(self, default_jsa):
         kernel = RateKernel(default_jsa)
         rr, tt = enumerate_paths(preset("fig4c"))
-        assert kernel._diagonal_sums(False, 0.0).dtype == np.float64
+        assert kernel._diagonal_sums(False, [0.0])[0].dtype == np.float64
         assert kernel.pair_sum(rr, rr).dtype == np.float64
         assert kernel.pair_sum(rr, tt).dtype == np.complex128
 

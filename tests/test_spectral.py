@@ -15,8 +15,11 @@ from biphoton import (
     build_grid,
     build_jsa,
     coherence_time_from_filter,
+    enumerate_paths,
     interference_width,
     jsa_swap_distance,
+    path_overlap,
+    preset,
     sigma_from_coherence_time,
 )
 from biphoton.scan import RateKernel
@@ -377,6 +380,17 @@ class TestNormalize:
 class TestSwapDistance:
     def test_symmetric_is_exactly_zero(self, default_jsa):
         assert jsa_swap_distance(default_jsa) == 0.0
+
+    def test_a_zero_amplitude_is_refused_however_symmetric(self, default_jsa):
+        # Equal filter factors make the amplitude symmetric bit for bit; its
+        # zero pump leaves nothing to normalize, as for the path overlap.
+        g, _, pump = default_jsa.factors
+        zero = JointSpectralAmplitude(default_jsa.grid, factors=(g, g, np.zeros_like(pump)))
+        assert zero.symmetric
+        paths = enumerate_paths(preset("fig3a_dip"))
+        for overlap in (lambda: jsa_swap_distance(zero), lambda: path_overlap(paths, zero)):
+            with pytest.raises(ContractViolation, match="normalize"):
+                overlap()
 
     def test_matches_closed_form(self):
         params = SpectralParams(asymmetry_ratio=2.0)
