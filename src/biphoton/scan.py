@@ -26,11 +26,14 @@ their P_k at U = 0, every self pair's among them.
 
 A scan therefore costs one reduction walk per crossed that its pairs
 read, which reduces every U of that crossed at once (below), and, per
-delay point, about 2 sqrt(n) complex exps and n complex multiply-adds:
+delay point, about log2(n) complex exps and n complex multiply-adds:
 with k = K B + j and B ~ sqrt(n), the phase e^{i D k h} is the product
 of e^{i D K B h} and e^{i D j h}, so the sums, laid out as a (2 n / B)
 x B matrix, take the B fine phases in one matrix-vector product and the
-n / B coarse phases in a short sum after it. It runs on an
+n / B coarse phases in a short sum after it. Both tables are built by
+doubling from the phases of the lags 2^b h and 2^b B h, each phase a
+product of at most log2(n / B) of them. Every self pair reads the same
+sums at D = 0, so a scan reads its self term once. It runs on an
 unnormalized amplitude F, f = F / (sqrt(S) w), and divides by S =
 sum |F|^2 afterwards, so w^2 cancels and no rate depends on the scale of
 F; S is the total of the uncrossed sums at U = 0, which a scan needs
@@ -53,7 +56,10 @@ formed once and reduced against Q for U = 0 and against the cos and sin
 rows of the weights of every other U. Blocks that meet no grid sum on
 which Q is non-zero hold exact zeros and are skipped, so the reduction
 costs O(n W), W the number of such grid sums, with the same bits as the
-full O(n^2) pass.
+full O(n^2) pass. When a == b bit for bit, as for equal filter factors
+uncrossed and for real ones crossed, the kernel is symmetric and
+P_-k = e^{i k h U} P_k, so the walk reduces k >= 0 only, half the
+blocks' products, and fills k < 0 from them.
 
 The path overlaps read the same pair sums at d = 0: two paths overlap
 by conj(c_p) c_q T(q, p) / (|c_p| |c_q|), the self pairs summing to 1,
@@ -135,9 +141,9 @@ def _support(values: np.ndarray) -> tuple[int, int] | None:
     return (int(nonzero[0]), int(nonzero[-1])) if len(nonzero) else None
 
 
-def _phase_angles(origin: float, steps: np.ndarray, h: float, shifts: Sequence[float]):
+def _phase_angles(origin, steps: np.ndarray, h: float, shifts: Sequence[float]):
     """(origin + m h) U mod 2 pi in float64, one row per U in ``shifts`` and
-    one column per m in ``steps``.
+    one column per m in ``steps``; ``origin`` is one number or one per m.
 
     The angles are formed and reduced in np.longdouble, which is 80-bit
     extended precision on x86-64 Linux, so that the two angles into which
@@ -148,9 +154,31 @@ def _phase_angles(origin: float, steps: np.ndarray, h: float, shifts: Sequence[f
     product keeps them within 1e-14. Where np.longdouble is float64, the
     split falls back to that accuracy.
     """
-    x = np.longdouble(origin) + steps.astype(np.longdouble) * np.longdouble(h)
+    x = np.asarray(origin, dtype=np.longdouble) + steps.astype(np.longdouble) * np.longdouble(h)
     angles = np.multiply.outer(np.asarray(shifts, dtype=np.longdouble), x)
     return np.remainder(angles, _TWO_PI).astype(np.float64)
+
+
+def _phase_tables(base: np.ndarray, fine_steps: int, coarse_steps: int):
+    """The fine phases e^{i x j h}, fine[x, j] for j < ``fine_steps``, and
+    the coarse phases e^{i x K B h}, coarse[x, half, K] for K <
+    ``coarse_steps``, repeated for both halves of the sums, from
+    ``base[b, x]``, the phases of the base lags 2^b h and 2^b B h.
+
+    Phase 0 is 1, and each base phase doubles the phases filled so far, so
+    each is the product of at most log2(coarse_steps) base phases, and
+    exactly 1 +- 0i at x = +-0. The table is filled with the step as its
+    leading axis, where each product reads and writes whole contiguous
+    blocks, and copied out with it as the last.
+    """
+    table = np.empty((coarse_steps, *base.shape[1:]), dtype=np.complex128)
+    table[0] = 1.0
+    for b, phase in enumerate(base):
+        width = 1 << b
+        end = min(2 * width, coarse_steps)
+        np.multiply(table[: end - width], phase, out=table[width:end])
+    fine = table[:fine_steps, :, 0].T.copy()
+    return fine, np.repeat(table[:, None, :, 1].T, 2, axis=1)
 
 
 def _port_delay(p: PathAmplitude, q: PathAmplitude, delays: np.ndarray) -> np.ndarray:
@@ -173,10 +201,11 @@ class RateKernel:
     reduction never holds the kernel whole: ``_diagonal_sums`` walks the
     amplitude's 1-D factors a few grid sums at a time, O(n W) for W grid
     sums with a non-zero pump, and one walk reduces every U of one
-    ``crossed``. ``rate`` asks for the keys of all its pairs at once, so a
-    scan makes one walk per ``crossed`` that its pairs read. An amplitude
-    that is exchange symmetric bit for bit makes crossing the identity, so
-    every pair reads uncrossed sums, all of them from one walk.
+    ``crossed``, only half of it when its kernel is symmetric. ``rate``
+    asks for the keys of all its pairs at once, so a scan makes one walk
+    per ``crossed`` that its pairs read. An amplitude that is exchange
+    symmetric bit for bit makes crossing the identity, so every pair reads
+    uncrossed sums, all of them from one walk.
     """
 
     def __init__(self, jsa: JointSpectralAmplitude):
@@ -185,11 +214,13 @@ class RateKernel:
         self._diagonals: dict[tuple[bool, float], np.ndarray] = {}
         self._norm: float | None = None
         n, h = self.grid.n, self.grid.weight
-        # k h for k = K B + j >= 0 with B = 2^floor(log2(n) / 2): the coarse
-        # lags K B h and the fine lags j h, j < B, each the product fl(k h).
-        stride = 1 << (int(n).bit_length() - 1) // 2
-        self._coarse_lags = np.arange(0, n, stride) * h
-        self._fine_lags = np.arange(stride) * h
+        # k = K B + j >= 0 with B = 2^floor(log2(n) / 2), j < B and K < n / B.
+        # Row b of the base lags holds the fine lag 2^b h and the coarse lag
+        # 2^b B h, each exact as a power of two times h, for 2^b < n / B.
+        fine = 1 << (int(n).bit_length() - 1) // 2
+        self._steps = fine, -(-int(n) // fine)
+        bits = np.arange((self._steps[1] - 1).bit_length())[:, None, None]
+        self._base_lags = np.ldexp([h, fine * h], bits)
 
     @property
     def _total(self) -> float:
@@ -250,31 +281,40 @@ class RateKernel:
         multiplies the sums it returns. So the blocks of a b carry no phase,
         and the sums at U = 0 get the same bits whatever else the walk
         reduces.
+
+        When a == b the kernel is symmetric, K(i, j) = K(j, i), so
+        P_-k = e^{i k h U} P_k, and the walk reduces k >= 0 only. The sums
+        of -k = 2t' + p, t' = -t - p, are then those of k, copied, times the
+        phase of t': (n/2 - t') h = (n/2 - t) h + k h carries e^{i k h U}.
         """
-        n, h = self.grid.n, self.grid.weight
+        n = self.grid.n
         phased = [shift for shift in shifts if shift]
         # The walk's blocks and weights are freed before the sums are phased.
-        at_rest, reduced = self._walk(crossed, len(phased) < len(shifts), phased)
-        # The angles (nu_0 + (n/2 - t) h) U for t = -(n // 2), ..., (n - 1) // 2.
-        angles = _phase_angles(self.grid.points[0], n / 2 + n // 2 - np.arange(n), h, phased)
+        at_rest, reduced, angles, mirrored = self._walk(crossed, len(phased) < len(shifts), phased)
 
         def interleave(sums):
             # sums[p, t + n // 2] holds P_{2t+p}, which sits at 2 (n // 2) + k.
-            return sums.T.copy().reshape(-1)[1 - n % 2 :][: 2 * n - 1]
+            out = sums.T.copy().reshape(-1)[1 - n % 2 :][: 2 * n - 1]
+            if mirrored:
+                out[n - 2 :: -1] = out[n:]
+            return out
 
         out = {0.0: interleave(at_rest)} if at_rest is not None else {}
         for m, (shift, angle) in enumerate(zip(phased, angles)):
-            phased_sums = reduced[:, 2 * m] + 1j * reduced[:, 2 * m + 1]
-            out[shift] = interleave(phased_sums * np.exp(1j * angle))
+            # The phase of t, at k = 2t and 2t + 1.
+            phases = np.repeat(np.exp(1j * angle), 2)[1 - n % 2 :][: 2 * n - 1]
+            out[shift] = interleave(reduced[:, 2 * m] + 1j * reduced[:, 2 * m + 1]) * phases
         return [out[shift] for shift in shifts]
 
     def _walk(self, crossed: bool, at_rest: bool, phased: list[float]):
         """Reduce the blocks of a(u + t + p) b(u - t) against Q[2u + p] when
         ``at_rest``, and against Q cos and Q sin of the weight angle
         (u - n/2) h U for each U in ``phased``. Returns the sums at rest,
-        sums[p, t + n // 2], or None, and the phased ones,
+        sums[p, t + n // 2], or None; the phased ones,
         reduced[p, 2 m + (0 for cos, 1 for sin), t + n // 2] for the m-th U,
-        all of the dtype of a.
+        all of the dtype of a; the sum angles (nu_0 + (n/2 - t) h) U,
+        angles[m, t + n // 2]; and whether a == b, in which case only the
+        sums of t >= 0 are reduced and the rest are zeros.
 
         A block of ``rows`` values of u, both parities at once, is formed
         once. It is reduced in one matrix product against Q, the same call
@@ -302,17 +342,26 @@ class RateKernel:
         else:
             padded_a[rows : rows + n] = _times_conj(g1, g1).real
             reversed_b[rows : rows + n] = _times_conj(g2, g2).real[::-1]
+        mirrored = np.array_equal(padded_a, reversed_b[::-1])
         # pairs[p, u] is Q[2u + p], with Q = 0 at the grid sum 2n - 1.
         pairs = np.zeros(2 * n)
         pairs[:-1] = _times_conj(pump, pump).real
         support = _support(pairs)
         pairs = pairs.reshape(n, 2).T.copy()
+        # The weight angles (u - n/2) h U, then the sum angles, in one table.
         # Rows 2 m and 2 m + 1 of weights[p] are Q[2u + p] times the cos and
         # the sin of the m-th weight angle.
-        angles = _phase_angles(0.0, np.arange(n) - n / 2, h, phased)
+        angles = _phase_angles(
+            np.repeat([0.0, self.grid.points[0]], n),
+            np.concatenate((np.arange(n) - n / 2, n / 2 + n // 2 - np.arange(n))),
+            h,
+            phased,
+        )
         weights = np.empty((2, 2 * len(phased), n))
-        np.multiply(pairs[:, None], np.cos(angles), out=weights[:, 0::2])
-        np.multiply(pairs[:, None], np.sin(angles), out=weights[:, 1::2])
+        np.multiply(pairs[:, None], np.cos(angles[:, :n]), out=weights[:, 0::2])
+        np.multiply(pairs[:, None], np.sin(angles[:, :n]), out=weights[:, 1::2])
+        # Only the sum angles are kept through the walk.
+        angles = angles[:, n:].copy()
         # A complex block is reduced against the phased weights as its
         # interleaved real and imaginary parts.
         parts = dtype.itemsize // 8
@@ -320,9 +369,10 @@ class RateKernel:
         reduced = np.zeros((2, 2 * len(phased), parts * n))
         buffer = np.empty(2 * rows * n, dtype)
         first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
+        lowest = 0 if mirrored else -(n // 2)
         for u0 in range(first - first % rows, last + 1, rows):
             u1 = min(n, u0 + rows)
-            t0 = max(u0 - n + 1, -u1, -(n // 2))
+            t0 = max(u0 - n + 1, -u1, lowest)
             t1 = min(u1 - 1, n - 1 - u0, (n - 1) // 2) + 1
             shape = (2, u1 - u0, t1 - t0)
             block = buffer[: math.prod(shape)].reshape(shape)
@@ -336,36 +386,42 @@ class RateKernel:
             if phased:
                 columns = slice(parts * (t0 + n // 2), parts * (t1 + n // 2))
                 reduced[:, :, columns] += np.matmul(weights[:, :, u0:u1], block.view(np.float64))
-        return sums, reduced.view(dtype)
+        return sums, reduced.view(dtype), angles, mirrored
 
     def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """sum_k P_k e^{i x k h} for each slope x = D(d).
 
         The sums are laid out as a (2 n / B) x B matrix, B ~ sqrt(n), whose
         row K holds P_{K B + j} in its first half and conj(P_-(K B + j)) in
-        its second. A slope costs about 2 sqrt(n) complex exps and n complex
+        its second. A slope costs about log2(n) complex exps and n complex
         multiply-adds: the matrix times its fine phases e^{i x j h}, each half
-        summed against its coarse phases e^{i x K B h}, T = pos + conj(neg).
-        At x = +-0 every phase is 1 +- 0i. A slope runs the same calls on the
-        same shapes wherever it sits in ``slopes``, so it gets the same bits.
+        then against its coarse phases e^{i x K B h}, T = pos + conj(neg).
+        ``_phase_tables`` doubles both tables from the phases of the base
+        lags. At x = +-0 every phase is 1 +- 0i. A slope runs the same calls
+        on the same shapes wherever it sits in ``slopes``, so it gets the
+        same bits.
         """
         n = self.grid.n
-        coarse_lags, fine_lags = self._coarse_lags, self._fine_lags
+        fine_steps, coarse_steps = self._steps
         # Zeros pad each half to whole coarse steps, and fill k = 0 in the second.
-        matrix = np.zeros((2, len(coarse_lags) * len(fine_lags)), dtype=np.complex128)
+        matrix = np.zeros((2, coarse_steps * fine_steps), dtype=np.complex128)
         matrix[0, :n], matrix[1, 1:n] = sums[n - 1 :], np.conj(sums[n - 2 :: -1])
-        matrix = matrix.reshape(-1, len(fine_lags))
+        matrix = matrix.reshape(-1, fine_steps)
         out = np.empty(len(slopes), dtype=np.complex128)
         # A block's products fill _BLOCK / 2; all its arrays stay under 2 _BLOCK.
         rows = max(1, _BLOCK // (2 * len(matrix)))
-        for start in range(0, len(slopes), rows):
-            chunk = slopes[start : start + rows]
-            fine = np.exp(1j * np.multiply.outer(chunk, fine_lags))
-            coarse = np.exp(1j * np.multiply.outer(chunk, coarse_lags))
-            halves = np.matmul(matrix, fine[:, :, None]).reshape(len(chunk), 2, -1)
-            halves *= coarse[:, None, :]
+
+        def block(chunk):
+            # Its tables are freed before the next block's are made.
+            base = np.exp(1j * (self._base_lags * chunk[:, None]))
+            fine, coarse = _phase_tables(base, fine_steps, coarse_steps)
+            halves = np.matmul(matrix, fine[:, :, None]).reshape(coarse.shape)
+            halves *= coarse
             pos, neg = halves.sum(axis=-1).T
-            out[start : start + rows] = pos + neg.conj()
+            return pos + neg.conj()
+
+        for start in range(0, len(slopes), rows):
+            out[start : start + rows] = block(slopes[start : start + rows])
         return out
 
     def at_rest(self, p: PathAmplitude, q: PathAmplitude) -> complex:
@@ -378,11 +434,14 @@ class RateKernel:
         delays = np.asarray(delays, dtype=float)
         self._reduce([self._key(p, q) for i, p in enumerate(paths) for q in paths[i:]])
         total = np.zeros(delays.shape)
-        # |c|^2 is formed as c conj(c), the same product as the cross terms,
-        # so two paths with equal pair sums and c_q = -c_p cancel exactly.
-        for p in paths:
-            weight = (p.coefficient * p.coefficient.conjugate()).real
-            total += weight * self.at_rest(p, p).real
+        if paths:
+            # Every self pair reads the uncrossed sums at U = 0 at the slope
+            # +0, so one read serves them all. |c|^2 is formed as c conj(c),
+            # the same product as the cross terms, so two paths with equal
+            # pair sums and c_q = -c_p cancel exactly.
+            at_rest = self.at_rest(paths[0], paths[0]).real
+            for p in paths:
+                total += (p.coefficient * p.coefficient.conjugate()).real * at_rest
         for i, p in enumerate(paths):
             for q in paths[i + 1 :]:
                 cross = p.coefficient * np.conj(q.coefficient)

@@ -331,6 +331,23 @@ class TestRateKernel:
         assert sorted(s for _, shifts in counted for s in shifts) == sorted([0.0, shift])
         assert {crossed for crossed, _ in counted} == ({False} if rho == 1.0 else {False, True})
 
+    @pytest.mark.parametrize("rho", [1.0, 2.0])
+    def test_a_fig4c_rate_reads_the_self_terms_once(self, monkeypatch, rho):
+        # Both self pairs read (False, 0) at the slope +0, so a rate makes one
+        # _at call for them and one for the cross pair.
+        config = replace(preset("fig4c"), spectral=SpectralParams(asymmetry_ratio=rho))
+        kernel = RateKernel(build_jsa(config.spectral, config.frequency_grid()))
+        at = RateKernel._at
+        slopes = []
+
+        def counted(self, sums, x):
+            slopes.append(len(x))
+            return at(self, sums, x)
+
+        monkeypatch.setattr(RateKernel, "_at", counted)
+        kernel.rate(enumerate_paths(config), np.linspace(-1500.0, 1500.0, 151))
+        assert slopes == [1, 151]
+
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
     def test_factors_and_dense_values_give_the_same_sums(self, monkeypatch, rho, tau_p):
@@ -520,9 +537,10 @@ class TestDiagonalSums:
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 65, 100, 101, 256])
     @pytest.mark.parametrize("source", ["factors", "dense"])
     def test_sums_are_the_traces_of_the_kernel(self, n, source):
-        # Real factors, and a 3000 fs^2 chirp on g1 with a pump phase, which
-        # cancels. The traces are those of the product of the factors, or of
-        # the amplitude's own n x n values, rescaled by the norm S w^2.
+        # Real factors, equal ones, and a 3000 fs^2 chirp on g1 with a pump
+        # phase, which cancels. The traces are those of the product of the
+        # factors, or of the amplitude's own n x n values, rescaled by the
+        # norm S w^2.
         params = SpectralParams()
         grid = _construct_grid(params, n, 6.0)
         nu = grid.points
@@ -533,7 +551,9 @@ class TestDiagonalSums:
             pump[list(support)] = rng.normal(size=len(support))
             pump_phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2 * n - 1))
             chirped = (g1 * np.exp(1j * 3000.0 * nu**2), g2, pump * pump_phase)
-            for factors in ((g1, g2, pump), chirped):
+            # Equal filter factors make the uncrossed kernel symmetric, and
+            # real ones the crossed kernel, so those walks are mirrored.
+            for factors in ((g1, g2, pump), (g1, g1, pump), chirped):
                 kernel = RateKernel(JointSpectralAmplitude(grid, factors=factors))
                 if source == "factors":
                     f1, f2, f3 = factors
@@ -549,6 +569,36 @@ class TestDiagonalSums:
                         assert sums.shape == (2 * n - 1,)
                         error = np.abs(sums - expected).max()
                         assert error <= 1e-14 * np.abs(expected).sum()
+
+    def test_a_symmetric_walk_forms_half_the_block_products(self, monkeypatch):
+        # The a views of a walk's blocks hold one element per product a b.
+        # A walk with a == b forms only those of k >= 0; one with a != b, or
+        # a complex crossed one, forms them all.
+        n = 256
+        grid = build_grid(SpectralParams(), n=n)
+        rng = np.random.default_rng(n)
+        g1, g2 = rng.normal(size=(2, n))
+        pump = rng.normal(size=2 * n - 1)
+        chirped = g1 * np.exp(1j * 3000.0 * grid.points**2)
+        lattice = scan._lattice
+        products = []
+
+        def counted(flat, start, strides, shape):
+            if strides == (1, 1, 1):
+                products[-1] += math.prod(shape)
+            return lattice(flat, start, strides, shape)
+
+        monkeypatch.setattr(scan, "_lattice", counted)
+        walks = [(False, g1, g1), (False, g1, g2), (True, g1, g2), (True, chirped, g2)]
+        for crossed, f1, f2 in walks:
+            products.append(0)
+            kernel = RateKernel(JointSpectralAmplitude(grid, factors=(f1, f2, pump)))
+            kernel._diagonal_sums(crossed, TestPumpBand.SHIFTS)
+        symmetric, full, real_crossed, complex_crossed = products
+        assert full == complex_crossed > n * n
+        # Half the products, up to the t = 0 column of each u and parity.
+        assert symmetric == real_crossed
+        assert abs(2 * symmetric - full) <= 2 * n
 
     def test_working_memory_does_not_grow_with_the_band(self):
         # fig4c at n = 8192: the pump band is every grid sum at 120 fs and
@@ -658,11 +708,31 @@ class TestRealEngine:
         # Slopes per block, 2 x 2 n / B complex elements each: the batch
         # spans more than one.
         slopes = np.tile(self.SLOPES, 4)
-        assert len(slopes) > scan._BLOCK // (2 * 2 * len(kernel._coarse_lags))
+        assert len(slopes) > scan._BLOCK // (2 * 2 * kernel._steps[1])
         for sums in pairs:
             batch = kernel._at(sums, slopes)
             alone = [kernel._at(sums, self.SLOPES[i : i + 1]) for i in range(len(self.SLOPES))]
             assert np.tile(np.concatenate(alone), 4).tobytes() == batch.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 100, 101, 256, 1024, 8192])
+    def test_a_slope_costs_about_log2_n_complex_exps(self, monkeypatch, n):
+        # The fine and coarse phases are doubled from those of the base
+        # lags, instead of one exp per fine and coarse step, 2 sqrt(n).
+        params = SpectralParams()
+        kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+        rng = np.random.default_rng(n)
+        sums = rng.normal(size=2 * n - 1) + 1j * rng.normal(size=2 * n - 1)
+        exp = np.exp
+        elements = []
+
+        def counted(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                elements.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(scan.np, "exp", counted)
+        kernel._at(sums, self.SLOPES)
+        assert elements and sum(elements) <= (math.ceil(math.log2(n)) + 2) * len(self.SLOPES)
 
     @pytest.mark.parametrize("n", [256, 8192])
     def test_working_memory_does_not_grow_with_the_slopes(self, n):
