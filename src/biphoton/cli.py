@@ -234,14 +234,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser that reads a token of a minus sign followed by a
-    digit, or by a point and a digit, as a value, so that ``--values -45,45``
-    and ``--d-min -1.5e3`` parse; no option starts that way. argparse sets
-    the pattern per parser in ``__init__``, and the subparsers are of this
-    class too."""
+    digit, by a point and a digit, or by ``inf`` or ``nan`` in any case, as
+    a value, so that ``--values -45,45``, ``--d-min -1.5e3`` and ``--d-min
+    -inf`` parse and the engine refuses what it cannot take; no option
+    starts that way. argparse sets the pattern per parser in ``__init__``,
+    and the subparsers are of this class too."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,16 +24,24 @@ D_a0 + s d or D_b0 - s d. Each pair sum is thus keyed by (crossed, U)
 alone. Uncrossed kernels are real, |F|^2 however complex F, and so are
 their P_k at U = 0, every self pair's among them.
 
+A rate reads only Re[c T] of each pair, c = c_p conj(c_q), and a lag -k
+reads as the conjugate of lag k, Re[z e^{-i x}] = Re[conj(z) e^{i x}], so
+each pair folds its 2 n - 1 sums into n lags,
+
+    Re[c T(p,q)(d)] = Re sum_{k>=0} R_k e^{i k h D(d)},
+    R_0 = c P_0,  R_k = c P_k + conj(c P_-k).
+
 A scan therefore costs one reduction walk per crossed that its pairs
 read, which reduces every U of that crossed at once (below), and, per
 delay point, about log2(n) complex exps and n complex multiply-adds:
 with k = K B + j and B ~ sqrt(n), the phase e^{i D k h} is the product
-of e^{i D K B h} and e^{i D j h}, so the sums, laid out as a (2 n / B)
-x B matrix, take the B fine phases in one matrix-vector product and the
-n / B coarse phases in a short sum after it. Both tables are built by
-doubling from the phases of the lags 2^b h and 2^b B h, each phase a
-product of at most log2(n / B) of them. Every self pair reads the same
-sums at D = 0, so a scan reads its self term once. It runs on an
+of e^{i D K B h} and e^{i D j h}, so the folded lags, laid out as an
+(n / B) x B matrix, take the B fine phases in one matrix-vector product
+and the n / B coarse phases in a short sum after it. Both tables are
+built by doubling from the phases of the lags 2^b h and 2^b B h, each
+phase a product of at most log2(n / B) of them. Every self pair reads
+the same sums at D = 0, so a scan folds its self terms into one table,
+weighted by sum_p c_p conj(c_p), and reads it once. It runs on an
 unnormalized amplitude F, f = F / (sqrt(S) w), and divides by S =
 sum |F|^2 afterwards, so w^2 cancels and no rate depends on the scale of
 F; S is the total of the uncrossed sums at U = 0, which a scan needs
@@ -70,10 +78,10 @@ The grid sums repeat in each port delay with period 2 pi / h, so delays
 at which a rate would read an alias of the interference term are refused
 before anything is built.
 
-Every term, the d-independent self terms included, is evaluated by the
-same routine, so identical summands cancel exactly. An ideal dip bottoms
-out at a rate of exactly zero rather than at rounding noise when two
-things hold: the amplitude is bitwise exchange symmetric (equal filter
+Every term, the d-independent self terms included, is folded and read
+by the same routines, so identical summands cancel exactly. An ideal dip
+bottoms out at a rate of exactly zero rather than at rounding noise when
+two things hold: the amplitude is bitwise exchange symmetric (equal filter
 factors), so at d = 0 the cross pair of two equal-rod paths reads the
 very diagonal sums of the self pairs, and the path coefficients are
 exact, |c_rr| == |c_tt| bit for bit, which the degree-exact analyzer trig
@@ -161,15 +169,15 @@ def _phase_angles(origin, steps: np.ndarray, h: float, shifts: Sequence[float]):
 
 def _phase_tables(base: np.ndarray, fine_steps: int, coarse_steps: int):
     """The fine phases e^{i x j h}, fine[x, j] for j < ``fine_steps``, and
-    the coarse phases e^{i x K B h}, coarse[x, half, K] for K <
-    ``coarse_steps``, repeated for both halves of the sums, from
-    ``base[b, x]``, the phases of the base lags 2^b h and 2^b B h.
+    the coarse phases e^{i x K B h}, coarse[x, K] for K < ``coarse_steps``,
+    from ``base[b, x]``, the phases of the base lags 2^b h and 2^b B h.
 
     Phase 0 is 1, and each base phase doubles the phases filled so far, so
     each is the product of at most log2(coarse_steps) base phases, and
     exactly 1 +- 0i at x = +-0. The table is filled with the step as its
     leading axis, where each product reads and writes whole contiguous
-    blocks, and copied out with it as the last.
+    blocks; the fine phases are copied out with it as the last, and the
+    coarse ones are a view of it.
     """
     table = np.empty((coarse_steps, *base.shape[1:]), dtype=np.complex128)
     table[0] = 1.0
@@ -177,8 +185,19 @@ def _phase_tables(base: np.ndarray, fine_steps: int, coarse_steps: int):
         width = 1 << b
         end = min(2 * width, coarse_steps)
         np.multiply(table[: end - width], phase, out=table[width:end])
-    fine = table[:fine_steps, :, 0].T.copy()
-    return fine, np.repeat(table[:, None, :, 1].T, 2, axis=1)
+    return table[:fine_steps, :, 0].T.copy(), table[:, :, 1].T
+
+
+def _fold(sums: np.ndarray, coefficient) -> np.ndarray:
+    """The n folded lags of the pair sums ``sums``, index k + n - 1 for
+    diagonal k, weighted by ``coefficient`` c: R_0 = c P_0 and R_k =
+    c P_k + conj(c P_-k), so that Re sum_{k>=0} R_k e^{i x k h} is
+    Re[c sum_k P_k e^{i x k h}] at every slope x."""
+    n = (len(sums) + 1) // 2
+    weighted = coefficient * sums
+    folded = weighted[n - 1 :].copy()
+    folded[1:] += np.conj(weighted[n - 2 :: -1])
+    return folded
 
 
 def _port_delay(p: PathAmplitude, q: PathAmplitude, delays: np.ndarray) -> np.ndarray:
@@ -388,45 +407,47 @@ class RateKernel:
                 reduced[:, :, columns] += np.matmul(weights[:, :, u0:u1], block.view(np.float64))
         return sums, reduced.view(dtype), angles, mirrored
 
-    def _at(self, sums: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-        """sum_k P_k e^{i x k h} for each slope x = D(d).
+    def _at(self, lags: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+        """Re sum_{k>=0} R_k e^{i x k h} for each slope x = D(d), from the
+        n folded lags R_k of ``_fold``.
 
-        The sums are laid out as a (2 n / B) x B matrix, B ~ sqrt(n), whose
-        row K holds P_{K B + j} in its first half and conj(P_-(K B + j)) in
-        its second. A slope costs about log2(n) complex exps and n complex
-        multiply-adds: the matrix times its fine phases e^{i x j h}, each half
-        then against its coarse phases e^{i x K B h}, T = pos + conj(neg).
+        The lags are laid out as an (n / B) x B matrix, B ~ sqrt(n), whose
+        row K holds R_{K B + j}. A slope costs about log2(n) complex exps
+        and n complex multiply-adds: the matrix times its fine phases
+        e^{i x j h}, then against its coarse phases e^{i x K B h}.
         ``_phase_tables`` doubles both tables from the phases of the base
         lags. At x = +-0 every phase is 1 +- 0i. A slope runs the same calls
         on the same shapes wherever it sits in ``slopes``, so it gets the
         same bits.
         """
-        n = self.grid.n
         fine_steps, coarse_steps = self._steps
-        # Zeros pad each half to whole coarse steps, and fill k = 0 in the second.
-        matrix = np.zeros((2, coarse_steps * fine_steps), dtype=np.complex128)
-        matrix[0, :n], matrix[1, 1:n] = sums[n - 1 :], np.conj(sums[n - 2 :: -1])
-        matrix = matrix.reshape(-1, fine_steps)
-        out = np.empty(len(slopes), dtype=np.complex128)
-        # A block's products fill _BLOCK / 2; all its arrays stay under 2 _BLOCK.
-        rows = max(1, _BLOCK // (2 * len(matrix)))
+        # Zeros pad the lags to whole coarse steps.
+        matrix = np.zeros(coarse_steps * fine_steps, dtype=np.complex128)
+        matrix[: len(lags)] = lags
+        matrix = matrix.reshape(coarse_steps, fine_steps)
+        out = np.empty(len(slopes))
+        # A block's tables fill _BLOCK / 2 and its products _BLOCK / 4; all its
+        # arrays stay under 2 _BLOCK.
+        rows = max(1, _BLOCK // (4 * coarse_steps))
 
         def block(chunk):
             # Its tables are freed before the next block's are made.
             base = np.exp(1j * (self._base_lags * chunk[:, None]))
             fine, coarse = _phase_tables(base, fine_steps, coarse_steps)
-            halves = np.matmul(matrix, fine[:, :, None]).reshape(coarse.shape)
-            halves *= coarse
-            pos, neg = halves.sum(axis=-1).T
-            return pos + neg.conj()
+            products = np.matmul(matrix, fine[:, :, None])[:, :, 0]
+            products *= coarse
+            return products.sum(axis=-1).real
 
         for start in range(0, len(slopes), rows):
             out[start : start + rows] = block(slopes[start : start + rows])
         return out
 
-    def at_rest(self, p: PathAmplitude, q: PathAmplitude) -> complex:
-        """T(p, q) at d = 0, by the same ``_at`` call as any other delay."""
-        return self._at(self.pair_sum(p, q), _port_delay(p, q, np.zeros(1)))[0]
+    def at_rest(self, p: PathAmplitude, q: PathAmplitude) -> np.complex128:
+        """T(p, q) at d = 0, its real and imaginary parts read by the same
+        ``_at`` call as any other delay, from the folds at c = 1 and -i."""
+        sums, slope = self.pair_sum(p, q), _port_delay(p, q, np.zeros(1))
+        real, imag = (self._at(_fold(sums, c), slope)[0] for c in (1.0, -1j))
+        return np.complex128(complex(real, imag))
 
     def rate(self, paths: Sequence[PathAmplitude], delays) -> np.ndarray:
         """Rates at each trombone delay in ``delays`` for ``paths``, the
@@ -436,17 +457,17 @@ class RateKernel:
         total = np.zeros(delays.shape)
         if paths:
             # Every self pair reads the uncrossed sums at U = 0 at the slope
-            # +0, so one read serves them all. |c|^2 is formed as c conj(c),
-            # the same product as the cross terms, so two paths with equal
-            # pair sums and c_q = -c_p cancel exactly.
-            at_rest = self.at_rest(paths[0], paths[0]).real
-            for p in paths:
-                total += (p.coefficient * p.coefficient.conjugate()).real * at_rest
+            # +0, so one fold weighted by the sum of |c|^2 serves them all.
+            # |c|^2 is formed as c conj(c), the same product as the cross
+            # terms, so two paths with equal pair sums and c_q = -c_p cancel
+            # exactly.
+            weight = sum(p.coefficient * np.conj(p.coefficient) for p in paths)
+            lags = _fold(self.pair_sum(paths[0], paths[0]), weight)
+            total += self._at(lags, np.zeros(1))
         for i, p in enumerate(paths):
             for q in paths[i + 1 :]:
-                cross = p.coefficient * np.conj(q.coefficient)
-                slopes = _port_delay(p, q, delays)
-                total += 2.0 * (cross * self._at(self.pair_sum(p, q), slopes)).real
+                lags = _fold(self.pair_sum(p, q), p.coefficient * np.conj(q.coefficient))
+                total += 2.0 * self._at(lags, _port_delay(p, q, delays))
         return total
 
 

@@ -226,6 +226,28 @@ def test_negative_values_read_alike_in_either_spelling(tmp_path, capsys, argv, f
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "fig3a_dip", "--d-min", "-inf"), "scan edges and span must be finite"),
+        (("run", "fig3a_dip", "--d-max", "-nan"), "scan edges and span must be finite"),
+        (("run", "fig3a_dip", "--d-min", "-Infinity"), "scan edges and span must be finite"),
+        (("sweep", "fig3a_dip", "--axis", "analyzer2", "--values", "-inf,1"),
+         "analyzer2 must be finite, got -inf"),
+        (("sweep", "fig3a_dip", "--axis", "analyzer2", "--values", "-NaN"),
+         "analyzer2 must be finite, got nan"),
+    ],
+    ids=["d-min-inf", "d-max-nan", "d-min-infinity", "values-inf", "values-nan"],
+)
+def test_negative_non_finite_values_reach_the_engine(tmp_path, capsys, argv, message):
+    # Read as options, these would stop argparse with "expected one argument".
+    out = tmp_path / "out.csv"
+    code, _, stderr = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert message in stderr and "expected one argument" not in stderr
+    assert not out.exists()
+
+
 def test_summary_lines_match_golden(tmp_path, capsys):
     # perfbench reads kind, visibility and oracle_max_rel_delta off these lines.
     lines = []

@@ -688,30 +688,57 @@ class TestRealEngine:
         return kernel, [kernel.pair_sum(p, q) for p, q in ((rr, rr), (rr, tt), (tt, rr))]
 
     def test_phase_table_is_close_to_a_full_exp_table(self, fig4c_pairs):
+        # The folds at c = 1 and c = -i read the real and imaginary parts of T.
         kernel, pairs = fig4c_pairs
         n = kernel.grid.n
         lags = np.arange(1 - n, n) * kernel.grid.weight
         for sums in pairs:
-            direct = [(np.exp(1j * (x * lags)) * sums).sum() for x in self.SLOPES]
-            error = np.abs(kernel._at(sums, self.SLOPES) - direct).max()
-            assert error <= 1e-14 * np.abs(sums).sum()
+            full = [(np.exp(1j * (x * lags)) * sums).sum() for x in self.SLOPES]
+            for c in (1.0, -1j):
+                direct = (c * np.array(full)).real
+                error = np.abs(kernel._at(scan._fold(sums, c), self.SLOPES) - direct).max()
+                assert error <= 1e-14 * np.abs(sums).sum()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 100, 256])
+    def test_the_folded_read_is_the_real_part_of_the_weighted_sum(self, n):
+        # Random complex sums and coefficients: the n folded lags read
+        # Re(c sum_k P_k e^{i x k h}) over all 2 n - 1 lags. Every lag of a
+        # random sum weighs alike, so the angles k (x h) of the reference are
+        # reduced in np.longdouble; a float64 x (k h) rounds by up to 1.3e-14
+        # of sum_k |P_k| at x = 2.5e4 and n = 100.
+        params = SpectralParams()
+        kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+        steps = np.arange(1 - n, n)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            sums = rng.normal(size=2 * n - 1) + 1j * rng.normal(size=2 * n - 1)
+            c = complex(*rng.normal(size=2))
+            direct = []
+            for x in self.SLOPES:
+                angles = scan._phase_angles(0.0, steps, x * kernel.grid.weight, [1.0])[0]
+                direct.append((c * (np.exp(1j * angles) * sums).sum()).real)
+            error = np.abs(kernel._at(scan._fold(sums, c), self.SLOPES) - direct).max()
+            assert error <= 1e-14 * abs(c) * np.abs(sums).sum()
 
     def test_signed_zero_slopes_give_the_bits_of_zero(self, fig4c_pairs):
         kernel, pairs = fig4c_pairs
         for sums in pairs:
-            at_rest = kernel._at(sums, np.array([0.0]))
-            both = kernel._at(sums, np.array([0.0, -0.0]))
-            assert at_rest.tobytes() * 2 == both.tobytes()
+            for c in (1.0, -1j, 0.3 - 0.8j):
+                lags = scan._fold(sums, c)
+                at_rest = kernel._at(lags, np.array([0.0]))
+                both = kernel._at(lags, np.array([0.0, -0.0]))
+                assert at_rest.tobytes() * 2 == both.tobytes()
 
     def test_a_slope_gives_the_same_bits_alone_and_in_a_batch(self, fig4c_pairs):
         kernel, pairs = fig4c_pairs
-        # Slopes per block, 2 x 2 n / B complex elements each: the batch
+        # Slopes per block, 4 x n / B complex elements each: the batch
         # spans more than one.
         slopes = np.tile(self.SLOPES, 4)
-        assert len(slopes) > scan._BLOCK // (2 * 2 * kernel._steps[1])
+        assert len(slopes) > scan._BLOCK // (4 * kernel._steps[1])
         for sums in pairs:
-            batch = kernel._at(sums, slopes)
-            alone = [kernel._at(sums, self.SLOPES[i : i + 1]) for i in range(len(self.SLOPES))]
+            lags = scan._fold(sums, 0.3 - 0.8j)
+            batch = kernel._at(lags, slopes)
+            alone = [kernel._at(lags, self.SLOPES[i : i + 1]) for i in range(len(self.SLOPES))]
             assert np.tile(np.concatenate(alone), 4).tobytes() == batch.tobytes()
 
     @pytest.mark.parametrize("n", [2, 3, 5, 64, 100, 101, 256, 1024, 8192])
@@ -721,7 +748,7 @@ class TestRealEngine:
         params = SpectralParams()
         kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
         rng = np.random.default_rng(n)
-        sums = rng.normal(size=2 * n - 1) + 1j * rng.normal(size=2 * n - 1)
+        lags = rng.normal(size=n) + 1j * rng.normal(size=n)
         exp = np.exp
         elements = []
 
@@ -731,27 +758,27 @@ class TestRealEngine:
             return exp(x, *args, **kwargs)
 
         monkeypatch.setattr(scan.np, "exp", counted)
-        kernel._at(sums, self.SLOPES)
+        kernel._at(lags, self.SLOPES)
         assert elements and sum(elements) <= (math.ceil(math.log2(n)) + 2) * len(self.SLOPES)
 
     @pytest.mark.parametrize("n", [256, 8192])
     def test_working_memory_does_not_grow_with_the_slopes(self, n):
-        # The padded sums, 2 n complex elements, and a block of slopes, under
-        # 2 _BLOCK; a phase table or ufunc buffers as wide as the sums would
+        # The padded lags, n complex elements, and a block of slopes, under
+        # 2 _BLOCK; a phase table or ufunc buffers as wide as the lags would
         # add to it.
         params = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=6300.0)
         kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
         rr, tt = enumerate_paths(replace(preset("fig4c"), spectral=params))
-        sums = kernel.pair_sum(rr, tt)
+        lags = scan._fold(kernel.pair_sum(rr, tt), 1.0)
         for count in (151, 100_000):
             slopes = np.linspace(-1500.0, 1500.0, count)
             tracemalloc.start()
             try:
-                out = kernel._at(sums, slopes)
+                out = kernel._at(lags, slopes)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak - out.nbytes <= 16 * (2 * n + 2 * scan._BLOCK)
+            assert peak - out.nbytes <= 16 * (n + 2 * scan._BLOCK)
 
     @pytest.mark.parametrize("rho", [1.0, 2.0])
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -887,8 +914,9 @@ class TestPairSums:
                     port_a, port_b = p.delay_a - q.delay_a + s * d, p.delay_b - q.delay_b - s * d
                     full = f_p * np.conj(f_q) * np.exp(1j * np.add.outer(nu * port_a, nu * port_b))
                     slope = port_b if p.swapped else port_a
-                    read = kernel._at(sums, np.array([slope]))[0]
-                    assert abs(read - full.sum()) <= 1e-12 * np.abs(full).sum()
+                    for c in (1.0, -1j):
+                        read = kernel._at(scan._fold(sums, c), np.array([slope]))[0]
+                        assert abs(read - (c * full.sum()).real) <= 1e-12 * np.abs(full).sum()
 
     @pytest.mark.parametrize("source", ["factors", "chirped"])
     def test_swapped_first_paths_match_assembled_amplitude(self, chirped, source):
