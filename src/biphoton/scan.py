@@ -58,13 +58,16 @@ t indexes the sums and a block of a few u, both parities at once, is
 reduced against its Q in one matrix product. On the uniform grid
 nu_{u-t} = nu_0 + (u - t) h, so the column phase splits into
 e^{i (u - n/2) h U}, which goes on the weights Q[2u+p], and
-e^{i (nu_0 + (n/2 - t) h) U}, which multiplies the reduced sums. The
-blocks of a b then carry no phase, real for real factors, and each is
-formed once and reduced against Q for U = 0 and against the cos and sin
-rows of the weights of every other U. Blocks that meet no grid sum on
-which Q is non-zero hold exact zeros and are skipped, so the reduction
-costs O(n W), W the number of such grid sums, with the same bits as the
-full O(n^2) pass. When a == b bit for bit, as for equal filter factors
+e^{i (nu_0 + (n/2 - t) h) U}, which multiplies the reduced sums. Both
+come from e^{i m h U} = e^{i K B h U} e^{i j h U}, m = K B + j, the split
+of a delay point's phases, taken with one exp per fine and coarse step,
+so a walk makes O(sqrt n) angles and exps per U. The blocks of a b then
+carry no phase, real for real factors, and each is formed once and
+reduced against Q for U = 0 and against the real and imaginary rows of
+the weights of every other U. Blocks that meet no grid sum on which Q is
+non-zero hold exact zeros and are skipped, so the reduction costs
+O(n W), W the number of such grid sums, with the same bits as the full
+O(n^2) pass. When a == b bit for bit, as for equal filter factors
 uncrossed and for real ones crossed, the kernel is symmetric and
 P_-k = e^{i k h U} P_k, so the walk reduces k >= 0 only, half the
 blocks' products, and fills k < 0 from them.
@@ -154,17 +157,24 @@ def _phase_angles(origin, steps: np.ndarray, h: float, shifts: Sequence[float]):
     one column per m in ``steps``; ``origin`` is one number or one per m.
 
     The angles are formed and reduced in np.longdouble, which is 80-bit
-    extended precision on x86-64 Linux, so that the two angles into which
-    a column phase splits add up to nu_j U about as closely as the float64
-    product fl(nu_j U) does. Split in float64, each angle rounds on its
-    own, and the pair sums of 5- and 100-point grids moved from the traces
-    of their kernels by up to 1.3e-14 of sum_k |P_k|, where the float64
-    product keeps them within 1e-14. Where np.longdouble is float64, the
-    split falls back to that accuracy.
+    extended precision on x86-64 Linux, so that each is off by about an
+    ulp of 2 pi however large (origin + m h) U is. Formed in float64, an
+    angle of x rad would round by about 1e-16 x before it is reduced, and
+    a walk's sum angle, (nu_0 + n h) U, is 1.2e3 rad for the default
+    photons at U = 2e4 fs. Where np.longdouble is float64, the angles
+    fall back to that accuracy.
     """
     x = np.asarray(origin, dtype=np.longdouble) + steps.astype(np.longdouble) * np.longdouble(h)
     angles = np.multiply.outer(np.asarray(shifts, dtype=np.longdouble), x)
     return np.remainder(angles, _TWO_PI).astype(np.float64)
+
+
+def _outer_phases(coarse: np.ndarray, fine: np.ndarray, n: int) -> np.ndarray:
+    """coarse[K] fine[j] at m = K B + j for m < n, B = len(fine), over the
+    last axes of ``coarse`` and ``fine``, one row per leading index: the
+    phase of step m from those of the coarse steps K B and fine steps j."""
+    table = coarse[..., :, None] * fine[..., None, :]
+    return table.reshape(*table.shape[:-2], math.prod(table.shape[-2:]))[..., :n]
 
 
 def _phase_tables(base: np.ndarray, fine_steps: int, coarse_steps: int):
@@ -233,7 +243,8 @@ class RateKernel:
         self._diagonals: dict[tuple[bool, float], np.ndarray] = {}
         self._norm: float | None = None
         n, h = self.grid.n, self.grid.weight
-        # k = K B + j >= 0 with B = 2^floor(log2(n) / 2), j < B and K < n / B.
+        # k = K B + j >= 0 with B = 2^floor(log2(n) / 2), j < B and K < n / B;
+        # a walk splits its grid steps m < n the same way.
         # Row b of the base lags holds the fine lag 2^b h and the coarse lag
         # 2^b B h, each exact as a power of two times h, for 2^b < n / B.
         fine = 1 << (int(n).bit_length() - 1) // 2
@@ -297,9 +308,11 @@ class RateKernel:
         One walk reduces every U. With nu_j = nu_0 + j h and j = u - t, the
         column phase splits into e^{i (u - n/2) h U}, which ``_walk`` puts
         on the pump weights, and e^{i (nu_0 + (n/2 - t) h) U}, which
-        multiplies the sums it returns. So the blocks of a b carry no phase,
-        and the sums at U = 0 get the same bits whatever else the walk
-        reduces.
+        multiplies the sums it returns. These sum phases are formed here,
+        after the walk has freed its blocks and weights, as products of the
+        O(sqrt n) phases it returns, with no exp of their own. So the blocks
+        of a b carry no phase, and the sums at U = 0 get the same bits
+        whatever else the walk reduces.
 
         When a == b the kernel is symmetric, K(i, j) = K(j, i), so
         P_-k = e^{i k h U} P_k, and the walk reduces k >= 0 only. The sums
@@ -309,7 +322,9 @@ class RateKernel:
         n = self.grid.n
         phased = [shift for shift in shifts if shift]
         # The walk's blocks and weights are freed before the sums are phased.
-        at_rest, reduced, angles, mirrored = self._walk(crossed, len(phased) < len(shifts), phased)
+        at_rest, reduced, (fine, coarse), mirrored = self._walk(
+            crossed, len(phased) < len(shifts), phased
+        )
 
         def interleave(sums):
             # sums[p, t + n // 2] holds P_{2t+p}, which sits at 2 (n // 2) + k.
@@ -319,37 +334,63 @@ class RateKernel:
             return out
 
         out = {0.0: interleave(at_rest)} if at_rest is not None else {}
-        for m, (shift, angle) in enumerate(zip(phased, angles)):
+        for m, shift in enumerate(phased):
             # The phase of t, at k = 2t and 2t + 1.
-            phases = np.repeat(np.exp(1j * angle), 2)[1 - n % 2 :][: 2 * n - 1]
+            phases = np.repeat(_outer_phases(coarse[m], fine[m], n), 2)[1 - n % 2 :][: 2 * n - 1]
             out[shift] = interleave(reduced[:, 2 * m] + 1j * reduced[:, 2 * m + 1]) * phases
         return [out[shift] for shift in shifts]
 
+    def _base_phases(self, shifts: Sequence[float]) -> list[np.ndarray]:
+        """The phases from which a walk forms its column phases, one row per
+        U in ``shifts``: those of the fine angles j h U, j < B, the coarse
+        angles K B h U, K < n / B, the weight angle -(n/2) h U and the sum
+        angle (nu_0 + (n/2 + n//2) h) U, as four arrays.
+
+        e^{i m h U} is coarse[K] fine[j] at m = K B + j; the weight phase
+        turns it into e^{i (u - n/2) h U} at m = u, and the sum phase its
+        conjugate into e^{i (nu_0 + (n/2 - t) h) U} at m = t + n // 2. So a
+        walk takes O(sqrt n) angles and exps per U, each angle reduced by
+        ``_phase_angles``.
+        """
+        n = self.grid.n
+        fine_steps, coarse_steps = self._steps
+        steps = np.concatenate(
+            (np.arange(fine_steps), fine_steps * np.arange(coarse_steps), [-n / 2, n / 2 + n // 2])
+        )
+        origins = np.zeros(len(steps))
+        origins[-1] = self.grid.points[0]
+        phases = np.exp(1j * _phase_angles(origins, steps, self.grid.weight, shifts))
+        return np.split(phases, np.cumsum(self._steps + (1,)), axis=1)
+
     def _walk(self, crossed: bool, at_rest: bool, phased: list[float]):
         """Reduce the blocks of a(u + t + p) b(u - t) against Q[2u + p] when
-        ``at_rest``, and against Q cos and Q sin of the weight angle
-        (u - n/2) h U for each U in ``phased``. Returns the sums at rest,
-        sums[p, t + n // 2], or None; the phased ones,
-        reduced[p, 2 m + (0 for cos, 1 for sin), t + n // 2] for the m-th U,
-        all of the dtype of a; the sum angles (nu_0 + (n/2 - t) h) U,
-        angles[m, t + n // 2]; and whether a == b, in which case only the
-        sums of t >= 0 are reduced and the rest are zeros.
+        ``at_rest``, and against Q times the real and the imaginary part of
+        the weight phase e^{i (u - n/2) h U} for each U in ``phased``.
+        Returns the sums at rest, sums[p, t + n // 2], or None; the phased
+        ones, reduced[p, 2 m + (0 for real, 1 for imaginary), t + n // 2] for
+        the m-th U, all of the dtype of a; the phases of the sums as a pair
+        (fine, coarse) of O(sqrt n) phases per U, whose ``_outer_phases``
+        at row m is e^{i (nu_0 + (n/2 - t) h) U} at t + n // 2; and whether
+        a == b, in which case only the sums of t >= 0 are reduced and the
+        rest are zeros.
 
-        A block of ``rows`` values of u, both parities at once, is formed
-        once. It is reduced in one matrix product against Q, the same call
-        whatever else the walk reduces, and in one more against the stacked
-        cos and sin rows of every phased U, on a real view even when a is
-        complex. Blocks start at multiples of ``rows``, and only those that
-        meet a grid sum 2u + p on which Q is non-zero are walked. Any other
-        block holds products with Q = 0, zeros of either sign since the
-        products of factors are finite (``JointSpectralAmplitude`` checks),
-        and would add them to sums that start at +0 and never turn -0; so a
-        narrower support gives the same bits. A block spans the t at which
-        some (u + t + p, u - t) lies on the grid, and reads the zeros
-        padding a and b for the rest.
+        The weight phases of all n values of u are formed from
+        ``_base_phases`` in one broadcast product, and only the weights
+        outlive it. A block of ``rows`` values of u, both parities at once,
+        is formed once. It is reduced in one matrix product against Q, the
+        same call whatever else the walk reduces, and in one more against
+        the stacked real and imaginary rows of every phased U, on a real
+        view even when a is complex. Blocks start at multiples of ``rows``,
+        and only those that meet a grid sum 2u + p on which Q is non-zero
+        are walked. Any other block holds products with Q = 0, zeros of
+        either sign since the products of factors are finite
+        (``JointSpectralAmplitude`` checks), and would add them to sums that
+        start at +0 and never turn -0; so a narrower support gives the same
+        bits. A block spans the t at which some (u + t + p, u - t) lies on
+        the grid, and reads the zeros padding a and b for the rest.
         """
         g1, g2, pump = self.jsa.factors
-        n, h = self.grid.n, self.grid.weight
+        n = self.grid.n
         rows = min(n, max(1, _BLOCK // n))
         # |g1|^2 and |g2|^2 are real however complex the factors.
         dtype = np.result_type(g1, g2) if crossed else np.dtype(np.float64)
@@ -367,20 +408,16 @@ class RateKernel:
         pairs[:-1] = _times_conj(pump, pump).real
         support = _support(pairs)
         pairs = pairs.reshape(n, 2).T.copy()
-        # The weight angles (u - n/2) h U, then the sum angles, in one table.
-        # Rows 2 m and 2 m + 1 of weights[p] are Q[2u + p] times the cos and
-        # the sin of the m-th weight angle.
-        angles = _phase_angles(
-            np.repeat([0.0, self.grid.points[0]], n),
-            np.concatenate((np.arange(n) - n / 2, n / 2 + n // 2 - np.arange(n))),
-            h,
-            phased,
-        )
+        # Rows 2 m and 2 m + 1 of weights[p] are Q[2u + p] times the real and
+        # the imaginary part of the m-th U's weight phase.
+        fine, coarse, weight, total = self._base_phases(phased)
         weights = np.empty((2, 2 * len(phased), n))
-        np.multiply(pairs[:, None], np.cos(angles[:, :n]), out=weights[:, 0::2])
-        np.multiply(pairs[:, None], np.sin(angles[:, :n]), out=weights[:, 1::2])
-        # Only the sum angles are kept through the walk.
-        angles = angles[:, n:].copy()
+        table = _outer_phases(coarse * weight, fine, n)
+        np.multiply(pairs[:, None], table.real, out=weights[:, 0::2])
+        np.multiply(pairs[:, None], table.imag, out=weights[:, 1::2])
+        # Only the O(sqrt n) phases of the sums are kept through the walk.
+        del table
+        sum_phases = np.conj(fine), np.conj(coarse) * total
         # A complex block is reduced against the phased weights as its
         # interleaved real and imaginary parts.
         parts = dtype.itemsize // 8
@@ -405,7 +442,7 @@ class RateKernel:
             if phased:
                 columns = slice(parts * (t0 + n // 2), parts * (t1 + n // 2))
                 reduced[:, :, columns] += np.matmul(weights[:, :, u0:u1], block.view(np.float64))
-        return sums, reduced.view(dtype), angles, mirrored
+        return sums, reduced.view(dtype), sum_phases, mirrored
 
     def _at(self, lags: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """Re sum_{k>=0} R_k e^{i x k h} for each slope x = D(d), from the

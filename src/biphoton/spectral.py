@@ -217,22 +217,22 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
     """
     _check_grid_request(n, span_sigma)
 
-    max_spacing = _RIDGE_SAMPLING_FACTOR * pump_ridge_sigma(params)
+    ridge = pump_ridge_sigma(params)
+    max_spacing = _RIDGE_SAMPLING_FACTOR * ridge
     intervals = 2.0 * span_sigma * params.sigma_max / max_spacing
-    if not intervals < _MAX_GRID_N:
+    # n points span n - 1 intervals, and no grid is finer than n = _MAX_GRID_N.
+    if not intervals <= _MAX_GRID_N - 1:
+        needed = 2.0 ** math.ceil(math.log2(intervals + 1.0)) if intervals < 2.0**1023 else math.inf
         raise ConfigurationError(
-            f"resolving the pump ridge needs n > {_MAX_GRID_N}; "
-            "for very long pump coherence times use the closed-form reference instead"
+            f"resolving the amplitude's ridge, {ridge:.3g} rad/fs wide on a span of "
+            f"+-{span_sigma * params.sigma_max:.3g} rad/fs, needs {intervals:.6g} grid intervals, "
+            f"n = {needed:.6g}, past the largest grid, n = {_MAX_GRID_N}; a longer pump "
+            "coherence time or a narrower photon narrows the ridge, and the closed-form "
+            "reference needs no grid"
         )
-    needed = int(math.ceil(intervals)) + 1
     n_eff = n
-    while n_eff < needed:
+    while n_eff < intervals + 1:
         n_eff *= 2
-    if n_eff > _MAX_GRID_N:
-        raise ConfigurationError(
-            f"resolving the pump ridge needs n={n_eff} > {_MAX_GRID_N}; "
-            "for very long pump coherence times use the closed-form reference instead"
-        )
     return _construct_grid(params, n_eff, span_sigma)
 
 

@@ -444,6 +444,17 @@ class TestSweep:
         assert stdout == ""
         assert stderr.startswith(f"error: cannot write {tmp_path}: ")
 
+    def test_an_unresolvable_row_exits_2_naming_the_ridge(self, tmp_path, capsys):
+        code, stdout, stderr = run_cli(
+            capsys, "sweep", "fig4c", "--axis", "asymmetry_ratio", "--values", "50",
+            "--out", str(tmp_path / "sweep.csv"),
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: sweep row 0 (asymmetry_ratio=50.0): resolving the ")
+        assert "0.000393 rad/fs wide" in stderr and "n = 16384" in stderr
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_bad_axis_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             capsys, "sweep", "fig3a_dip", "--axis", "bogus", "--values", "1,2"

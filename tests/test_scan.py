@@ -600,6 +600,50 @@ class TestDiagonalSums:
         assert symmetric == real_crossed
         assert abs(2 * symmetric - full) <= 2 * n
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 100, 101, 1024, 8192])
+    def test_a_walk_takes_at_most_3_sqrt_n_phases_per_shift(self, monkeypatch, n):
+        # The weight and sum phases of all n steps are products of fine and
+        # coarse phases, instead of 2 n angles, n cos, n sin and n exp per U.
+        params = SpectralParams()
+        kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+        counts = {"angles": 0, "exp": 0, "cos": 0, "sin": 0}
+
+        def counted(name, call):
+            def wrapper(*args, **kwargs):
+                out = call(*args, **kwargs)
+                if name != "exp" or np.iscomplexobj(out):
+                    counts[name] += np.size(out)
+                return out
+
+            return wrapper
+
+        monkeypatch.setattr(scan, "_phase_angles", counted("angles", scan._phase_angles))
+        for name in ("exp", "cos", "sin"):
+            monkeypatch.setattr(scan.np, name, counted(name, getattr(np, name)))
+        shifts = TestPumpBand.SHIFTS
+        for crossed in (False, True):
+            kernel._diagonal_sums(crossed, shifts)
+        bound = 2 * (len(shifts) - 1) * (3 * math.ceil(math.sqrt(n)) + 2)
+        assert 0 < counts["angles"] <= bound
+        assert 0 < counts["exp"] <= bound
+        assert counts["cos"] == counts["sin"] == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 64, 100, 101, 1024, 8192])
+    def test_sum_phases_match_one_exp_per_step(self, n):
+        # The walk's phase of t, e^{i (nu_0 + (n/2 - t) h) U} at t + n // 2,
+        # against one exp of each angle reduced in np.longdouble.
+        params = SpectralParams()
+        kernel = RateKernel(build_jsa(params, _construct_grid(params, n, 6.0)))
+        grid = kernel.grid
+        rng = np.random.default_rng(n)
+        shifts = list(rng.uniform(-2e4, 2e4, size=4))
+        _, _, (fine, coarse), _ = kernel._walk(False, False, shifts)
+        steps = n / 2 + n // 2 - np.arange(n)
+        direct = np.exp(1j * scan._phase_angles(grid.points[0], steps, grid.weight, shifts))
+        for m in range(len(shifts)):
+            error = np.abs(scan._outer_phases(coarse[m], fine[m], n) - direct[m]).max()
+            assert error <= 2e-15
+
     def test_working_memory_does_not_grow_with_the_band(self):
         # fig4c at n = 8192: the pump band is every grid sum at 120 fs and
         # a few hundred at 6300 fs. A walk holds O(n) arrays and one block

@@ -211,6 +211,21 @@ class TestGrid:
         params = SpectralParams(pump_coherence_time=1e150)
         with pytest.raises(ConfigurationError, match="8192"):
             auto_grid(params)
+        # One whose span over its width overflows a float.
+        params = SpectralParams(filter_fwhm=9e156, pump_coherence_time=9e153)
+        with pytest.raises(ConfigurationError, match="needs inf grid intervals, n = inf, past"):
+            auto_grid(params)
+
+    def test_unresolvable_photon_ridge_names_its_width(self):
+        # At the default 120 fs pump the narrower photon of a 50:1 pair
+        # binds the ridge: 12027 intervals of the span, not the pump's fault.
+        params = SpectralParams(asymmetry_ratio=50.0)
+        message = (
+            r"ridge, 0\.000393 rad/fs wide on a span of \+-2\.96 rad/fs, needs 12026\.8 grid "
+            r"intervals, n = 16384, past the largest grid, n = 8192; "
+        )
+        with pytest.raises(ConfigurationError, match=message):
+            auto_grid(params)
 
     def test_auto_grid_keeps_default_resolution(self, default_params):
         assert auto_grid(default_params).n == 256
