@@ -107,6 +107,10 @@ def _write_text(path: Path, text: str) -> None:
         path.write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except BaseException:
+        # An interrupted write leaves no partial file behind.
+        path.unlink(missing_ok=True)
+        raise
 
 
 def write_scan_csv(path: Path, result: ScanResult) -> None:
@@ -143,6 +147,9 @@ def write_scan_svg(path: Path, result: ScanResult, title: str) -> None:
         np.column_stack((px, py[:-1])).ravel().tolist()
     )
     baseline_y = "%.2f" % py[-1]
+    # The title is XML text: escaped as xml.sax.saxutils.escape does, which
+    # would import urllib.request, some 18 ms of start-up, to do it.
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
         f'<rect width="{width}" height="{height}" fill="white"/>\n'
@@ -245,7 +252,59 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_scan_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--d-min", type=float, default=DEFAULT_SCAN_MIN, dest="d_min",
+                        help="scan start (fs)")
+    parser.add_argument("--d-max", type=float, default=DEFAULT_SCAN_MAX, dest="d_max",
+                        help="scan end (fs)")
+    parser.add_argument("--steps", type=int, default=DEFAULT_SCAN_STEPS,
+                        help=f"number of delay points (3 to {MAX_SCAN_STEPS})")
+    parser.add_argument("--out", type=str, default=None, help="CSV output path")
+
+
+def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("preset", nargs="?", default=None,
+                        help=f"preset name ({', '.join(PRESET_NAMES)})")
+    parser.add_argument("--config", type=str, default=None, help="config file path")
+    _add_scan_arguments(parser)
+    parser.add_argument("--svg", type=str, default=None, help="also write an SVG plot")
+    parser.set_defaults(handler=_cmd_run)
+
+
+def _add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("preset", nargs="?", default=None,
+                        help=f"base preset name ({', '.join(PRESET_NAMES)})")
+    parser.add_argument("--config", type=str, default=None, help="base config file path")
+    parser.add_argument("--axis", type=str, required=True, help="parameter to sweep")
+    parser.add_argument("--values", type=str, required=True,
+                        help=f"comma-separated values (1 to {MAX_SWEEP_ROWS})")
+    _add_scan_arguments(parser)
+    parser.set_defaults(handler=_cmd_sweep)
+
+
+def _add_verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.set_defaults(handler=_cmd_verify)
+
+
+# Each subcommand's name, its help line and the function that adds its
+# arguments to its parser.
+_SUBCOMMANDS = (
+    ("run", "scan one configuration and write CSV", _add_run_arguments),
+    ("sweep", "scan a parameter sweep and write CSV", _add_sweep_arguments),
+    ("verify", "run the invariant suite", _add_verify_arguments),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser of ``biphoton``, with the parser of only the
+    subcommand ``command`` when that names one, and of every subcommand
+    otherwise.
+
+    The root parser has no option but -h, so a subcommand is always the
+    first token of a command line. A parser built for that token parses the
+    line as the full parser does, to the bytes of its help and its usage
+    errors; a line with any other first token, or none, gets the full one.
+    """
     parser = _Parser(
         prog="biphoton",
         description=(
@@ -253,43 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
             "pulse-pumped downconversion polarization interferometer"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_scan_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--d-min", type=float, default=DEFAULT_SCAN_MIN, dest="d_min",
-                       help="scan start (fs)")
-        p.add_argument("--d-max", type=float, default=DEFAULT_SCAN_MAX, dest="d_max",
-                       help="scan end (fs)")
-        p.add_argument("--steps", type=int, default=DEFAULT_SCAN_STEPS,
-                       help=f"number of delay points (3 to {MAX_SCAN_STEPS})")
-        p.add_argument("--out", type=str, default=None, help="CSV output path")
-
-    run_parser = sub.add_parser("run", help="scan one configuration and write CSV")
-    run_parser.add_argument("preset", nargs="?", default=None,
-                            help=f"preset name ({', '.join(PRESET_NAMES)})")
-    run_parser.add_argument("--config", type=str, default=None, help="config file path")
-    add_scan_flags(run_parser)
-    run_parser.add_argument("--svg", type=str, default=None, help="also write an SVG plot")
-    run_parser.set_defaults(handler=_cmd_run)
-
-    sweep_parser = sub.add_parser("sweep", help="scan a parameter sweep and write CSV")
-    sweep_parser.add_argument("preset", nargs="?", default=None,
-                              help=f"base preset name ({', '.join(PRESET_NAMES)})")
-    sweep_parser.add_argument("--config", type=str, default=None, help="base config file path")
-    sweep_parser.add_argument("--axis", type=str, required=True, help="parameter to sweep")
-    sweep_parser.add_argument("--values", type=str, required=True,
-                              help=f"comma-separated values (1 to {MAX_SWEEP_ROWS})")
-    add_scan_flags(sweep_parser)
-    sweep_parser.set_defaults(handler=_cmd_sweep)
-
-    verify_parser = sub.add_parser("verify", help="run the invariant suite")
-    verify_parser.set_defaults(handler=_cmd_verify)
+    chosen = [entry for entry in _SUBCOMMANDS if entry[0] == command] or _SUBCOMMANDS
+    # The root usage names every subcommand however many are built. On the
+    # full parser argparse names them itself; a metavar there would also
+    # rename the argument in the errors that only that parser gives.
+    metavar = None
+    if len(chosen) < len(_SUBCOMMANDS):
+        metavar = "{%s}" % ",".join(name for name, _, _ in _SUBCOMMANDS)
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments in chosen:
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.handler(args)
     except ConfigurationError as exc:
@@ -298,6 +337,16 @@ def main(argv: list[str] | None = None) -> int:
     except ContractViolation as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:
+        # The command has left none of its outputs behind. SIGINT's default
+        # action then ends the process with the status the shell expects;
+        # signal is imported here, as no other command needs it.
+        import signal
+
+        print("interrupted", file=sys.stderr)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        signal.raise_signal(signal.SIGINT)
+        raise
 
 
 if __name__ == "__main__":

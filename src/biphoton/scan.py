@@ -322,7 +322,7 @@ class RateKernel:
         n = self.grid.n
         phased = [shift for shift in shifts if shift]
         # The walk's blocks and weights are freed before the sums are phased.
-        at_rest, reduced, (fine, coarse), mirrored = self._walk(
+        at_rest, reduced, sum_phases, mirrored = self._walk(
             crossed, len(phased) < len(shifts), phased
         )
 
@@ -335,6 +335,7 @@ class RateKernel:
 
         out = {0.0: interleave(at_rest)} if at_rest is not None else {}
         for m, shift in enumerate(phased):
+            fine, coarse = sum_phases
             # The phase of t, at k = 2t and 2t + 1.
             phases = np.repeat(_outer_phases(coarse[m], fine[m], n), 2)[1 - n % 2 :][: 2 * n - 1]
             out[shift] = interleave(reduced[:, 2 * m] + 1j * reduced[:, 2 * m + 1]) * phases
@@ -372,7 +373,8 @@ class RateKernel:
         (fine, coarse) of O(sqrt n) phases per U, whose ``_outer_phases``
         at row m is e^{i (nu_0 + (n/2 - t) h) U} at t + n // 2; and whether
         a == b, in which case only the sums of t >= 0 are reduced and the
-        rest are zeros.
+        rest are zeros. A walk with no phased U forms no phases at all, and
+        returns None for the phased sums and for their phases.
 
         The weight phases of all n values of u are formed from
         ``_base_phases`` in one broadcast product, and only the weights
@@ -408,21 +410,23 @@ class RateKernel:
         pairs[:-1] = _times_conj(pump, pump).real
         support = _support(pairs)
         pairs = pairs.reshape(n, 2).T.copy()
-        # Rows 2 m and 2 m + 1 of weights[p] are Q[2u + p] times the real and
-        # the imaginary part of the m-th U's weight phase.
-        fine, coarse, weight, total = self._base_phases(phased)
-        weights = np.empty((2, 2 * len(phased), n))
-        table = _outer_phases(coarse * weight, fine, n)
-        np.multiply(pairs[:, None], table.real, out=weights[:, 0::2])
-        np.multiply(pairs[:, None], table.imag, out=weights[:, 1::2])
-        # Only the O(sqrt n) phases of the sums are kept through the walk.
-        del table
-        sum_phases = np.conj(fine), np.conj(coarse) * total
-        # A complex block is reduced against the phased weights as its
-        # interleaved real and imaginary parts.
-        parts = dtype.itemsize // 8
+        reduced = sum_phases = None
+        if phased:
+            # Rows 2 m and 2 m + 1 of weights[p] are Q[2u + p] times the real
+            # and the imaginary part of the m-th U's weight phase.
+            fine, coarse, weight, total = self._base_phases(phased)
+            weights = np.empty((2, 2 * len(phased), n))
+            table = _outer_phases(coarse * weight, fine, n)
+            np.multiply(pairs[:, None], table.real, out=weights[:, 0::2])
+            np.multiply(pairs[:, None], table.imag, out=weights[:, 1::2])
+            # Only the O(sqrt n) phases of the sums are kept through the walk.
+            del table
+            sum_phases = np.conj(fine), np.conj(coarse) * total
+            # A complex block is reduced against the phased weights as its
+            # interleaved real and imaginary parts.
+            parts = dtype.itemsize // 8
+            reduced = np.zeros((2, 2 * len(phased), parts * n))
         sums = np.zeros((2, n), dtype) if at_rest else None
-        reduced = np.zeros((2, 2 * len(phased), parts * n))
         buffer = np.empty(2 * rows * n, dtype)
         first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
         lowest = 0 if mirrored else -(n // 2)
@@ -442,7 +446,7 @@ class RateKernel:
             if phased:
                 columns = slice(parts * (t0 + n // 2), parts * (t1 + n // 2))
                 reduced[:, :, columns] += np.matmul(weights[:, :, u0:u1], block.view(np.float64))
-        return sums, reduced.view(dtype), sum_phases, mirrored
+        return sums, None if reduced is None else reduced.view(dtype), sum_phases, mirrored
 
     def _at(self, lags: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """Re sum_{k>=0} R_k e^{i x k h} for each slope x = D(d), from the

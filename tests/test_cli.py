@@ -1,10 +1,17 @@
 """Command-line behavior: exit codes, CSV/SVG schema, determinism."""
 
+import argparse
 import contextlib
 import csv
 import io
 import math
+import os
+import signal
+import subprocess
+import sys
 import tempfile
+import time
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +19,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from biphoton.cli import main, parse_config_file, write_scan_csv, write_scan_svg, write_sweep_csv
+import biphoton
+from biphoton.cli import (
+    build_parser,
+    main,
+    parse_config_file,
+    write_scan_csv,
+    write_scan_svg,
+    write_sweep_csv,
+)
 from biphoton.elements import RodAxis
 from biphoton.oracle import oracle_rate
 from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES, SweepRow, preset
@@ -107,6 +122,17 @@ class TestRun:
         assert "<polyline" in text
         assert svg1.read_bytes() == svg2.read_bytes()
 
+    def test_svg_title_from_a_config_name_is_escaped(self, tmp_path, capsys):
+        # The title is the config file's stem, which may hold XML markup.
+        config = tmp_path / "R&D <v1>.cfg"
+        config.write_text("preset = fig3a_dip\n")
+        svg = tmp_path / "o.svg"
+        code, _, _ = run_cli(capsys, "run", "--config", str(config), "--steps", "21",
+                             "--out", str(tmp_path / "o.csv"), "--svg", str(svg))
+        assert code == 0
+        titles = [text.text for text in ET.parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+        assert titles[0] == "R&D <v1>"
+
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         code, _, stderr = run_cli(capsys, "run", "nosuch")
         assert code == 2
@@ -194,6 +220,117 @@ class TestRun:
         code, _, stderr = run_cli(capsys, "run", "fig3a_dip")
         assert code == 3
         assert "contract" in stderr
+
+
+def test_ctrl_c_ends_a_command_without_traceback_or_output(tmp_path):
+    # The 50-row full-band sweep at n = 8192 runs for seconds; SIGINT
+    # reaches it a second after the command has started.
+    config = tmp_path / "full_band.cfg"
+    config.write_text(
+        "preset = fig4c\nasymmetry_ratio = 2\npump_coherence_time = 120\ngrid_n = 8192\n"
+    )
+    out = tmp_path / "sweep.csv"
+    values = ",".join(str(round(1.5 + i / 49, 4)) for i in range(50))
+    script = "import biphoton.cli; print('ready', flush=True); biphoton.cli.main()"
+    argv = ["sweep", "--config", str(config), "--axis", "asymmetry_ratio", "--values", values,
+            "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(biphoton.__file__).parents[1])}
+    process = subprocess.Popen([sys.executable, "-c", script, *argv], env=env, text=True,
+                               stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert process.stdout.readline() == "ready\n"
+    time.sleep(1.0)
+    process.send_signal(signal.SIGINT)
+    stdout, stderr = process.communicate(timeout=60)
+    # The status of a process that SIGINT ends, as without the handler.
+    assert process.returncode == -signal.SIGINT
+    assert stdout == ""
+    assert stderr == "interrupted\n"
+    assert not out.exists()
+
+
+# Command lines of each subcommand, each with the exit code of parsing it,
+# None for one that parses: valid ones, its help, and usage errors (an
+# unknown flag, a float for an integer, a missing required option, and an
+# option that verify does not take).
+PARSER_ARGV = [
+    (["run", "fig3a_dip"], None),
+    (["run", "--config", "x.cfg", "--d-min", "-45", "--d-max=1e3", "--steps", "41",
+      "--out", "o.csv", "--svg", "o.svg"], None),
+    (["run", "-h"], 0),
+    (["run", "fig3a_dip", "--bogus"], 2),
+    (["run", "fig3a_dip", "--steps", "1.5"], 2),
+    (["sweep", "fig4c", "--axis", "analyzer2", "--values", "-45,45"], None),
+    (["sweep", "--config", "x.cfg", "--axis", "rod_length", "--values", "0", "--steps", "5",
+      "--d-min", "-1e3", "--out", "o.csv"], None),
+    (["sweep", "-h"], 0),
+    (["sweep", "fig4c", "--axis", "analyzer2", "--values", "0", "--bogus"], 2),
+    (["sweep", "fig4c", "--axis", "analyzer2", "--values", "0", "--steps", "1.5"], 2),
+    (["sweep", "fig4c", "--values", "0"], 2),
+    (["verify"], None),
+    (["verify", "-h"], 0),
+    (["verify", "--bogus"], 2),
+    (["verify", "--d-min", "3"], 2),
+]
+
+
+def parse_outcome(parser, argv):
+    """The Namespace or exit code of parsing ``argv``, and what it printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            result = parser.parse_args(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, stdout.getvalue(), stderr.getvalue()
+
+
+def count_parsers(monkeypatch):
+    """Every ArgumentParser constructed from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv, code", [pytest.param(*line, id=" ".join(line[0])) for line in PARSER_ARGV]
+    )
+    def test_a_subcommand_parser_parses_as_the_full_one(self, argv, code):
+        # Namespaces, help and usage errors alike, to the byte.
+        outcome = parse_outcome(build_parser(argv[0]), argv)
+        assert outcome == parse_outcome(build_parser(), argv)
+        assert (None if isinstance(outcome[0], argparse.Namespace) else outcome[0]) == code
+
+    @pytest.mark.parametrize("command", [
+        ("run", "fig3a_dip", "--steps", "21"),
+        ("sweep", "fig3a_dip", "--axis", "analyzer2", "--values", "0", "--steps", "21"),
+    ])
+    def test_a_command_builds_only_its_subcommand_parser(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        built = count_parsers(monkeypatch)
+        assert main([*command, "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]])
+    def test_other_first_tokens_build_every_parser(self, capsys, monkeypatch, argv):
+        built = count_parsers(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert len(built) == 4
+
+    def test_no_two_commands_share_a_parser(self, capsys, monkeypatch):
+        built = count_parsers(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main(["verify", "-h"])
+        assert len(built) == 4
+        assert not any(a is b for a in built[:2] for b in built[2:])
 
 
 @pytest.mark.parametrize("argv, files", GOLDEN_RUNS, ids=lambda x: "-".join(x[:3]))

@@ -348,6 +348,21 @@ class TestRateKernel:
         kernel.rate(enumerate_paths(config), np.linspace(-1500.0, 1500.0, 151))
         assert slopes == [1, 151]
 
+    @pytest.mark.parametrize("name, calls", [("fig3a_dip", 0), ("fig4c", 1)])
+    def test_only_a_walk_with_a_phased_shift_forms_phases(self, monkeypatch, name, calls):
+        # Every pair of fig3a_dip reads U = 0, so its walk forms no phases;
+        # the cross pair of fig4c has U != 0, and its one walk forms them once.
+        angles = []
+        phase_angles = scan._phase_angles
+
+        def counted(*args):
+            angles.append(args)
+            return phase_angles(*args)
+
+        monkeypatch.setattr(scan, "_phase_angles", counted)
+        scan_delay(preset(name))
+        assert len(angles) == calls
+
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
     def test_factors_and_dense_values_give_the_same_sums(self, monkeypatch, rho, tau_p):
