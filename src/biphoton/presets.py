@@ -22,6 +22,8 @@ from .scan import (
     DEFAULT_SCAN_STEPS,
     MAX_SWEEP_ROWS,
     RateKernel,
+    _rate_grid,
+    _scan_delays,
     scan_delay,
 )
 from .spectral import (
@@ -189,29 +191,28 @@ class SweepRow:
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One delay scan per swept value, rows in input order; the rows of a
-    sweep over one of ``REWEIGHTING_AXES`` share the kernel built in row 0.
+    """One delay scan per swept value, values checked first, rows in input order;
+    a sweep over ``REWEIGHTING_AXES`` shares one kernel on the finest grid a row needs.
 
     The package's own errors name the row they came from; any other
     exception propagates unchanged.
     """
-    rows = []
-    kernel = None
-    for index, value in enumerate(spec.values):
+
+    def in_row(i, call, *args, **kwargs):
         try:
-            config = with_value(spec.base, spec.axis, value)
-            if index == 0 and spec.axis in REWEIGHTING_AXES:
-                kernel = RateKernel(build_jsa(config.spectral, config.frequency_grid()))
-            result = scan_delay(config, spec.d_min, spec.d_max, spec.steps, kernel=kernel)
+            return call(*args, **kwargs)
         except (ConfigurationError, ContractViolation) as exc:
-            raise type(exc)(f"sweep row {index} ({spec.axis}={value}): {exc}") from exc
-        rows.append(
-            SweepRow(
-                value=value,
-                visibility=result.visibility,
-                kind=result.kind,
-                extremum=result.extremum,
-                baseline=result.baseline,
-            )
-        )
+            raise type(exc)(f"sweep row {i} ({spec.axis}={spec.values[i]}): {exc}") from exc
+
+    configs = [in_row(i, with_value, spec.base, spec.axis, v) for i, v in enumerate(spec.values)]
+    kernel = None
+    if spec.axis in REWEIGHTING_AXES:
+        # A bad window is refused as such before it is read as aliasing delays.
+        in_row(0, _scan_delays, spec.d_min, spec.d_max, spec.steps)
+        grids = (in_row(i, _rate_grid, c, spec.d_min, spec.d_max) for i, c in enumerate(configs))
+        kernel = RateKernel(build_jsa(spec.base.spectral, max(grids, key=lambda grid: grid.n)))
+    rows = []
+    for i, (value, config) in enumerate(zip(spec.values, configs)):
+        scan = in_row(i, scan_delay, config, spec.d_min, spec.d_max, spec.steps, kernel=kernel)
+        rows.append(SweepRow(value, scan.visibility, scan.kind, scan.extremum, scan.baseline))
     return rows

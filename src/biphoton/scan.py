@@ -77,9 +77,8 @@ by conj(c_p) c_q T(q, p) / (|c_p| |c_q|), the self pairs summing to 1,
 and an amplitude's exchange asymmetry is 1 - |T(p, q)| for delay-free
 paths p unswapped and q swapped.
 
-The grid sums repeat in each port delay with period 2 pi / h, so delays
-at which a rate would read an alias of the interference term are refused
-before anything is built.
+The grid sums repeat in each port delay with period 2 pi / h, so a rate's
+grid is raised until no delay reads an alias, up to n = 8192.
 
 Every term, the d-independent self terms included, is folded and read
 by the same routines, so identical summands cancel exactly. An ideal dip
@@ -95,6 +94,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -105,6 +105,7 @@ from .spectral import JointSpectralAmplitude, _sum_squares, build_jsa, interfere
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
+    from .spectral import FrequencyGrid
 
 DEFAULT_FLAT_THRESHOLD = 0.02
 DEFAULT_WING_FACTOR = 3.0
@@ -553,15 +554,14 @@ def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
     return 1.0 - float(abs(kernel.at_rest(unswapped, swapped)))
 
 
-def _check_alias(
+def _alias(
     config: "ExperimentConfig",
     paths: Sequence[PathAmplitude],
-    period: float,
     d_min: float,
     d_max: float,
-) -> None:
-    """Refuse trombone delays in [d_min, d_max] at which the grid rate
-    reads an alias.
+    grid: FrequencyGrid,
+) -> str | None:
+    """Why the rate on ``grid`` aliases at trombone delays in [d_min, d_max], or None.
 
     On a grid of spacing h the pair sum T(p, q) is periodic in each port
     delay difference with period 2 pi / h: besides the Gaussian cross
@@ -577,6 +577,7 @@ def _check_alias(
     signs, and the bound reads |d| <= 2 pi / h - DEFAULT_WING_FACTOR times the
     interference width; along u the pump width sets it instead.
     """
+    period = 2.0 * math.pi / grid.weight
     spectral = config.spectral
     scale_v = 4.0 * interference_width(spectral) ** 2
     scale_u = 16.0 * spectral.pump_coherence_time**2 + scale_v
@@ -599,12 +600,34 @@ def _check_alias(
                             u_image = u + (m_a + m_b) * period
                             nearest = min(nearest, u_image * u_image / scale_u + v * v / scale_v)
             if not (reach < period and nearest >= floor):
-                raise ConfigurationError(
-                    f"trombone delays in [{d_min:g}, {d_max:g}] fs alias on this grid: paths "
-                    f"{p.label}/{q.label} reach port delay differences of {reach:.6g} fs, "
-                    f"and the rate repeats every {period:.6g} fs; shorten the delays or "
-                    "the rods, or raise grid_n"
+                return (
+                    f"trombone delays in [{d_min:g}, {d_max:g}] fs alias: paths {p.label}/"
+                    f"{q.label} reach port delay differences of {reach:.6g} fs, and the rate "
+                    f"repeats every {period:.6g} fs on the grid of n = {grid.n}"
                 )
+    return None
+
+
+def _plan_grid(config: "ExperimentConfig", bound, ceiling: int = 8192) -> FrequencyGrid:
+    """The grid of the smallest power-of-two request, config.grid.n or up,
+    that passes ``bound``, which returns why a grid breaks it or None. The
+    request is doubled, not the grid, so ``auto_grid`` stays the one ridge
+    rule; past ``ceiling`` the bound that needs more is named and refused."""
+    while True:
+        grid = config.frequency_grid()
+        if grid.n > ceiling:
+            raise ConfigurationError(f"the grid of n = {grid.n} is past the largest, n = {ceiling}")
+        reason = bound(grid)
+        if reason is None:
+            return grid
+        if config.grid.n >= ceiling:
+            raise ConfigurationError(f"{reason}, the largest grid; shorten the delays or rods")
+        config = replace(config, grid=replace(config.grid, n=2 * config.grid.n))
+
+
+def _rate_grid(config: "ExperimentConfig", d_min: float, d_max: float) -> FrequencyGrid:
+    """The grid on which no rate of ``config`` in [d_min, d_max] reads an alias."""
+    return _plan_grid(config, partial(_alias, config, enumerate_paths(config), d_min, d_max))
 
 
 def coincidence_rate(config: "ExperimentConfig", d, kernel: RateKernel | None = None):
@@ -612,10 +635,10 @@ def coincidence_rate(config: "ExperimentConfig", d, kernel: RateKernel | None = 
     fixed normalization for a given spectral model), a float; for a 1-D
     sequence of delays, a float64 array with the bits of the single calls.
 
-    The delays are checked against aliasing on the grid of ``kernel``, or
-    of the config, before anything is built. A ``kernel`` of this config's
-    spectral parameters keeps its pair sums, so configs that differ only in
-    analyzers or pair phase share them; without one, a new one is built.
+    Without a ``kernel`` one is built on the grid planned for the delays;
+    a ``kernel`` of this config's spectral parameters keeps its pair sums,
+    so configs that differ only in analyzers or pair phase share them, and
+    its grid, on which aliasing delays are refused before anything is built.
     """
     delays = np.asarray(d, dtype=float)
     if delays.ndim > 1:
@@ -630,10 +653,11 @@ def coincidence_rate(config: "ExperimentConfig", d, kernel: RateKernel | None = 
             f"{bad.sum()} of {bad.size} delays are not finite"
         )
     paths = enumerate_paths(config)
-    grid = config.frequency_grid() if kernel is None else kernel.grid
-    _check_alias(config, paths, 2.0 * math.pi / grid.weight, delays.min(), delays.max())
+    bound = partial(_alias, config, paths, delays.min(), delays.max())
     if kernel is None:
-        kernel = RateKernel(build_jsa(config.spectral, grid))
+        kernel = RateKernel(build_jsa(config.spectral, _plan_grid(config, bound)))
+    elif reason := bound(kernel.grid):
+        raise ConfigurationError(f"{reason}; shorten the delays or rods")
     rates = kernel.rate(paths, np.atleast_1d(delays))
     return float(rates[0]) if delays.ndim == 0 else rates
 
@@ -666,6 +690,21 @@ class ScanResult:
         self.rates.setflags(write=False)
 
 
+def _scan_delays(d_min: float, d_max: float, steps: int) -> np.ndarray:
+    """The ``steps`` delays of a scan from d_min to d_max, once all three are checked."""
+    # Edges that are not finite, or a span past the largest float, would
+    # space the delays by inf or nan.
+    if not math.isfinite(d_max - d_min):
+        raise ConfigurationError(f"scan edges and span must be finite, got {d_min}, {d_max}")
+    if not d_min < d_max:
+        raise ConfigurationError(f"need d_min < d_max, got {d_min} >= {d_max}")
+    if not 3 <= steps <= MAX_SCAN_STEPS:
+        raise ConfigurationError(
+            f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {steps}"
+        )
+    return np.linspace(d_min, d_max, steps)
+
+
 def scan_delay(
     config: "ExperimentConfig",
     d_min: float = DEFAULT_SCAN_MIN,
@@ -684,17 +723,7 @@ def scan_delay(
     otherwise dip or peak by the dominant deviation. ``steps`` runs from 3
     to ``MAX_SCAN_STEPS``.
     """
-    # Edges that are not finite, or a span past the largest float, would
-    # space the delays by inf or nan.
-    if not math.isfinite(d_max - d_min):
-        raise ConfigurationError(f"scan edges and span must be finite, got {d_min}, {d_max}")
-    if not d_min < d_max:
-        raise ConfigurationError(f"need d_min < d_max, got {d_min} >= {d_max}")
-    if not 3 <= steps <= MAX_SCAN_STEPS:
-        raise ConfigurationError(
-            f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {steps}"
-        )
-    delays = np.linspace(d_min, d_max, steps)
+    delays = _scan_delays(d_min, d_max, steps)
     rates = coincidence_rate(config, delays, kernel)
 
     wing = DEFAULT_WING_FACTOR * interference_width(config.spectral)
@@ -773,10 +802,10 @@ def time_joint_density(amp: CoincidenceAmplitude) -> TimeJointDensity:
     return TimeJointDensity(times=times, density=density, mean_a=mean_a, mean_b=mean_b, total=total)
 
 
-def _check_time_window(
-    config: "ExperimentConfig", paths: Sequence[PathAmplitude], half_window: float
-) -> None:
-    """Refuse paths whose arrival times would wrap around the time window.
+def _time_window(
+    config: "ExperimentConfig", paths: Sequence[PathAmplitude], grid: FrequencyGrid
+) -> str | None:
+    """Why the arrival times of ``paths`` wrap around the time window of ``grid``, or None.
 
     The transform of a grid of spacing h places a path at (D_a, D_b) in the
     periodic window [-pi/h, pi/h) and wraps whatever lies beyond. For the
@@ -787,6 +816,7 @@ def _check_time_window(
     DEFAULT_WING_FACTOR times w inside the window, so that less than 1.1e-5
     of its density (erfc(3) / 2) wraps.
     """
+    half_window = math.pi / grid.weight
     spectral = config.spectral
     tau2 = spectral.pump_coherence_time**2
     sigmas = (spectral.sigma1, spectral.sigma2)
@@ -795,11 +825,11 @@ def _check_time_window(
         for delay, sigma in zip((p.delay_a, p.delay_b), sigmas[::-1] if p.swapped else sigmas):
             reach = abs(delay) + DEFAULT_WING_FACTOR * math.sqrt(tau2 + 0.5 / sigma**2)
             if not reach < half_window:
-                raise ConfigurationError(
+                return (
                     f"arrival times of path {p.label} reach {reach:.6g} fs, past the time "
-                    f"window of +-{half_window:.6g} fs on this grid; shorten the delays or "
-                    "the rods, or raise grid_n"
+                    f"window of +-{half_window:.6g} fs on the grid of n = {grid.n}"
                 )
+    return None
 
 
 def arrival_time_joint(config: "ExperimentConfig", d: float) -> TimeJointDensity:
@@ -807,18 +837,12 @@ def arrival_time_joint(config: "ExperimentConfig", d: float) -> TimeJointDensity
 
     The marginal means locate each detector's photon in time; their
     difference reveals which detector fires first, independently of whether
-    the rate curve shows interference. Delays whose arrival times would
-    wrap around the time window of the grid are refused before anything is
-    built. So are grids above ``MAX_TIME_GRID_N``, whose n x n arrays
-    would not fit in a bounded memory.
+    the rate curve shows interference. Its grid is raised until no arrival
+    time wraps around the time window, and refused before anything is
+    built past ``MAX_TIME_GRID_N``, whose n x n arrays fit in bounded memory.
     """
-    grid = config.frequency_grid()
-    if not 128 <= grid.n <= MAX_TIME_GRID_N:
-        raise ConfigurationError(
-            f"arrival-time diagnostics need grid n from 128 to {MAX_TIME_GRID_N}, got {grid.n}"
-        )
     paths = enumerate_paths(config, d)
-    _check_time_window(config, paths, math.pi / grid.weight)
+    grid = _plan_grid(config, partial(_time_window, config, paths), MAX_TIME_GRID_N)
     return time_joint_density(assemble_amplitude(paths, build_jsa(config.spectral, grid)))
 
 
@@ -829,10 +853,10 @@ def refine_check(config: "ExperimentConfig", d: float) -> float:
     above ~1e-6 at the default resolution signals an undersampled grid.
     The denominator is floored at 1e-6 of the non-interfering level so
     that a perfectly cancelled dip point does not turn rounding noise
-    into a spurious ratio. The doubled grid is a ``GridSpec`` like any
-    other, so a grid whose double passes the size ceiling is refused.
+    into a spurious ratio. The double of the rate's ``_rate_grid`` is a
+    ``GridSpec`` like any other, so one past the size ceiling is refused.
     """
-    fine = replace(config, grid=replace(config.grid, n=2 * config.frequency_grid().n))
+    fine = replace(config, grid=replace(config.grid, n=2 * _rate_grid(config, d, d).n))
     coarse_rate = coincidence_rate(config, d)
     fine_rate = coincidence_rate(fine, d)
     scale = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config, d))

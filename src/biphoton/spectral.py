@@ -122,7 +122,7 @@ class SpectralParams:
                 interference_width(self),
                 pump_ridge_sigma(self),
             )
-        except ArithmeticError:
+        except (ArithmeticError, ConfigurationError):
             derived = (math.nan,)
         if not all(x > 0 and math.isfinite(x) for x in derived):
             raise ConfigurationError(

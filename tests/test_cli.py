@@ -197,12 +197,21 @@ class TestRun:
         assert not out.exists()
 
     def test_delays_past_the_alias_bound_exit_2(self, tmp_path, capsys):
+        # 500000 fs is past the alias period of the largest grid, 435185 fs.
         out = tmp_path / "scan.csv"
-        code, _, stderr = run_cli(capsys, "run", "fig3a_dip", "--d-max", "15000",
+        code, _, stderr = run_cli(capsys, "run", "fig3a_dip", "--d-max", "500000",
                                   "--out", str(out))
         assert code == 2
-        assert "alias" in stderr
+        assert "alias" in stderr and "n = 8192" in stderr
         assert not out.exists()
+
+    def test_delays_past_the_default_alias_bound_raise_the_grid(self, tmp_path, capsys):
+        # 15000 fs aliases at the default n = 256; the planned n = 512 reads it.
+        code, stdout, _ = run_cli(capsys, "run", "fig3a_dip", "--d-max", "15000",
+                                  "--out", str(tmp_path / "scan.csv"))
+        assert code == 0
+        delta = float(stdout.split("oracle_max_rel_delta=")[1].split()[0])
+        assert delta < 1e-3
 
     def test_removed_workers_flag_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:

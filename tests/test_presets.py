@@ -230,6 +230,20 @@ class TestKernelSharing:
         run_sweep(SweepSpec(base=preset("fig4c"), axis=axis, values=values, steps=31))
         assert len(kernels) == len(values)
 
+    def test_a_shared_kernel_takes_the_finest_grid_a_row_needs(self, kernels):
+        # Past 13244 fs the two paths of the 45 deg row alias at n = 256, but
+        # the single path of the 0 and 90 deg rows does not; all three rows
+        # share the n = 512 kernel and read what a scan of their own reads.
+        spec = SweepSpec(base=preset("fig3a_dip"), axis="analyzer2", values=(0.0, 45.0, 90.0),
+                         d_max=15000.0)
+        rows = run_sweep(spec)
+        assert [kernel.grid.n for kernel in kernels] == [512]
+        for row in rows:
+            config = with_value(spec.base, spec.axis, row.value)
+            own = scan_delay(config, spec.d_min, spec.d_max, spec.steps)
+            assert (row.kind, row.baseline) == (own.kind, pytest.approx(own.baseline, rel=1e-12))
+            assert row.extremum == pytest.approx(own.extremum, rel=1e-12, abs=1e-15)
+
     def test_a_shared_kernel_stops_growing_after_row_0(self, kernels):
         base = replace(preset("fig4c"), spectral=SpectralParams(asymmetry_ratio=2.0))
         values = (-45.0, 0.0, 22.5, 45.0, 67.5, 90.0, 30.0)

@@ -136,8 +136,9 @@ def log_uniform(low, high):
 @st.composite
 def accepted_inputs(draw):
     """A config from the whole input space that a config file accepts, and
-    1 to 5 delays within +-1500, +-5000 or +-15000 fs: rods that move the
-    pair emission time, raised grids and delays out to the alias bound."""
+    1 to 5 delays within +-1500, +-5000, +-15000 or +-50000 fs: rods that
+    move the pair emission time, raised grids, and delays past the alias
+    period of the default grid, which raise the planned one."""
     spectral = SpectralParams(
         asymmetry_ratio=draw(log_uniform(0.25, 4.0)),
         pump_coherence_time=draw(log_uniform(20.0, 20000.0)),
@@ -152,16 +153,41 @@ def accepted_inputs(draw):
         spectral=spectral,
         grid=GridSpec(n=draw(st.sampled_from([256, 512, 2048]))),
     )
-    reach = draw(st.sampled_from([1500.0, 5000.0, 15000.0]))
+    reach = draw(st.sampled_from([1500.0, 5000.0, 15000.0, 50000.0]))
     ds = draw(st.lists(st.floats(-reach, reach), min_size=1, max_size=5))
     return config, ds
+
+
+def assert_smallest_grid(config, ds, grid):
+    """``grid`` passes the alias bound of the delays ``ds``, and when it is
+    finer than both the request and the ridge rule ask, half of it does not."""
+    paths = enumerate_paths(config)
+    assert scan._alias(config, paths, min(ds), max(ds), grid) is None
+    if grid.n > max(config.grid.n, config.frequency_grid().n):
+        half = replace(config, grid=GridSpec(n=grid.n // 2)).frequency_grid()
+        assert scan._alias(config, paths, min(ds), max(ds), half) is not None
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(accepted_inputs())
+def test_the_planned_grid_is_the_smallest_that_reads_no_alias(drawn):
+    # Planning builds nothing, so many more draws than the oracle check's.
+    config, ds = drawn
+    try:
+        grid = scan._rate_grid(config, min(ds), max(ds))
+    except ConfigurationError as exc:
+        # Only past the largest grid, naming the alias or the ridge rule.
+        assert "n = 8192" in str(exc) and ("alias" in str(exc) or "ridge" in str(exc))
+        return
+    assert_smallest_grid(config, ds, grid)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)
 @given(accepted_inputs())
 def test_accepted_inputs_match_the_oracle(drawn):
     # Either the delays are refused before any amplitude is built, or every
-    # rate matches the closed form, with the floor of test_engine_matches_oracle.
+    # rate matches the closed form, with the floor of test_engine_matches_oracle,
+    # on the smallest grid that the alias bound accepts.
     config, ds = drawn
     with mock.patch.object(scan, "build_jsa", wraps=scan.build_jsa) as built:
         try:
@@ -169,6 +195,7 @@ def test_accepted_inputs_match_the_oracle(drawn):
         except ConfigurationError:
             assert not built.called
             return
+    assert_smallest_grid(config, ds, built.call_args.args[1])
     floor = 1e-2 * _level(config)
     for d, engine in zip(ds, rates):
         reference = oracle_rate(config, d)

@@ -180,10 +180,12 @@ class TestArrivalTimes:
         assert diff_rr == pytest.approx(diff_tt, abs=5.0)
         assert abs(pair_tt - pair_rr) == pytest.approx(630.0, abs=5.0)
 
-    def test_requires_fine_enough_grid(self, fig3a_dip):
-        coarse = replace(fig3a_dip, grid=GridSpec(n=64))
-        with pytest.raises(ConfigurationError):
-            arrival_time_joint(coarse, 0.0)
+    def test_the_smallest_grid_reads_the_rod_delay(self):
+        # The window bound, not a floor on n, says when a grid is fine enough.
+        for name, order in (("fig3a_peak", 1), ("fig3b_peak", -1), ("fig4c", 0)):
+            density = arrival_time_joint(replace(preset(name), grid=GridSpec(n=64)), 0.0)
+            assert len(density.times) == 64
+            assert density.mean_b - density.mean_a == pytest.approx(630.0 * order, abs=1e-12)
 
     def test_grids_above_the_bound_are_refused_before_anything_is_built(self, monkeypatch):
         # At n = 4096 the diagnostic's n x n arrays would hold 768 MiB.
@@ -194,7 +196,8 @@ class TestArrivalTimes:
             raise Built
 
         monkeypatch.setattr(scan, "build_jsa", built)
-        with pytest.raises(ConfigurationError, match=f"128 to {scan.MAX_TIME_GRID_N}, got 4096"):
+        largest = f"n = 4096 is past the largest, n = {scan.MAX_TIME_GRID_N}"
+        with pytest.raises(ConfigurationError, match=largest):
             arrival_time_joint(replace(preset("fig3a_peak"), grid=GridSpec(n=4096)), 0.0)
         # A long pump raises the automatic grid to the bound, which passes.
         spectral = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=6300.0)
@@ -208,29 +211,42 @@ class TestArrivalTimes:
         assert density.mean_b - density.mean_a == pytest.approx(6300.0, abs=1.0)
 
     @pytest.mark.parametrize("rod_length, d", [(215.0, 0.0), (300.0, 0.0), (200.0, 500.0)])
-    def test_arrival_times_past_the_window_are_refused(self, monkeypatch, rod_length, d):
+    def test_arrival_times_past_the_window_are_refused(self, rod_length, d):
         # The window of the default grid is +-6774 fs; these delays used to
-        # wrap around it and report the wrong detector firing first.
+        # wrap around it and report the wrong detector firing first. Its
+        # bound refuses that grid, and they are read on the planned n = 512.
+        config = replace(preset("fig3a_peak"), rod_length=rod_length)
+        reason = scan._time_window(config, enumerate_paths(config, d), config.frequency_grid())
+        assert "time window" in reason and "n = 256" in reason
+        density = arrival_time_joint(config, d)
+        assert len(density.times) == 512
+        assert density.mean_b - density.mean_a == pytest.approx(31.5 * rod_length, abs=1.0)
+
+    def test_arrival_times_past_the_largest_window_are_refused(self, monkeypatch):
+        # 1800 mm rods delay a photon by 56700 fs, past the window of the
+        # largest grid it reads, +-54378 fs at n = 2048.
         import biphoton.scan as scan_module
 
         def unexpected(*args, **kwargs):
             raise AssertionError("the amplitude was built before the window check")
 
         monkeypatch.setattr(scan_module, "build_jsa", unexpected)
-        config = replace(preset("fig3a_peak"), rod_length=rod_length)
-        with pytest.raises(ConfigurationError, match="time window"):
-            arrival_time_joint(config, d)
+        config = replace(preset("fig3a_peak"), rod_length=1800.0)
+        with pytest.raises(ConfigurationError, match="time window.*n = 2048"):
+            arrival_time_joint(config, 0.0)
 
     def test_pump_width_counts_against_the_window(self):
         # 170 mm rods at tau_p = 630 fs: the port delay of 5355 fs sits 3
-        # filter-only widths (215 fs) inside the window but not 3 widths that
-        # include the pump, and the density wraps enough to read 13 fs short.
+        # filter-only widths (215 fs) inside the window of n = 256 but not 3
+        # widths that include the pump, where the density wraps enough to
+        # read 13 fs short; so the grid is raised to n = 512.
         config = replace(
             preset("fig3a_peak"), rod_length=170.0,
             spectral=SpectralParams(pump_coherence_time=630.0),
         )
-        with pytest.raises(ConfigurationError, match="time window"):
-            arrival_time_joint(config, 0.0)
+        density = arrival_time_joint(config, 0.0)
+        assert len(density.times) == 512
+        assert density.mean_b - density.mean_a == pytest.approx(5355.0, abs=1e-6)
 
     def test_a_finer_grid_widens_the_window(self):
         for rod_length in (215.0, 300.0):
@@ -250,6 +266,20 @@ class TestRefinement:
 
     def test_flat_configuration_converged(self):
         assert refine_check(preset("fig4c"), 0.0) < 1e-6
+
+    def test_doubles_the_planned_grid(self, fig3a_dip, monkeypatch):
+        # 14000 fs aliases at the requested n = 256, so the rate is read at
+        # n = 512 and checked against n = 1024, not against itself.
+        built = []
+        build = scan.build_jsa
+
+        def recorded(params, grid):
+            built.append(grid.n)
+            return build(params, grid)
+
+        monkeypatch.setattr(scan, "build_jsa", recorded)
+        assert 0.0 < refine_check(fig3a_dip, 14000.0) < 1e-6
+        assert built == [512, 1024]
 
     def test_doubling_past_the_grid_ceiling_is_refused_before_any_jsa(self, fig3a_dip,
                                                                     monkeypatch):
@@ -864,23 +894,40 @@ class TestRealEngine:
 
 class TestAliasBound:
     """Delays whose grid rate would read an image of the interference term
-    one alias period 2 pi / h away are refused."""
+    one alias period 2 pi / h away are refused on a kernel's fixed grid,
+    and read on a raised grid without one."""
 
     @staticmethod
     def period(config):
         return 2.0 * math.pi / config.frequency_grid().weight
 
+    @staticmethod
+    def kernel(config):
+        return RateKernel(build_jsa(config.spectral, config.frequency_grid()))
+
+    @staticmethod
+    def assert_matches_oracle(config, delays):
+        # The floor of test_engine_matches_oracle, for the bottom of a dip.
+        floor = 1e-2 * sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config))
+        for d, rate in zip(delays, coincidence_rate(config, delays)):
+            reference = oracle_rate(config, d)
+            assert abs(rate - reference) <= 1e-3 * max(reference, floor)
+
     def test_matched_rods_accept_up_to_three_widths_below_the_period(self, fig3a_dip):
         edge = self.period(fig3a_dip) - DEFAULT_WING_FACTOR * interference_width(
             fig3a_dip.spectral
         )
+        assert edge == pytest.approx(13244.0, abs=1.0)
+        kernel = self.kernel(fig3a_dip)
         for d in (edge - 1.0, -(edge - 1.0)):
-            assert coincidence_rate(fig3a_dip, d) == pytest.approx(
+            assert coincidence_rate(fig3a_dip, d, kernel) == pytest.approx(
                 oracle_rate(fig3a_dip, d), rel=1e-3
             )
-        for d in (edge + 1.0, -(edge + 1.0), 13548.07):
+        past = (edge + 1.0, -(edge + 1.0), 13548.07)
+        for d in past:
             with pytest.raises(ConfigurationError, match="alias"):
-                coincidence_rate(fig3a_dip, d)
+                coincidence_rate(fig3a_dip, d, kernel)
+        self.assert_matches_oracle(fig3a_dip, past)
 
     def test_scan_is_refused_before_building_anything(self, fig3a_dip, monkeypatch):
         import biphoton.scan as scan_module
@@ -889,8 +936,9 @@ class TestAliasBound:
             raise AssertionError("the delays must be checked first")
 
         monkeypatch.setattr(scan_module, "build_jsa", unexpected)
+        # 500000 fs is past the alias period of the largest grid, 435185 fs.
         with pytest.raises(ConfigurationError, match="alias"):
-            scan_delay(fig3a_dip, -1500.0, 15000.0)
+            scan_delay(fig3a_dip, -1500.0, 500000.0)
 
     def test_long_pump_half_period_image(self):
         # Near the pump-ridge sampling limit the image one period away in
@@ -898,10 +946,13 @@ class TestAliasBound:
         # matched rods alias at half a period (by about 2% here).
         config = replace(preset("fig3a_dip"), spectral=SpectralParams(pump_coherence_time=6300.0))
         half = self.period(config) / 2.0
+        kernel = self.kernel(config)
         with pytest.raises(ConfigurationError, match="alias"):
-            coincidence_rate(config, -half)
+            coincidence_rate(config, -half, kernel)
         with pytest.raises(ConfigurationError, match="alias"):
-            scan_delay(config, -30000.0, 1500.0)
+            scan_delay(config, -30000.0, 1500.0, kernel=kernel)
+        self.assert_matches_oracle(config, [-half])
+        self.assert_matches_oracle(config, np.linspace(-30000.0, 1500.0, 151))
 
     def test_mixed_rods_alias_along_the_pump_direction(self):
         # fig4c shifts the sum of the port delays by twice the rod delay. At
@@ -911,8 +962,10 @@ class TestAliasBound:
         spectral = SpectralParams(pump_coherence_time=1000.0)
         near = replace(preset("fig4c"), spectral=spectral, rod_length=200.0)
         assert coincidence_rate(near, 0.0) == pytest.approx(oracle_rate(near, 0.0), rel=1e-3)
+        far = replace(near, rod_length=378.0)
         with pytest.raises(ConfigurationError, match="alias"):
-            coincidence_rate(replace(near, rod_length=378.0), 0.0)
+            coincidence_rate(far, 0.0, self.kernel(far))
+        self.assert_matches_oracle(far, [0.0])
 
     @pytest.mark.parametrize("rod_length", [1e150, 1e300])
     def test_huge_rods_are_refused(self, rod_length):

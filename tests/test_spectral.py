@@ -149,6 +149,7 @@ class TestSpectralParams:
             {"asymmetry_ratio": 1e300},
             {"asymmetry_ratio": 1e-300},
             {"filter_fwhm": 1e300},
+            {"filter_center": 1e-300},
         ],
     )
     def test_rejects_degenerate_widths(self, kwargs):
