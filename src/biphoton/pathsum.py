@@ -36,6 +36,7 @@ from .elements import (
     pbs_action,
     rod_delays,
 )
+from .errors import ConfigurationError
 from .spectral import FrequencyGrid, JointSpectralAmplitude
 
 if TYPE_CHECKING:
@@ -97,13 +98,15 @@ class CoincidenceAmplitude:
 
 
 def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmplitude, ...]:
-    """The coincidence paths of a configuration at trombone delay d (fs),
-    in fixed source-term order.
+    """The coincidence paths of a configuration at finite trombone delay d
+    (fs), in fixed source-term order.
 
     Terms whose photons leave through the same port produce no coincidence
     and are skipped; so are paths whose analyzer projections kill the
     coefficient outright. An empty result is a valid outcome, not an error.
     """
+    if not math.isfinite(d):
+        raise ConfigurationError(f"trombone delay must be finite, got {d}")
     rod1_h, rod1_v = rod_delays(QuartzRod(config.qr1_axis, config.rod_length))
     rod2_h, rod2_v = rod_delays(QuartzRod(config.qr2_axis, config.rod_length))
 

@@ -208,7 +208,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     kernel = None
     if spec.axis in REWEIGHTING_AXES:
         # A bad window is refused as such before it is read as aliasing delays.
-        in_row(0, _scan_delays, spec.d_min, spec.d_max, spec.steps)
+        in_row(0, _scan_delays, spec.base.spectral, spec.d_min, spec.d_max, spec.steps)
         grids = (in_row(i, _rate_grid, c, spec.d_min, spec.d_max) for i, c in enumerate(configs))
         kernel = RateKernel(build_jsa(spec.base.spectral, max(grids, key=lambda grid: grid.n)))
     rows = []

@@ -34,9 +34,9 @@ each pair folds its 2 n - 1 sums into n lags,
 A scan therefore costs one reduction walk per crossed that its pairs
 read, which reduces every U of that crossed at once (below), and, per
 delay point, about log2(n) complex exps and n complex multiply-adds:
-with k = K B + j and B ~ sqrt(n), the phase e^{i D k h} is the product
-of e^{i D K B h} and e^{i D j h}, so the folded lags, laid out as an
-(n / B) x B matrix, take the B fine phases in one matrix-vector product
+with k = K B + j and B = 2^floor(log2(n) / 2), the phase e^{i D k h} is
+the product of e^{i D K B h} and e^{i D j h}, so the folded lags, exactly
+an (n / B) x B matrix, take the B fine phases in one matrix-vector product
 and the n / B coarse phases in a short sum after it. Both tables are
 built by doubling from the phases of the lags 2^b h and 2^b B h, each
 phase a product of at most log2(n / B) of them. Every self pair reads
@@ -101,11 +101,11 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
 from .pathsum import CoincidenceAmplitude, PathAmplitude, assemble_amplitude, enumerate_paths
-from .spectral import JointSpectralAmplitude, _sum_squares, build_jsa, interference_width
+from .spectral import _MAX_GRID_N, FrequencyGrid, JointSpectralAmplitude, SpectralParams
+from .spectral import _sum_squares, build_jsa, interference_width
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
-    from .spectral import FrequencyGrid
 
 DEFAULT_FLAT_THRESHOLD = 0.02
 DEFAULT_WING_FACTOR = 3.0
@@ -170,12 +170,12 @@ def _phase_angles(origin, steps: np.ndarray, h: float, shifts: Sequence[float]):
     return np.remainder(angles, _TWO_PI).astype(np.float64)
 
 
-def _outer_phases(coarse: np.ndarray, fine: np.ndarray, n: int) -> np.ndarray:
-    """coarse[K] fine[j] at m = K B + j for m < n, B = len(fine), over the
-    last axes of ``coarse`` and ``fine``, one row per leading index: the
-    phase of step m from those of the coarse steps K B and fine steps j."""
+def _outer_phases(coarse: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """coarse[K] fine[j] at m = K B + j, B = len(fine), over the last axes
+    of ``coarse`` and ``fine``, one row per leading index: the phase of
+    step m from those of the coarse steps K B and fine steps j."""
     table = coarse[..., :, None] * fine[..., None, :]
-    return table.reshape(*table.shape[:-2], math.prod(table.shape[-2:]))[..., :n]
+    return table.reshape(*table.shape[:-2], math.prod(table.shape[-2:]))
 
 
 def _phase_tables(base: np.ndarray, fine_steps: int, coarse_steps: int):
@@ -194,8 +194,7 @@ def _phase_tables(base: np.ndarray, fine_steps: int, coarse_steps: int):
     table[0] = 1.0
     for b, phase in enumerate(base):
         width = 1 << b
-        end = min(2 * width, coarse_steps)
-        np.multiply(table[: end - width], phase, out=table[width:end])
+        np.multiply(table[:width], phase, out=table[width : 2 * width])
     return table[:fine_steps, :, 0].T.copy(), table[:, :, 1].T
 
 
@@ -248,8 +247,8 @@ class RateKernel:
         # a walk splits its grid steps m < n the same way.
         # Row b of the base lags holds the fine lag 2^b h and the coarse lag
         # 2^b B h, each exact as a power of two times h, for 2^b < n / B.
-        fine = 1 << (int(n).bit_length() - 1) // 2
-        self._steps = fine, -(-int(n) // fine)
+        fine = 1 << (n.bit_length() - 1) // 2
+        self._steps = fine, n // fine
         bits = np.arange((self._steps[1] - 1).bit_length())[:, None, None]
         self._base_lags = np.ldexp([h, fine * h], bits)
 
@@ -328,8 +327,8 @@ class RateKernel:
         )
 
         def interleave(sums):
-            # sums[p, t + n // 2] holds P_{2t+p}, which sits at 2 (n // 2) + k.
-            out = sums.T.copy().reshape(-1)[1 - n % 2 :][: 2 * n - 1]
+            # sums[p, t + n // 2] holds P_{2t+p}, which sits at n + k.
+            out = sums.T.reshape(-1)[1:]
             if mirrored:
                 out[n - 2 :: -1] = out[n:]
             return out
@@ -338,7 +337,7 @@ class RateKernel:
         for m, shift in enumerate(phased):
             fine, coarse = sum_phases
             # The phase of t, at k = 2t and 2t + 1.
-            phases = np.repeat(_outer_phases(coarse[m], fine[m], n), 2)[1 - n % 2 :][: 2 * n - 1]
+            phases = np.repeat(_outer_phases(coarse[m], fine[m]), 2)[1:]
             out[shift] = interleave(reduced[:, 2 * m] + 1j * reduced[:, 2 * m + 1]) * phases
         return [out[shift] for shift in shifts]
 
@@ -346,7 +345,7 @@ class RateKernel:
         """The phases from which a walk forms its column phases, one row per
         U in ``shifts``: those of the fine angles j h U, j < B, the coarse
         angles K B h U, K < n / B, the weight angle -(n/2) h U and the sum
-        angle (nu_0 + (n/2 + n//2) h) U, as four arrays.
+        angle (nu_0 + n h) U, as four arrays.
 
         e^{i m h U} is coarse[K] fine[j] at m = K B + j; the weight phase
         turns it into e^{i (u - n/2) h U} at m = u, and the sum phase its
@@ -357,7 +356,7 @@ class RateKernel:
         n = self.grid.n
         fine_steps, coarse_steps = self._steps
         steps = np.concatenate(
-            (np.arange(fine_steps), fine_steps * np.arange(coarse_steps), [-n / 2, n / 2 + n // 2])
+            (np.arange(fine_steps), fine_steps * np.arange(coarse_steps), [-n / 2, n])
         )
         origins = np.zeros(len(steps))
         origins[-1] = self.grid.points[0]
@@ -394,7 +393,7 @@ class RateKernel:
         """
         g1, g2, pump = self.jsa.factors
         n = self.grid.n
-        rows = min(n, max(1, _BLOCK // n))
+        rows = min(n, _BLOCK // n)
         # |g1|^2 and |g2|^2 are real however complex the factors.
         dtype = np.result_type(g1, g2) if crossed else np.dtype(np.float64)
         padded_a = np.zeros(n + 2 * rows, dtype)
@@ -417,7 +416,7 @@ class RateKernel:
             # and the imaginary part of the m-th U's weight phase.
             fine, coarse, weight, total = self._base_phases(phased)
             weights = np.empty((2, 2 * len(phased), n))
-            table = _outer_phases(coarse * weight, fine, n)
+            table = _outer_phases(coarse * weight, fine)
             np.multiply(pairs[:, None], table.real, out=weights[:, 0::2])
             np.multiply(pairs[:, None], table.imag, out=weights[:, 1::2])
             # Only the O(sqrt n) phases of the sums are kept through the walk.
@@ -432,9 +431,9 @@ class RateKernel:
         first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
         lowest = 0 if mirrored else -(n // 2)
         for u0 in range(first - first % rows, last + 1, rows):
-            u1 = min(n, u0 + rows)
+            u1 = u0 + rows
             t0 = max(u0 - n + 1, -u1, lowest)
-            t1 = min(u1 - 1, n - 1 - u0, (n - 1) // 2) + 1
+            t1 = min(u1, n - u0, n // 2)
             shape = (2, u1 - u0, t1 - t0)
             block = buffer[: math.prod(shape)].reshape(shape)
             # a(u + t + p) advances with p, u and t; b(u - t), at n - 1 - u + t
@@ -453,24 +452,21 @@ class RateKernel:
         """Re sum_{k>=0} R_k e^{i x k h} for each slope x = D(d), from the
         n folded lags R_k of ``_fold``.
 
-        The lags are laid out as an (n / B) x B matrix, B ~ sqrt(n), whose
-        row K holds R_{K B + j}. A slope costs about log2(n) complex exps
-        and n complex multiply-adds: the matrix times its fine phases
-        e^{i x j h}, then against its coarse phases e^{i x K B h}.
+        The lags are reshaped into an (n / B) x B matrix whose row K holds
+        R_{K B + j}, B = 2^floor(log2(n) / 2). A slope costs about log2(n)
+        complex exps and n complex multiply-adds: the matrix times its fine
+        phases e^{i x j h}, then against its coarse phases e^{i x K B h}.
         ``_phase_tables`` doubles both tables from the phases of the base
         lags. At x = +-0 every phase is 1 +- 0i. A slope runs the same calls
         on the same shapes wherever it sits in ``slopes``, so it gets the
         same bits.
         """
         fine_steps, coarse_steps = self._steps
-        # Zeros pad the lags to whole coarse steps.
-        matrix = np.zeros(coarse_steps * fine_steps, dtype=np.complex128)
-        matrix[: len(lags)] = lags
-        matrix = matrix.reshape(coarse_steps, fine_steps)
+        matrix = lags.astype(np.complex128, copy=False).reshape(coarse_steps, fine_steps)
         out = np.empty(len(slopes))
         # A block's tables fill _BLOCK / 2 and its products _BLOCK / 4; all its
         # arrays stay under 2 _BLOCK.
-        rows = max(1, _BLOCK // (4 * coarse_steps))
+        rows = _BLOCK // (4 * coarse_steps)
 
         def block(chunk):
             # Its tables are freed before the next block's are made.
@@ -608,7 +604,7 @@ def _alias(
     return None
 
 
-def _plan_grid(config: "ExperimentConfig", bound, ceiling: int = 8192) -> FrequencyGrid:
+def _plan_grid(config: "ExperimentConfig", bound, ceiling: int = _MAX_GRID_N) -> FrequencyGrid:
     """The grid of the smallest power-of-two request, config.grid.n or up,
     that passes ``bound``, which returns why a grid breaks it or None. The
     request is doubled, not the grid, so ``auto_grid`` stays the one ridge
@@ -690,8 +686,8 @@ class ScanResult:
         self.rates.setflags(write=False)
 
 
-def _scan_delays(d_min: float, d_max: float, steps: int) -> np.ndarray:
-    """The ``steps`` delays of a scan from d_min to d_max, once all three are checked."""
+def _scan_delays(spectral: SpectralParams, d_min: float, d_max: float, steps: int):
+    """The delays of a scan and the mask of those in the baseline wings, once all are checked."""
     # Edges that are not finite, or a span past the largest float, would
     # space the delays by inf or nan.
     if not math.isfinite(d_max - d_min):
@@ -702,7 +698,15 @@ def _scan_delays(d_min: float, d_max: float, steps: int) -> np.ndarray:
         raise ConfigurationError(
             f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {steps}"
         )
-    return np.linspace(d_min, d_max, steps)
+    delays = np.linspace(d_min, d_max, steps)
+    wing = DEFAULT_WING_FACTOR * interference_width(spectral)
+    wing_mask = np.abs(delays) > wing
+    if not wing_mask.any():
+        raise ConfigurationError(
+            f"scan range [{d_min}, {d_max}] fs has no points beyond the baseline "
+            f"wings at |d| > {wing:.4g} fs"
+        )
+    return delays, wing_mask
 
 
 def scan_delay(
@@ -723,16 +727,8 @@ def scan_delay(
     otherwise dip or peak by the dominant deviation. ``steps`` runs from 3
     to ``MAX_SCAN_STEPS``.
     """
-    delays = _scan_delays(d_min, d_max, steps)
+    delays, wing_mask = _scan_delays(config.spectral, d_min, d_max, steps)
     rates = coincidence_rate(config, delays, kernel)
-
-    wing = DEFAULT_WING_FACTOR * interference_width(config.spectral)
-    wing_mask = np.abs(delays) > wing
-    if not wing_mask.any():
-        raise ConfigurationError(
-            f"scan range [{d_min}, {d_max}] fs has no points beyond the baseline "
-            f"wings at |d| > {wing:.4g} fs"
-        )
     baseline = float(rates[wing_mask].mean())
 
     rmin = float(rates.min())
@@ -856,8 +852,8 @@ def refine_check(config: "ExperimentConfig", d: float) -> float:
     into a spurious ratio. The double of the rate's ``_rate_grid`` is a
     ``GridSpec`` like any other, so one past the size ceiling is refused.
     """
+    scale = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config, d))
     fine = replace(config, grid=replace(config.grid, n=2 * _rate_grid(config, d, d).n))
     coarse_rate = coincidence_rate(config, d)
     fine_rate = coincidence_rate(fine, d)
-    scale = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config, d))
     return abs(coarse_rate - fine_rate) / max(fine_rate, 1e-6 * scale, 1e-30)

@@ -155,30 +155,29 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Uniform, symmetric detuning grid shared by both frequency axes.
+    """Uniform, symmetric detuning grid shared by both frequency axes, built
+    only from its size n, a power of two from 2 to 8192, and its half-width
+    in rad/fs, whose spacing 2 half_width / (n - 1), the uniform quadrature
+    weight, must be finite and non-zero; anything else is a
+    ContractViolation. The points np.linspace(-half_width, half_width, n)
+    are derived from them, so every grid is uniform by construction."""
 
-    points are detunings in rad/fs, strictly increasing and symmetric about
-    zero; weight is the uniform quadrature weight (the spacing).
-    """
-
-    span_sigma: float
     n: int
-    points: np.ndarray = field(repr=False)
-    weight: float
+    half_width: float
+    points: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: float = field(init=False)
 
     def __post_init__(self) -> None:
+        n, half = self.n, self.half_width
+        if not (isinstance(n, numbers.Integral) and 2 <= n <= _MAX_GRID_N and n & (n - 1) == 0):
+            raise ContractViolation(f"grid n = {n} is not a power of two from 2 to {_MAX_GRID_N}")
+        object.__setattr__(self, "n", int(n))
+        weight = 2.0 * half / (self.n - 1) if _is_real(half) else math.nan
+        if not 0.0 < weight < math.inf:
+            raise ContractViolation(f"grid half-width {half} gives no finite, non-zero spacing")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "points", np.linspace(-half, half, self.n))
         self.points.setflags(write=False)
-
-    @property
-    def half_width(self) -> float:
-        return float(self.points[-1])
-
-
-def _construct_grid(params: SpectralParams, n: int, span_sigma: float) -> FrequencyGrid:
-    half = span_sigma * params.sigma_max
-    points = np.linspace(-half, half, n)
-    weight = 2.0 * half / (n - 1)
-    return FrequencyGrid(span_sigma=span_sigma, n=n, points=points, weight=weight)
 
 
 def _check_grid_request(n: int, span_sigma: float) -> None:
@@ -197,7 +196,7 @@ def build_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) ->
     """Validating grid constructor: n a power of two from 64 to 8192, span
     >= 4 sigma."""
     _check_grid_request(n, span_sigma)
-    return _construct_grid(params, n, span_sigma)
+    return FrequencyGrid(n, span_sigma * params.sigma_max)
 
 
 def pump_ridge_sigma(params: SpectralParams) -> float:
@@ -233,7 +232,7 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
     n_eff = n
     while n_eff < intervals + 1:
         n_eff *= 2
-    return _construct_grid(params, n_eff, span_sigma)
+    return FrequencyGrid(n_eff, span_sigma * params.sigma_max)
 
 
 class JointSpectralAmplitude:

@@ -593,7 +593,7 @@ class TestSweep:
     def test_an_unresolvable_row_exits_2_naming_the_ridge(self, tmp_path, capsys):
         code, stdout, stderr = run_cli(
             capsys, "sweep", "fig4c", "--axis", "asymmetry_ratio", "--values", "50",
-            "--out", str(tmp_path / "sweep.csv"),
+            "--d-min", "-40000", "--d-max", "40000", "--out", str(tmp_path / "sweep.csv"),
         )
         assert code == 2
         assert stdout == ""
@@ -675,10 +675,10 @@ class TestVerify:
 
     def test_forced_coarse_grid_fails_convergence(self, capsys, monkeypatch):
         import biphoton.presets as presets_module
-        from biphoton.spectral import _construct_grid
+        from biphoton.spectral import FrequencyGrid
 
         def coarse(params, n=256, span_sigma=6.0):
-            return _construct_grid(params, 16, span_sigma)
+            return FrequencyGrid(16, span_sigma * params.sigma_max)
 
         monkeypatch.setattr(presets_module, "auto_grid", coarse)
         code, stdout, _ = run_cli(capsys, "verify")

@@ -244,6 +244,20 @@ class TestKernelSharing:
             assert (row.kind, row.baseline) == (own.kind, pytest.approx(own.baseline, rel=1e-12))
             assert row.extremum == pytest.approx(own.extremum, rel=1e-12, abs=1e-15)
 
+    def test_a_window_without_wings_is_refused_before_the_shared_kernel(self, monkeypatch):
+        import biphoton.presets as presets_module
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("the window must be checked first")
+
+        monkeypatch.setattr(presets_module, "build_jsa", unexpected)
+        monkeypatch.setattr(ExperimentConfig, "frequency_grid", unexpected)
+        spec = SweepSpec(base=preset("fig3a_dip"), axis="analyzer2", values=(0.0, 45.0),
+                         d_min=-100.0, d_max=100.0)
+        message = r"^sweep row 0 \(analyzer2=0.0\): scan range \[-100.0, 100.0\] fs has no points"
+        with pytest.raises(ConfigurationError, match=message):
+            run_sweep(spec)
+
     def test_a_shared_kernel_stops_growing_after_row_0(self, kernels):
         base = replace(preset("fig4c"), spectral=SpectralParams(asymmetry_ratio=2.0))
         values = (-45.0, 0.0, 22.5, 45.0, 67.5, 90.0, 30.0)

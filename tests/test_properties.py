@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
@@ -23,6 +23,7 @@ from biphoton import (
     ConfigurationError,
     ContractViolation,
     ExperimentConfig,
+    FrequencyGrid,
     GridSpec,
     JointSpectralAmplitude,
     RodAxis,
@@ -245,3 +246,25 @@ def test_factors_are_accepted_or_refused_with_a_contract_violation(drawn):
     except ContractViolation:
         return
     assert total > 0.0 and math.isfinite(total)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.one_of(st.integers(-2, 1 << 15), st.sampled_from([1 << k for k in range(16)])),
+    half_width=st.one_of(st.floats(), st.floats(1e-320, 1e308), st.sampled_from([1e-323, 1e308])),
+)
+@example(n=100, half_width=1.0)
+@example(n=16384, half_width=1.0)
+def test_a_grid_is_accepted_exactly_on_its_contract(n, half_width):
+    # A power of two from 2 to 8192 and a positive half-width whose spacing
+    # 2 half_width / (n - 1) neither overflows nor underflows to zero.
+    power = 2 <= n <= 8192 and n & (n - 1) == 0
+    if not (power and 0.0 < 2.0 * half_width / (n - 1) < math.inf):
+        with pytest.raises(ContractViolation, match="grid (n|half-width) .* (is not|gives no)"):
+            FrequencyGrid(n, half_width)
+        return
+    grid = FrequencyGrid(n, half_width)
+    assert (grid.n, grid.half_width) == (n, half_width)
+    assert grid.points.tobytes() == np.linspace(-half_width, half_width, n).tobytes()
+    assert not grid.points.flags.writeable
+    assert grid.weight == 2.0 * half_width / (n - 1)
