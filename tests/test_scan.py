@@ -610,7 +610,7 @@ class TestDiagonalSums:
         even, odd = (n - 1) // 2 * 2, (n - 2) // 2 * 2 + 1
         return [range(2 * n - 1), [even], [odd], [0], [2 * n - 2], [0, 2 * n - 2]]
 
-    @pytest.mark.parametrize("n", [2, 4, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n", [2, 4, 32, 64, 128, 256, 512, 1024])
     @pytest.mark.parametrize("source", ["factors", "dense"])
     def test_sums_are_the_traces_of_the_kernel(self, n, source):
         # Real factors, equal ones, and a 3000 fs^2 chirp on g1 with a pump
@@ -676,7 +676,7 @@ class TestDiagonalSums:
         assert symmetric == real_crossed
         assert abs(2 * symmetric - full) <= 2 * n
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 128, 1024, 8192])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 128, 256, 1024, 8192])
     def test_a_walk_takes_at_most_3_sqrt_n_phases_per_shift(self, monkeypatch, n):
         # The weight and sum phases of all n steps are products of fine and
         # coarse phases, instead of 2 n angles, n cos, n sin and n exp per U.
@@ -704,7 +704,7 @@ class TestDiagonalSums:
         assert 0 < counts["exp"] <= bound
         assert counts["cos"] == counts["sin"] == 0
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 128, 1024, 8192])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 128, 256, 1024, 8192])
     def test_sum_phases_match_one_exp_per_step(self, n):
         # The walk's phase of t, e^{i (nu_0 + (n/2 - t) h) U} at t + n // 2,
         # against one exp of each angle reduced in np.longdouble.
@@ -862,7 +862,7 @@ class TestRealEngine:
             alone = [kernel._at(lags, self.SLOPES[i : i + 1]) for i in range(len(self.SLOPES))]
             assert np.tile(np.concatenate(alone), 4).tobytes() == batch.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 128, 256, 1024, 8192])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64, 128, 256, 512, 1024, 8192])
     def test_a_slope_costs_about_log2_n_complex_exps(self, monkeypatch, n):
         # The fine and coarse phases are doubled from those of the base
         # lags, instead of one exp per fine and coarse step, 2 sqrt(n).
