@@ -19,13 +19,7 @@ from .elements import (
 )
 from .errors import ConfigurationError, ContractViolation
 from .oracle import OracleTerms, oracle_rate, oracle_terms, oracle_visibility
-from .pathsum import (
-    CoincidenceAmplitude,
-    PairState,
-    PathAmplitude,
-    assemble_amplitude,
-    enumerate_paths,
-)
+from .pathsum import PairState, PathAmplitude, enumerate_paths
 from .presets import (
     PRESET_NAMES,
     ExperimentConfig,
@@ -39,21 +33,18 @@ from .scan import (
     RateKernel,
     ScanResult,
     TimeJointDensity,
-    amplitude_rate,
     arrival_time_joint,
     coincidence_rate,
     jsa_swap_distance,
     path_overlap,
     refine_check,
     scan_delay,
-    time_joint_density,
 )
 from .spectral import (
     FrequencyGrid,
     JointSpectralAmplitude,
     SpectralParams,
     auto_grid,
-    build_grid,
     build_jsa,
     coherence_time_from_filter,
     interference_width,
@@ -63,7 +54,6 @@ from .spectral import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoincidenceAmplitude",
     "ConfigurationError",
     "ContractViolation",
     "ExperimentConfig",
@@ -84,12 +74,9 @@ __all__ = [
     "SweepRow",
     "SweepSpec",
     "TimeJointDensity",
-    "amplitude_rate",
     "analyzer_projection",
     "arrival_time_joint",
-    "assemble_amplitude",
     "auto_grid",
-    "build_grid",
     "build_jsa",
     "coherence_time_from_filter",
     "coincidence_rate",
@@ -108,5 +95,4 @@ __all__ = [
     "run_sweep",
     "scan_delay",
     "sigma_from_coherence_time",
-    "time_joint_density",
 ]

@@ -14,16 +14,16 @@ photon of arm 1 exits port B (``swapped``), and the delays are linear
 phase coefficients on the detunings. Whether the two paths interfere is
 entirely a question of how well their summands overlap on the grid.
 
-This module enumerates the paths and assembles A as a dense n x n array,
-the reference that the time-domain diagnostics and the checks read. The
-rates and the path overlaps come from the pair sums of ``scan``, which
-never form A.
+This module enumerates the paths. Nothing in the package forms A as an
+n x n array: the rates and the path overlaps come from the pair sums of
+``scan``, and the arrival-time marginals from blocks of A that ``scan``
+builds from the amplitude's 1-D factors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +37,6 @@ from .elements import (
     rod_delays,
 )
 from .errors import ConfigurationError
-from .spectral import FrequencyGrid, JointSpectralAmplitude
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -86,15 +85,6 @@ class PathAmplitude:
     delay_a: float
     delay_b: float
     swapped: bool
-
-
-@dataclass(frozen=True)
-class CoincidenceAmplitude:
-    grid: FrequencyGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
 
 
 def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmplitude, ...]:
@@ -157,24 +147,3 @@ def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmp
         )
     return tuple(paths)
 
-
-def _path_matrix(path: PathAmplitude, jsa: JointSpectralAmplitude) -> np.ndarray:
-    nu = jsa.grid.points
-    base = jsa.values.T if path.swapped else jsa.values
-    phase_a = np.exp(1j * nu * path.delay_a)
-    phase_b = np.exp(1j * nu * path.delay_b)
-    out = base * phase_a[:, None]
-    out *= phase_b[None, :]
-    out *= path.coefficient
-    return out
-
-
-def assemble_amplitude(
-    paths: tuple[PathAmplitude, ...] | list[PathAmplitude],
-    jsa: JointSpectralAmplitude,
-) -> CoincidenceAmplitude:
-    """Pointwise sum of the path amplitudes, in the order given."""
-    total = np.zeros((jsa.grid.n, jsa.grid.n), dtype=np.complex128)
-    for path in paths:
-        total += _path_matrix(path, jsa)
-    return CoincidenceAmplitude(grid=jsa.grid, values=total)

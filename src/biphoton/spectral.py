@@ -192,13 +192,6 @@ def _check_grid_request(n: int, span_sigma: float) -> None:
         )
 
 
-def build_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> FrequencyGrid:
-    """Validating grid constructor: n a power of two from 64 to 8192, span
-    >= 4 sigma."""
-    _check_grid_request(n, span_sigma)
-    return FrequencyGrid(n, span_sigma * params.sigma_max)
-
-
 def pump_ridge_sigma(params: SpectralParams) -> float:
     """Width (rad/fs) of the narrowest feature of |f|^2, which lies along
     the sum-frequency direction once the pump outlives the filters."""
@@ -244,9 +237,8 @@ class JointSpectralAmplitude:
     lives on the 2n - 1 grid sums and N is the L2 norm of the product. A
     spectral phase on either photon, from dispersion or a birefringent
     element, is a complex g1 or g2. The factors are kept read-only, as
-    float64 or complex128, and ``values``, the n x n array, is formed only
-    when first read. ``symmetric`` tells whether swapping the two
-    arguments is the identity bit for bit.
+    float64 or complex128; nothing forms the n x n array. ``symmetric``
+    tells whether swapping the two arguments is the identity bit for bit.
     """
 
     def __init__(self, grid: FrequencyGrid, factors: tuple[np.ndarray, np.ndarray, np.ndarray]):
@@ -276,44 +268,12 @@ class JointSpectralAmplitude:
             array.setflags(write=False)
         self.grid = grid
         self.factors = factors
-        self._values = None
-
-    @property
-    def values(self) -> np.ndarray:
-        """The n x n array f: the filter outer product times the Hankel view
-        pump[i + j], divided by its norm in place."""
-        if self._values is None:
-            g1, g2, pump = self.factors
-            values = np.outer(g1, g2).astype(np.result_type(g1, g2, pump), copy=False)
-            values *= np.lib.stride_tricks.sliding_window_view(pump, self.grid.n)
-            values /= _unit_scale(values, self.grid.weight)
-            values.setflags(write=False)
-            self._values = values
-        return self._values
 
     @cached_property
     def symmetric(self) -> bool:
         """Whether f(nu1, nu2) == f(nu2, nu1) bit for bit, which g1 == g2
         guarantees."""
         return np.array_equal(self.factors[0], self.factors[1])
-
-
-def _sum_squares(values: np.ndarray) -> float:
-    """sum |v|^2 over all elements; a complex array is read as its
-    interleaved real and imaginary parts, so no part is copied out."""
-    flat = np.ravel(values)
-    if np.iscomplexobj(flat):
-        flat = flat.view(flat.real.dtype)
-    return float(np.einsum("i,i->", flat, flat))
-
-
-def _unit_scale(values: np.ndarray, weight: float) -> float:
-    """The L2 norm sqrt(sum |f|^2) w of ``values``; refuses zero and
-    non-finite."""
-    norm = math.sqrt(_sum_squares(values)) * weight
-    if norm == 0.0 or not math.isfinite(norm):
-        raise ContractViolation("cannot normalize a zero or non-finite amplitude")
-    return norm
 
 
 def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> JointSpectralAmplitude:
@@ -325,9 +285,8 @@ def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> Join
     The model is real and returned as its factors, which cost O(n) calls
     to exp: the two filter Gaussians and the pump factor, which depends on
     nu1 + nu2 only and is evaluated once per sum
-    s_m = nu[min(m, n-1)] + nu[max(0, m-n+1)]. The rate engine reduces
-    the pair sums from these factors without an n x n array; ``values``
-    (float64) is built on first read.
+    s_m = nu[min(m, n-1)] + nu[max(0, m-n+1)]. The rate engine and the
+    arrival-time marginals read these factors without an n x n array.
 
     With asymmetry_ratio = 1 the two filter factors are equal bit for bit,
     so the amplitude is exactly exchange symmetric, down to the

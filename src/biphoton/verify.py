@@ -15,26 +15,18 @@ from typing import Callable
 import numpy as np
 
 from .elements import QuartzRod, RodAxis, quartz_group_delay
-from .oracle import oracle_rate
-from .pathsum import assemble_amplitude, enumerate_paths
+from .oracle import oracle_rate, oracle_visibility
+from .pathsum import enumerate_paths
 from .presets import PRESET_NAMES, ExperimentConfig, preset
 from .scan import (
     RateKernel,
-    amplitude_rate,
     arrival_time_joint,
     coincidence_rate,
     path_overlap,
     refine_check,
     scan_delay,
-    time_joint_density,
 )
-from .spectral import (
-    JointSpectralAmplitude,
-    SpectralParams,
-    _sum_squares,
-    build_jsa,
-    coherence_time_from_filter,
-)
+from .spectral import JointSpectralAmplitude, SpectralParams, build_jsa, coherence_time_from_filter
 
 LATTICE_DELAYS = 21
 LATTICE_RHOS = (0.5, 1.0, 2.0)
@@ -96,16 +88,14 @@ def check_normalization_invariance() -> CheckResult:
 
 
 def check_parseval() -> CheckResult:
-    """The time-domain density must integrate to the frequency-domain
-    total of the same assembled amplitude."""
+    """The arrival-time marginals must integrate to the frequency-domain
+    rate, which the pair sums give without a transform."""
     worst = 0.0
     for name, d in (("fig3a_peak", 0.0), ("fig3a_dip", 300.0), ("fig4c", 0.0)):
         config = preset(name)
-        jsa = build_jsa(config.spectral, config.frequency_grid())
-        amp = assemble_amplitude(enumerate_paths(config, d), jsa)
-        rate = amplitude_rate(amp)
-        density = time_joint_density(amp)
-        worst = max(worst, abs(density.total - rate) / max(rate, 1e-12))
+        rate = coincidence_rate(config, d)
+        total = arrival_time_joint(config, d).total
+        worst = max(worst, abs(total - rate) / max(rate, 1e-12))
     return CheckResult("parseval", worst < 1e-6, worst, 1e-6)
 
 
@@ -138,17 +128,11 @@ def check_dip_peak_complementarity() -> CheckResult:
     return CheckResult("dip_peak_complementarity", worst < 1e-6, worst, 1e-6)
 
 
-def dense_overlap(paths, jsa: JointSpectralAmplitude) -> complex:
-    """Reference for ``path_overlap``: <A_1 | A_2> / (||A_1|| ||A_2||) of
-    the two paths' assembled n x n amplitudes."""
-    a, b = (assemble_amplitude([p], jsa).values for p in paths)
-    return complex(np.vdot(a, b)) / math.sqrt(_sum_squares(a) * _sum_squares(b))
-
-
 def check_visibility_overlap_identity() -> CheckResult:
     """With balanced path coefficients the scan visibility equals the
     magnitude of the normalized path overlap at zero delay. Both come from
-    the engine's pair sums, so the overlap is held against the dense one."""
+    the engine's pair sums, so the overlap is held against the closed-form
+    visibility too."""
     worst = 0.0
     for rho in (1.0, 1.5):
         config = replace(
@@ -159,8 +143,8 @@ def check_visibility_overlap_identity() -> CheckResult:
         result = scan_delay(config, kernel=RateKernel(jsa))
         paths = enumerate_paths(config)
         overlap = path_overlap(paths, jsa)
-        dense = abs(overlap - dense_overlap(paths, jsa))
-        worst = max(worst, abs(result.visibility - abs(overlap)), dense)
+        closed_form = abs(abs(overlap) - oracle_visibility(config))
+        worst = max(worst, abs(result.visibility - abs(overlap)), closed_form)
     return CheckResult("visibility_overlap_identity", worst < 1e-6, worst, 1e-6)
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -32,6 +33,11 @@ from biphoton.elements import RodAxis
 from biphoton.oracle import oracle_rate
 from biphoton.presets import CONFIG_KEYS, PRESET_NAMES, SWEEP_AXES, SweepRow, preset
 from biphoton.scan import MAX_SWEEP_ROWS, ScanResult, scan_delay
+from biphoton.verify import (
+    check_parseval,
+    check_rod_axis_swap_symmetry,
+    check_visibility_overlap_identity,
+)
 
 # Default outputs pinned byte for byte: a change that moves any of them
 # changes what users get from the documented commands.
@@ -672,6 +678,23 @@ class TestVerify:
         assert code2 == 0
         assert out1 == out2
         assert "verdict=pass" in out1
+
+    @pytest.mark.parametrize(
+        "check",
+        [check_parseval, check_visibility_overlap_identity, check_rod_axis_swap_symmetry],
+    )
+    def test_the_arrival_time_and_overlap_checks_hold_no_square_array(self, check):
+        # Each read an n x n amplitude at n = 256, 1 MiB apiece; their
+        # references now come from the pair sums, the closed form and the
+        # streamed marginals.
+        tracemalloc.start()
+        try:
+            result = check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 2 * 2**20
 
     def test_forced_coarse_grid_fails_convergence(self, capsys, monkeypatch):
         import biphoton.presets as presets_module

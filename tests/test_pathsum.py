@@ -1,4 +1,4 @@
-"""Path enumeration, amplitude assembly and path overlap."""
+"""Path enumeration, the dense reference's amplitude assembly and path overlap."""
 
 import math
 from dataclasses import replace
@@ -11,14 +11,12 @@ from biphoton import (
     PairState,
     PathAmplitude,
     Polarization,
-    amplitude_rate,
-    assemble_amplitude,
     build_jsa,
     enumerate_paths,
     path_overlap,
     preset,
 )
-from biphoton.verify import dense_overlap
+from dense_reference import amplitude_rate, assemble_amplitude, dense_overlap
 
 HALF_OVER_ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
 

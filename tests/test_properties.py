@@ -29,7 +29,6 @@ from biphoton import (
     RodAxis,
     SpectralParams,
     auto_grid,
-    build_grid,
     build_jsa,
     coincidence_rate,
     enumerate_paths,
@@ -213,7 +212,7 @@ def factor_tuples(draw):
     of an integer or bool dtype, one off in length, or hold a non-finite
     or huge entry."""
     params = SpectralParams(asymmetry_ratio=draw(st.sampled_from([0.5, 1.0, 2.0])))
-    grid = build_grid(params, n=64)
+    grid = FrequencyGrid(64, 6.0 * params.sigma_max)
     factors = []
     for base in build_jsa(params, grid).factors:
         size = len(base)

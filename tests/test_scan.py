@@ -3,6 +3,8 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -16,10 +18,7 @@ from biphoton import (
     JointSpectralAmplitude,
     PathAmplitude,
     SpectralParams,
-    amplitude_rate,
     arrival_time_joint,
-    assemble_amplitude,
-    build_grid,
     build_jsa,
     coincidence_rate,
     enumerate_paths,
@@ -30,11 +29,16 @@ from biphoton import (
     preset,
     refine_check,
     scan_delay,
-    time_joint_density,
 )
 from biphoton import scan
 from biphoton.scan import DEFAULT_WING_FACTOR, MAX_SCAN_STEPS, RateKernel
 from biphoton.spectral import FrequencyGrid
+from dense_reference import (
+    amplitude_rate,
+    amplitude_values,
+    assemble_amplitude,
+    time_joint_density,
+)
 
 
 class TestCoincidenceRate:
@@ -183,25 +187,30 @@ class TestArrivalTimes:
     def test_fig3a_port_a_photon_arrives_first(self):
         density = arrival_time_joint(preset("fig3a_peak"), 0.0)
         assert density.mean_b - density.mean_a == pytest.approx(630.0, abs=5.0)
-        assert np.all(density.density >= 0.0)
+        assert np.all(density.marginal_a >= 0.0) and np.all(density.marginal_b >= 0.0)
 
     def test_fig3b_reverses_the_order(self):
         density = arrival_time_joint(preset("fig3b_peak"), 0.0)
         assert density.mean_a - density.mean_b == pytest.approx(630.0, abs=5.0)
 
     def test_parseval(self):
+        # The marginals' total against the direct grid sum of |A|^2 w^2.
         config = preset("fig3a_peak")
         jsa = build_jsa(config.spectral)
         amp = assemble_amplitude(enumerate_paths(config, 140.0), jsa)
-        density = time_joint_density(amp)
+        density = arrival_time_joint(config, 140.0)
+        assert len(density.times) == jsa.grid.n
         assert density.total == pytest.approx(amplitude_rate(amp), rel=1e-6)
+        dt = density.times[1] - density.times[0]
+        for marginal in (density.marginal_a, density.marginal_b):
+            assert float(marginal.sum()) * dt == pytest.approx(density.total, rel=1e-12)
 
     def test_fig4c_paths_overlap_in_difference_but_not_pair_time(self):
         config = preset("fig4c")
         jsa = build_jsa(config.spectral)
         centers = {}
         for path in enumerate_paths(config):
-            density = time_joint_density(assemble_amplitude([path], jsa))
+            density = scan._time_marginals([path], jsa)
             centers[path.label] = (
                 density.mean_a - density.mean_b,
                 0.5 * (density.mean_a + density.mean_b),
@@ -219,7 +228,8 @@ class TestArrivalTimes:
             assert density.mean_b - density.mean_a == pytest.approx(630.0 * order, abs=1e-12)
 
     def test_grids_above_the_bound_are_refused_before_anything_is_built(self, monkeypatch):
-        # At n = 4096 the diagnostic's n x n arrays would hold 768 MiB.
+        # 7000 mm rods delay a photon by 220500 fs, past the window of even
+        # the largest grid, +-217593 fs at n = 8192, which is asked for here.
         class Built(Exception):
             pass
 
@@ -227,15 +237,16 @@ class TestArrivalTimes:
             raise Built
 
         monkeypatch.setattr(scan, "build_jsa", built)
-        largest = f"n = 4096 is past the largest, n = {scan.MAX_TIME_GRID_N}"
-        with pytest.raises(ConfigurationError, match=largest):
-            arrival_time_joint(replace(preset("fig3a_peak"), grid=GridSpec(n=4096)), 0.0)
-        # A long pump raises the automatic grid to the bound, which passes.
-        spectral = SpectralParams(asymmetry_ratio=2.0, pump_coherence_time=6300.0)
+        config = replace(preset("fig3a_peak"), rod_length=7000.0, grid=GridSpec(n=8192))
+        with pytest.raises(ConfigurationError, match="time window of .* n = 8192, the largest"):
+            arrival_time_joint(config, 0.0)
+        # The largest grid, asked for or raised to by a long pump, passes.
+        spectral = SpectralParams(asymmetry_ratio=6.0, pump_coherence_time=6300.0)
         raised = replace(preset("fig3a_peak"), spectral=spectral)
-        assert raised.frequency_grid().n == scan.MAX_TIME_GRID_N
-        with pytest.raises(Built):
-            arrival_time_joint(raised, 0.0)
+        for config in (replace(config, rod_length=200.0), raised):
+            assert config.frequency_grid().n == 8192
+            with pytest.raises(Built):
+                arrival_time_joint(config, 0.0)
 
     def test_long_rods_inside_the_time_window_read_their_delay(self):
         density = arrival_time_joint(replace(preset("fig3a_peak"), rod_length=200.0), 0.0)
@@ -254,16 +265,16 @@ class TestArrivalTimes:
         assert density.mean_b - density.mean_a == pytest.approx(31.5 * rod_length, abs=1.0)
 
     def test_arrival_times_past_the_largest_window_are_refused(self, monkeypatch):
-        # 1800 mm rods delay a photon by 56700 fs, past the window of the
-        # largest grid it reads, +-54378 fs at n = 2048.
+        # 7000 mm rods delay a photon by 220500 fs, past the window of the
+        # largest grid, +-217593 fs at n = 8192, to which n = 256 is doubled.
         import biphoton.scan as scan_module
 
         def unexpected(*args, **kwargs):
             raise AssertionError("the amplitude was built before the window check")
 
         monkeypatch.setattr(scan_module, "build_jsa", unexpected)
-        config = replace(preset("fig3a_peak"), rod_length=1800.0)
-        with pytest.raises(ConfigurationError, match="time window.*n = 2048"):
+        config = replace(preset("fig3a_peak"), rod_length=7000.0)
+        with pytest.raises(ConfigurationError, match="time window.*n = 8192"):
             arrival_time_joint(config, 0.0)
 
     def test_pump_width_counts_against_the_window(self):
@@ -284,6 +295,55 @@ class TestArrivalTimes:
             config = replace(preset("fig3a_peak"), rod_length=rod_length, grid=GridSpec(n=512))
             density = arrival_time_joint(config, 0.0)
             assert density.mean_b - density.mean_a == pytest.approx(31.5 * rod_length, abs=1.0)
+
+    @pytest.mark.parametrize("name", ["fig3a_peak", "fig3b_peak", "fig4c"])
+    @pytest.mark.parametrize("n", [256, 512, 2048])
+    def test_streamed_marginals_match_the_dense_density(self, n, name):
+        # Each rod whose delays fit the window of the requested grid, read
+        # against the 2-D transform of the assembled n x n amplitude. At
+        # n = 2048, where that takes about 0.5 s a rod, each rod is read once.
+        rods = (0.0, 200.0, 215.0, 300.0)
+        if n == 2048:
+            rods = {"fig3a_peak": (0.0, 300.0), "fig3b_peak": (215.0,), "fig4c": (200.0,)}[name]
+        read = 0
+        for rod_length in rods:
+            config = replace(preset(name), rod_length=rod_length, grid=GridSpec(n=n))
+            paths = enumerate_paths(config, 0.0)
+            grid = config.frequency_grid()
+            if scan._time_window(config, paths, grid):
+                continue
+            read += 1
+            amp = assemble_amplitude(paths, build_jsa(config.spectral, grid))
+            if not amp.values.any():
+                # Without rods the two paths of fig4c cancel exactly.
+                with pytest.raises(ContractViolation, match="identically zero"):
+                    arrival_time_joint(config, 0.0)
+                continue
+            density = arrival_time_joint(config, 0.0)
+            dense = time_joint_density(amp)
+            assert density.times.tobytes() == dense.times.tobytes()
+            assert abs(density.mean_a - dense.mean_a) <= 1e-9
+            assert abs(density.mean_b - dense.mean_b) <= 1e-9
+            assert density.total == pytest.approx(dense.total, rel=1e-12, abs=0.0)
+            dt = dense.times[1] - dense.times[0]
+            for marginal, axis in ((density.marginal_a, 1), (density.marginal_b, 0)):
+                expected = dense.density.sum(axis=axis) * dt
+                assert np.abs(marginal - expected).max() <= 1e-12 * expected.max()
+        assert read == (2 if n == 256 else len(rods))
+
+    def test_the_largest_grid_holds_no_square_array(self):
+        # One n x n complex array at n = 8192 is 1 GiB; the marginals are
+        # read in blocks of 8 rows.
+        config = replace(preset("fig3a_peak"), grid=GridSpec(n=8192))
+        tracemalloc.start()
+        try:
+            density = arrival_time_joint(config, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(density.times) == 8192
+        assert density.mean_b - density.mean_a == pytest.approx(630.0, abs=1e-9)
+        assert peak < 8 * 2**20
 
 
 class TestRefinement:
@@ -427,17 +487,16 @@ class TestRateKernel:
     @pytest.mark.parametrize("rho", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("tau_p", [60.0, 120.0, 6300.0])
     def test_factors_and_dense_values_give_the_same_sums(self, monkeypatch, rho, tau_p):
-        # The second kernel reads its sums off the n x n values instead of
-        # the factors, through the same normalization and phases.
+        # The second kernel reads its sums off the dense reference's n x n
+        # values instead of the factors, through the same normalization.
         spectral = SpectralParams(asymmetry_ratio=rho, pump_coherence_time=tau_p)
         jsa = build_jsa(spectral)
         dense = RateKernel(jsa)
-        nu = jsa.grid.points
         reduced = []
 
         def dense_walk(crossed, shifts):
             reduced.extend((crossed, shift) for shift in shifts)
-            return [dense_sums(jsa.values, nu, crossed, shift) for shift in shifts]
+            return dense_sums(amplitude_values(jsa), jsa.grid, crossed, shifts)
 
         monkeypatch.setattr(dense, "_diagonal_sums", dense_walk)
         kernels = RateKernel(jsa), dense
@@ -477,32 +536,59 @@ class TestRateKernel:
         # On 64 points every value of the filter 1e4 times narrower than the
         # other underflows to zero, so the amplitude has no norm to divide by.
         params = SpectralParams(asymmetry_ratio=100.0)
-        jsa = build_jsa(params, build_grid(params, n=64))
+        jsa = build_jsa(params, FrequencyGrid(64, 6.0 * params.sigma_max))
         with pytest.raises(ContractViolation, match="normalize"):
             RateKernel(jsa).rate(enumerate_paths(preset("fig3a_dip")), [0.0])
-        with pytest.raises(ContractViolation, match="normalize"):
-            jsa.values
-
-    def test_a_scan_leaves_the_values_unbuilt(self, fig3a_dip):
-        jsa = build_jsa(fig3a_dip.spectral)
-        scan_delay(fig3a_dip, kernel=RateKernel(jsa), steps=31)
-        assert jsa._values is None
-        assert not jsa.values.flags.writeable
-        assert jsa.values is jsa.values
+        for read in (amplitude_values, lambda jsa: scan._time_marginals([], jsa)):
+            with pytest.raises(ContractViolation, match="normalize"):
+                read(jsa)
 
 
-def dense_sums(values, nu, crossed, shift):
+# 2 pi to 40 significant digits.
+TWO_PI = Fraction("6.283185307179586476925286766559005768394")
+
+
+@cache
+def column_phases(grid: FrequencyGrid, shifts: tuple[float, ...]) -> np.ndarray:
+    """e^{i nu_j U}, one row per j and one column per U in ``shifts``, at
+    the grid's uniform points nu_j = nu_0 + j h, h its spacing: each angle
+    is formed and reduced mod 2 pi exactly from the floats nu_0, h and U,
+    and rounded to float64 once."""
+    nu = [Fraction(grid.points[0].item()) + j * Fraction(grid.weight) for j in range(grid.n)]
+    angles = [[float(x * Fraction(shift) % TWO_PI) for shift in shifts] for x in nu]
+    phases = np.exp(1j * np.array(angles))
+    phases.setflags(write=False)
+    return phases
+
+
+def dense_sums(values, grid, crossed, shifts):
     """sum_{i-j=k} v(i,j) conj(v_c(i,j)) e^{i nu_j U} for k = 1 - n, ...,
-    n - 1 and U = ``shift``, the traces of the explicit kernel of the n x n
-    ``values``; v_c is their transpose when ``crossed``. Uncrossed at U = 0
-    they are real."""
-    kernel = values * np.conj(values.T if crossed else values)
-    if shift:
-        kernel = kernel * np.exp(1j * nu * shift)
-    elif not crossed:
-        kernel = kernel.real
-    n = len(nu)
-    return np.array([np.trace(kernel, offset=-k) for k in range(1 - n, n)])
+    n - 1, one array per U in ``shifts``: the traces of the explicit kernel
+    of the n x n ``values`` on ``grid``, v_c their transpose when
+    ``crossed``. Uncrossed at U = 0 they are real.
+
+    The kernel is written once into a sheared array, diagonal k = i - j in
+    column k + n - 1, and all shifts are read from it in one product."""
+    n = grid.n
+    sheared = np.zeros((n, 2 * n - 1), dtype=values.dtype)
+    size = sheared.itemsize
+    # Row j of the view, column j of the kernel v conj(v_c), is row j of
+    # the sheared array from column n - 1 - j on: element (2 n - 1) j + i
+    # - j + n - 1 of the flat array for row i of the kernel.
+    view = np.lib.stride_tricks.as_strided(
+        sheared.reshape(-1)[n - 1 :], shape=(n, n), strides=((2 * n - 2) * size, size)
+    )
+    other = values if crossed else values.T
+    np.multiply(values.T, np.conj(other) if np.iscomplexobj(other) else other, out=view)
+    phases = column_phases(grid, tuple(shifts)).T
+    if np.iscomplexobj(sheared):
+        sums = phases @ sheared
+    else:
+        # A real kernel is read by the real and imaginary parts of the
+        # phases, so that it is not cast to complex.
+        parts = np.concatenate((phases.real, phases.imag)) @ sheared
+        sums = parts[: len(shifts)] + 1j * parts[len(shifts) :]
+    return [row.real if shift == 0 and not crossed else row for row, shift in zip(sums, shifts)]
 
 
 def same_bits(x, y):
@@ -575,7 +661,7 @@ class TestPumpBand:
         # Signed filter factors with exact zeros of both signs put +0.0
         # and -0.0 into the skipped entries of the full-width kernel.
         params = SpectralParams()
-        grid = build_grid(params, n=256)
+        grid = FrequencyGrid(256, 6.0 * params.sigma_max)
         rng = np.random.default_rng(len(nonzero))
         g1, g2 = rng.normal(size=(2, 256))
         g1[3::17], g2[5::19] = 0.0, -0.0
@@ -589,7 +675,7 @@ class TestPumpBand:
 
     def test_a_pump_whose_square_underflows_is_refused(self):
         params = SpectralParams()
-        grid = build_grid(params, n=256)
+        grid = FrequencyGrid(256, 6.0 * params.sigma_max)
         g = np.ones(256)
         pump = np.full(511, 1e-170)
         assert not np.any(pump * pump)
@@ -610,12 +696,12 @@ class TestDiagonalSums:
         even, odd = (n - 1) // 2 * 2, (n - 2) // 2 * 2 + 1
         return [range(2 * n - 1), [even], [odd], [0], [2 * n - 2], [0, 2 * n - 2]]
 
-    @pytest.mark.parametrize("n", [2, 4, 32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
     @pytest.mark.parametrize("source", ["factors", "dense"])
     def test_sums_are_the_traces_of_the_kernel(self, n, source):
         # Real factors, equal ones, and a 3000 fs^2 chirp on g1 with a pump
         # phase, which cancels. The traces are those of the product of the
-        # factors, or of the amplitude's own n x n values, rescaled by the
+        # factors, or of the dense reference's n x n values, rescaled by the
         # norm S w^2.
         params = SpectralParams()
         grid = FrequencyGrid(n, 6.0 * params.sigma_max)
@@ -636,12 +722,13 @@ class TestDiagonalSums:
                     values = np.outer(f1, f2) * np.lib.stride_tricks.sliding_window_view(f3, n)
                     scale = 1.0
                 else:
-                    values = kernel.jsa.values
+                    values = amplitude_values(kernel.jsa)
                     scale = kernel._total * grid.weight**2
                 for crossed in (False, True):
                     walk = kernel._diagonal_sums(crossed, TestPumpBand.SHIFTS)
-                    for shift, sums in zip(TestPumpBand.SHIFTS, walk, strict=True):
-                        expected = dense_sums(values, nu, crossed, shift) * scale
+                    reference = dense_sums(values, grid, crossed, TestPumpBand.SHIFTS)
+                    for sums, expected in zip(walk, reference, strict=True):
+                        expected = expected * scale
                         assert sums.shape == (2 * n - 1,)
                         error = np.abs(sums - expected).max()
                         assert error <= 1e-14 * np.abs(expected).sum()
@@ -651,7 +738,7 @@ class TestDiagonalSums:
         # A walk with a == b forms only those of k >= 0; one with a != b, or
         # a complex crossed one, forms them all.
         n = 256
-        grid = build_grid(SpectralParams(), n=n)
+        grid = FrequencyGrid(n, 6.0 * SpectralParams().sigma_max)
         rng = np.random.default_rng(n)
         g1, g2 = rng.normal(size=(2, n))
         pump = rng.normal(size=2 * n - 1)
@@ -1014,7 +1101,7 @@ class TestPairSums:
     @pytest.fixture(scope="class")
     def chirped(self):
         params = SpectralParams(asymmetry_ratio=1.5)
-        jsa = build_jsa(params, build_grid(params, n=64))
+        jsa = build_jsa(params, FrequencyGrid(64, 6.0 * params.sigma_max))
         nu = jsa.grid.points
         g1, g2, pump = jsa.factors
         chirped = (g1 * np.exp(1j * 4000.0 * nu**2), g2 * np.exp(1j * 150.0 * nu), pump)
@@ -1044,11 +1131,11 @@ class TestPairSums:
         ]
         kernel = RateKernel(chirped)
         nu = chirped.grid.points
-        values = chirped.values
+        values = amplitude_values(chirped)
         for p in paths:
             for q in paths:
                 shift = p.delay_a - q.delay_a + p.delay_b - q.delay_b
-                direct = dense_sums(values, nu, p.swapped != q.swapped, shift)
+                (direct,) = dense_sums(values, chirped.grid, p.swapped != q.swapped, [shift])
                 sums = kernel.pair_sum(p, q) / chirped.grid.weight**2
                 assert np.abs(sums - direct).max() <= 1e-12 * np.abs(direct).max()
                 s = int(q.swapped) - int(p.swapped)
