@@ -10,7 +10,6 @@ survives without the photons ever overlapping on the beamsplitter.
 from .elements import (
     Polarization,
     Port,
-    QuartzRod,
     RodAxis,
     analyzer_projection,
     pbs_action,
@@ -18,14 +17,13 @@ from .elements import (
     rod_delays,
 )
 from .errors import ConfigurationError, ContractViolation
-from .oracle import OracleTerms, oracle_rate, oracle_terms, oracle_visibility
-from .pathsum import PairState, PathAmplitude, enumerate_paths
+from .oracle import oracle_rate, oracle_visibility
+from .pathsum import PathAmplitude, enumerate_paths
 from .presets import (
     PRESET_NAMES,
     ExperimentConfig,
     GridSpec,
     SweepRow,
-    SweepSpec,
     preset,
     run_sweep,
 )
@@ -60,19 +58,15 @@ __all__ = [
     "FrequencyGrid",
     "GridSpec",
     "JointSpectralAmplitude",
-    "OracleTerms",
     "PRESET_NAMES",
-    "PairState",
     "PathAmplitude",
     "Polarization",
     "Port",
-    "QuartzRod",
     "RateKernel",
     "RodAxis",
     "ScanResult",
     "SpectralParams",
     "SweepRow",
-    "SweepSpec",
     "TimeJointDensity",
     "analyzer_projection",
     "arrival_time_joint",
@@ -84,7 +78,6 @@ __all__ = [
     "interference_width",
     "jsa_swap_distance",
     "oracle_rate",
-    "oracle_terms",
     "oracle_visibility",
     "path_overlap",
     "pbs_action",

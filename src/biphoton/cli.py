@@ -24,7 +24,6 @@ from .presets import (
     CONFIG_KEYS,
     PRESET_NAMES,
     ExperimentConfig,
-    SweepSpec,
     preset,
     run_sweep,
     with_value,
@@ -217,15 +216,8 @@ def _parse_values(raw: str) -> tuple[float, ...]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config, label = _load_config(args)
-    spec = SweepSpec(
-        base=config,
-        axis=args.axis,
-        values=_parse_values(args.values),
-        d_min=args.d_min,
-        d_max=args.d_max,
-        steps=args.steps,
-    )
-    rows = run_sweep(spec)
+    values = _parse_values(args.values)
+    rows = run_sweep(config, args.axis, values, args.d_min, args.d_max, args.steps)
     out = Path(args.out) if args.out else Path(f"{label}_{args.axis}_sweep.csv")
     write_sweep_csv(out, rows)
     print(f"preset={label} axis={args.axis} rows={len(rows)} csv={out}")

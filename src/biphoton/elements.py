@@ -12,7 +12,6 @@ coincidence rates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError
@@ -43,42 +42,32 @@ QUARTZ_REFERENCE_DELAY_FS = 630.0
 _DELAY_PER_MM = QUARTZ_REFERENCE_DELAY_FS / QUARTZ_REFERENCE_LENGTH_MM
 
 
-@dataclass(frozen=True)
-class QuartzRod:
-    """Birefringent rod; length in mm.
+def quartz_group_delay(length: float) -> float:
+    """Relative group delay (fs) between slow and fast polarization of a
+    rod ``length`` mm long."""
+    if length <= 0:
+        raise ConfigurationError(f"group delay needs a positive rod length, got {length} mm")
+    delay = length * _DELAY_PER_MM
+    # Past about 5.7e306 mm the product overflows, and an infinite delay
+    # would turn every delay difference into nan.
+    if not math.isfinite(delay):
+        raise ConfigurationError(f"the group delay of a {length:g} mm rod is not finite")
+    return delay
+
+
+def rod_delays(axis: RodAxis, length: float) -> tuple[float, float]:
+    """(delay_H, delay_V) in fs of a birefringent rod ``length`` mm long,
+    with the fast polarization gauged to zero.
 
     axis VERTICAL means H is the fast polarization (V is delayed), axis
     HORIZONTAL the reverse. length 0 stands for a removed rod.
     """
-
-    axis: RodAxis
-    length: float = 20.0
-
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise ConfigurationError(f"rod length must be >= 0 mm, got {self.length}")
-
-
-def quartz_group_delay(rod: QuartzRod) -> float:
-    """Relative group delay (fs) between slow and fast polarization."""
-    if rod.length <= 0:
-        raise ConfigurationError(f"group delay needs a positive rod length, got {rod.length} mm")
-    delay = rod.length * _DELAY_PER_MM
-    # Past about 5.7e306 mm the product overflows, and an infinite delay
-    # would turn every delay difference into nan.
-    if not math.isfinite(delay):
-        raise ConfigurationError(f"the group delay of a {rod.length:g} mm rod is not finite")
-    return delay
-
-
-def rod_delays(rod: QuartzRod) -> tuple[float, float]:
-    """(delay_H, delay_V) in fs, with the fast polarization gauged to zero."""
-    delay = quartz_group_delay(rod) if rod.length != 0 else 0.0
-    if rod.axis is RodAxis.VERTICAL:
+    delay = quartz_group_delay(length) if length != 0 else 0.0
+    if axis is RodAxis.VERTICAL:
         return (0.0, delay)
-    if rod.axis is RodAxis.HORIZONTAL:
+    if axis is RodAxis.HORIZONTAL:
         return (delay, 0.0)
-    raise ConfigurationError(f"rod axis must be a RodAxis, got {rod.axis!r}")
+    raise ConfigurationError(f"rod axis must be a RodAxis, got {axis!r}")
 
 
 def pbs_action(input_arm: int, pol: Polarization) -> tuple[Port, complex]:

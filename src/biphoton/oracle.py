@@ -24,35 +24,16 @@ spectra; which one carries the displacement depends on the rod geometry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elements import QuartzRod, cos_sin_deg, rod_delays
+from .elements import cos_sin_deg, rod_delays
 from .errors import ContractViolation
 from .spectral import SpectralParams
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
-
-
-@dataclass(frozen=True)
-class OracleTerms:
-    """The three contributions making up one closed-form rate."""
-
-    rr_weight: float
-    tt_weight: float
-    cross: float
-    overlap: float
-
-    @property
-    def rate(self) -> float:
-        return self.rr_weight + self.tt_weight + self.cross
-
-    @property
-    def baseline(self) -> float:
-        return self.rr_weight + self.tt_weight
 
 
 def _coefficients(config: "ExperimentConfig") -> tuple[complex, complex]:
@@ -96,8 +77,8 @@ def _cross_factors(config: "ExperimentConfig", delays) -> list[float]:
     """G of the module docstring, in [0, 1], at each trombone delay in
     ``delays``; the rod delays and the spectral constants are computed
     once for all of them."""
-    rod1_h, rod1_v = rod_delays(QuartzRod(config.qr1_axis, config.rod_length))
-    rod2_h, rod2_v = rod_delays(QuartzRod(config.qr2_axis, config.rod_length))
+    rod1_h, rod1_v = rod_delays(config.qr1_axis, config.rod_length)
+    rod2_h, rod2_v = rod_delays(config.qr2_axis, config.rod_length)
     params = config.spectral
     s = 1.0 / (4.0 * params.sigma1**2) + 1.0 / (4.0 * params.sigma2**2)
     tau2 = params.pump_coherence_time**2
@@ -123,26 +104,14 @@ def _cross_weight(c_rr: complex, c_tt: complex) -> float:
     return 2.0 * (c_rr * c_tt.conjugate()).real
 
 
-def oracle_terms(config: "ExperimentConfig", d: float) -> OracleTerms:
-    c_rr, c_tt = _coefficients(config)
-    (overlap,) = _cross_factors(config, (d,))
-    return OracleTerms(
-        rr_weight=_weight(c_rr),
-        tt_weight=_weight(c_tt),
-        cross=_cross_weight(c_rr, c_tt) * overlap,
-        overlap=overlap,
-    )
-
-
 def oracle_rate(config: "ExperimentConfig", d):
     """Closed-form coincidence rate at trombone delay ``d``, a float; for a
     1-D sequence or array of delays, a float64 array of the rate at each.
 
     The path coefficients, rod delays and spectral constants are computed
     once per call; each delay then costs a few scalar operations and two
-    calls to ``math.exp``, in the order of ``oracle_terms``, so each rate
-    has the bits of ``oracle_terms(config, d).rate`` whether the delay came
-    alone or in an array.
+    calls to ``math.exp``, always in the same order, so each rate has the
+    same bits whether the delay came alone or in an array.
     """
     scalar = np.ndim(d) == 0
     c_rr, c_tt = _coefficients(config)
@@ -155,8 +124,8 @@ def oracle_rate(config: "ExperimentConfig", d):
 
 def extremal_delay(config: "ExperimentConfig") -> float:
     """Trombone delay maximizing the cross factor; zero for equal rods."""
-    rod1_h, rod1_v = rod_delays(QuartzRod(config.qr1_axis, config.rod_length))
-    rod2_h, rod2_v = rod_delays(QuartzRod(config.qr2_axis, config.rod_length))
+    rod1_h, rod1_v = rod_delays(config.qr1_axis, config.rod_length)
+    rod2_h, rod2_v = rod_delays(config.qr2_axis, config.rod_length)
     return ((rod2_h + rod2_v) - (rod1_h + rod1_v)) / 2.0
 
 

@@ -28,48 +28,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elements import (
-    Polarization,
-    Port,
-    QuartzRod,
-    analyzer_projection,
-    pbs_action,
-    rod_delays,
-)
+from .elements import Polarization, analyzer_projection, rod_delays
 from .errors import ConfigurationError
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
-
-
-@dataclass(frozen=True)
-class PairTerm:
-    """One term of the source superposition: the polarization of the
-    photon in each arm and the term's amplitude."""
-
-    pol1: Polarization
-    pol2: Polarization
-    amplitude: complex
-
-
-@dataclass(frozen=True)
-class PairState:
-    """Polarization-entangled source state with a relative phase.
-
-    The two equally weighted terms are |H>|V> and |V>|H>: the ordinary
-    photon is horizontally and the extraordinary one vertically polarized,
-    and the second term carries the relative phase.
-    """
-
-    relative_phase: float = 0.0
-
-    @property
-    def terms(self) -> tuple[PairTerm, PairTerm]:
-        w = 1.0 / math.sqrt(2.0)
-        return (
-            PairTerm(Polarization.H, Polarization.V, complex(w)),
-            PairTerm(Polarization.V, Polarization.H, w * complex(np.exp(1j * self.relative_phase))),
-        )
 
 
 @dataclass(frozen=True)
@@ -89,61 +52,33 @@ class PathAmplitude:
 
 def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmplitude, ...]:
     """The coincidence paths of a configuration at finite trombone delay d
-    (fs), in fixed source-term order.
-
-    Terms whose photons leave through the same port produce no coincidence
-    and are skipped; so are paths whose analyzer projections kill the
+    (fs): rr, then tt, each left out where an analyzer projection kills its
     coefficient outright. An empty result is a valid outcome, not an error.
+
+    The source state is (|H>|V> + e^{i pair_phase} |V>|H>) / sqrt(2), the
+    arm-1 photon first. Each photon takes the rod delay of its source
+    polarization, and the arm-1 photon the trombone delay too; the
+    half-wave plate then swaps its polarization. So the photons of the
+    first term are both V and reflect, with a factor i each, arm 1's to
+    port A (rr); those of the second are both H and transmit, arm 1's to
+    port B (tt, swapped).
     """
     if not math.isfinite(d):
         raise ConfigurationError(f"trombone delay must be finite, got {d}")
-    rod1_h, rod1_v = rod_delays(QuartzRod(config.qr1_axis, config.rod_length))
-    rod2_h, rod2_v = rod_delays(QuartzRod(config.qr2_axis, config.rod_length))
-
-    paths = []
-    for term in PairState(config.pair_phase).terms:
-        # Arm 1: rod delay by the source polarization, trombone, then the
-        # half-wave plate, which swaps H and V with coefficient 1.
-        delay1 = (rod1_h if term.pol1 is Polarization.H else rod1_v) + d
-        pol1_out = Polarization.V if term.pol1 is Polarization.H else Polarization.H
-        port1, pbs1 = pbs_action(1, pol1_out)
-
-        # Arm 2: rod only.
-        delay2 = rod2_h if term.pol2 is Polarization.H else rod2_v
-        port2, pbs2 = pbs_action(2, term.pol2)
-
-        if port1 == port2:
-            continue
-
-        reflections = (pol1_out is Polarization.V) + (term.pol2 is Polarization.V)
-        label = {2: "rr", 0: "tt"}.get(reflections, "rt")
-
-        if port1 is Port.A:
-            pol_a, pol_b = pol1_out, term.pol2
-            delay_a, delay_b = delay1, delay2
-            swapped = False
-        else:
-            pol_a, pol_b = term.pol2, pol1_out
-            delay_a, delay_b = delay2, delay1
-            swapped = True
-
-        coefficient = (
-            term.amplitude
-            * pbs1
-            * pbs2
-            * analyzer_projection(pol_a, config.analyzer_port_a)
-            * analyzer_projection(pol_b, config.analyzer_port_b)
-        )
-        if coefficient == 0:
-            continue
-        paths.append(
-            PathAmplitude(
-                label=label,
-                coefficient=coefficient,
-                delay_a=delay_a,
-                delay_b=delay_b,
-                swapped=swapped,
-            )
-        )
-    return tuple(paths)
-
+    rod1_h, rod1_v = rod_delays(config.qr1_axis, config.rod_length)
+    rod2_h, rod2_v = rod_delays(config.qr2_axis, config.rod_length)
+    a, b = config.analyzer_port_a, config.analyzer_port_b
+    h, v = Polarization.H, Polarization.V
+    w = 1.0 / math.sqrt(2.0)
+    rr = complex(w) * 1j * 1j * analyzer_projection(v, a) * analyzer_projection(v, b)
+    tt = (
+        w
+        * complex(np.exp(1j * config.pair_phase))
+        * analyzer_projection(h, a)
+        * analyzer_projection(h, b)
+    )
+    paths = (
+        PathAmplitude("rr", rr, rod1_h + d, rod2_v, swapped=False),
+        PathAmplitude("tt", tt, rod2_h, rod1_v + d, swapped=True),
+    )
+    return tuple(p for p in paths if p.coefficient != 0)

@@ -159,29 +159,6 @@ def with_value(config: ExperimentConfig, key: str, value) -> ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter over a base configuration, with the per-point
-    scan window."""
-
-    base: ExperimentConfig
-    axis: str
-    values: tuple[float, ...]
-    d_min: float = DEFAULT_SCAN_MIN
-    d_max: float = DEFAULT_SCAN_MAX
-    steps: int = DEFAULT_SCAN_STEPS
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ConfigurationError(
-                f"unknown sweep axis {self.axis!r}; valid axes: {', '.join(sorted(SWEEP_AXES))}"
-            )
-        if not 1 <= len(self.values) <= MAX_SWEEP_ROWS:
-            raise ConfigurationError(
-                f"sweep needs between 1 and {MAX_SWEEP_ROWS} values, got {len(self.values)}"
-            )
-
-
-@dataclass(frozen=True)
 class SweepRow:
     value: float
     visibility: float
@@ -190,29 +167,45 @@ class SweepRow:
     baseline: float
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """One delay scan per swept value, values checked first, rows in input order;
-    a sweep over ``REWEIGHTING_AXES`` shares one kernel on the finest grid a row needs.
+def run_sweep(
+    base: ExperimentConfig,
+    axis: str,
+    values: tuple[float, ...],
+    d_min: float = DEFAULT_SCAN_MIN,
+    d_max: float = DEFAULT_SCAN_MAX,
+    steps: int = DEFAULT_SCAN_STEPS,
+) -> list[SweepRow]:
+    """One delay scan of ``base`` per value of the config key ``axis``, the
+    axis, row count and values checked first, rows in input order; a sweep
+    over ``REWEIGHTING_AXES`` shares one kernel on the finest grid a row needs.
 
     The package's own errors name the row they came from; any other
     exception propagates unchanged.
     """
+    if axis not in SWEEP_AXES:
+        raise ConfigurationError(
+            f"unknown sweep axis {axis!r}; valid axes: {', '.join(sorted(SWEEP_AXES))}"
+        )
+    if not 1 <= len(values) <= MAX_SWEEP_ROWS:
+        raise ConfigurationError(
+            f"sweep needs between 1 and {MAX_SWEEP_ROWS} values, got {len(values)}"
+        )
 
     def in_row(i, call, *args, **kwargs):
         try:
             return call(*args, **kwargs)
         except (ConfigurationError, ContractViolation) as exc:
-            raise type(exc)(f"sweep row {i} ({spec.axis}={spec.values[i]}): {exc}") from exc
+            raise type(exc)(f"sweep row {i} ({axis}={values[i]}): {exc}") from exc
 
-    configs = [in_row(i, with_value, spec.base, spec.axis, v) for i, v in enumerate(spec.values)]
+    configs = [in_row(i, with_value, base, axis, v) for i, v in enumerate(values)]
     kernel = None
-    if spec.axis in REWEIGHTING_AXES:
+    if axis in REWEIGHTING_AXES:
         # A bad window is refused as such before it is read as aliasing delays.
-        in_row(0, _scan_delays, spec.base.spectral, spec.d_min, spec.d_max, spec.steps)
-        grids = (in_row(i, _rate_grid, c, spec.d_min, spec.d_max) for i, c in enumerate(configs))
-        kernel = RateKernel(build_jsa(spec.base.spectral, max(grids, key=lambda grid: grid.n)))
+        in_row(0, _scan_delays, base.spectral, d_min, d_max, steps)
+        grids = (in_row(i, _rate_grid, c, d_min, d_max) for i, c in enumerate(configs))
+        kernel = RateKernel(build_jsa(base.spectral, max(grids, key=lambda grid: grid.n)))
     rows = []
-    for i, (value, config) in enumerate(zip(spec.values, configs)):
-        scan = in_row(i, scan_delay, config, spec.d_min, spec.d_max, spec.steps, kernel=kernel)
+    for i, (value, config) in enumerate(zip(values, configs)):
+        scan = in_row(i, scan_delay, config, d_min, d_max, steps, kernel=kernel)
         rows.append(SweepRow(value, scan.visibility, scan.kind, scan.extremum, scan.baseline))
     return rows

@@ -99,6 +99,7 @@ of ``elements`` gives at multiples of 45 deg.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
@@ -108,7 +109,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 from .pathsum import PathAmplitude, enumerate_paths
 from .spectral import _MAX_GRID_N, FrequencyGrid, JointSpectralAmplitude, SpectralParams
-from .spectral import build_jsa, interference_width
+from .spectral import _is_real, build_jsa, interference_width
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -685,6 +686,11 @@ class ScanResult:
 
 def _scan_delays(spectral: SpectralParams, d_min: float, d_max: float, steps: int):
     """The delays of a scan and the mask of those in the baseline wings, once all are checked."""
+    # Checked as config fields are: numpy scalars pass, bool and text do not.
+    if not (_is_real(d_min) and _is_real(d_max)):
+        raise ConfigurationError(f"scan edges must be real numbers, got {d_min!r}, {d_max!r}")
+    if not (_is_real(steps) and isinstance(steps, numbers.Integral)):
+        raise ConfigurationError(f"delay steps must be an integer, got {steps!r}")
     # Edges that are not finite, or a span past the largest float, would
     # space the delays by inf or nan.
     if not math.isfinite(d_max - d_min):
@@ -820,7 +826,7 @@ def _time_marginals(
     if norm == 0.0 or not math.isfinite(norm):
         raise ContractViolation("cannot normalize a zero or non-finite amplitude")
     if not paths:
-        raise ContractViolation("time density is identically zero; no coincidence paths")
+        raise ConfigurationError("time density is identically zero; no coincidence paths")
     terms = []
     for p in paths:
         g_a, g_b = (g2, g1) if p.swapped else (g1, g2)
@@ -834,7 +840,7 @@ def _time_marginals(
     times = np.fft.fftshift(2.0 * np.pi * np.fft.fftfreq(n, d=h))
     mass = float(marginal_a.sum())
     if mass == 0.0:
-        raise ContractViolation("time density is identically zero; the coincidence paths cancel")
+        raise ConfigurationError("time density is identically zero; the coincidence paths cancel")
     return TimeJointDensity(
         times=times,
         marginal_a=marginal_a,
@@ -883,7 +889,8 @@ def arrival_time_joint(config: "ExperimentConfig", d: float) -> TimeJointDensity
     the rate curve shows interference. Its grid is raised until no arrival
     time wraps around the time window, and refused before anything is
     built past the largest grid. The marginals take O(n^2 log n) time and
-    O(n) memory: no n x n array is formed.
+    O(n) memory: no n x n array is formed. A configuration without
+    coincidences, no path or two that cancel, is a ConfigurationError.
     """
     paths = enumerate_paths(config, d)
     grid = _plan_grid(config, partial(_time_window, config, paths))

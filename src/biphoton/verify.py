@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .elements import QuartzRod, RodAxis, quartz_group_delay
+from .elements import quartz_group_delay
 from .oracle import oracle_rate, oracle_visibility
 from .pathsum import enumerate_paths
 from .presets import PRESET_NAMES, ExperimentConfig, preset
@@ -53,7 +53,7 @@ class CheckResult:
 
 
 def check_quartz_delay_calibration() -> CheckResult:
-    delay = quartz_group_delay(QuartzRod(RodAxis.VERTICAL, 20.0))
+    delay = quartz_group_delay(20.0)
     error = abs(delay - 630.0)
     return CheckResult("quartz_delay_calibration", error == 0.0, error, 0.0)
 

@@ -13,8 +13,6 @@ import numpy as np
 import pytest
 
 from biphoton import (
-    QuartzRod,
-    RodAxis,
     SpectralParams,
     arrival_time_joint,
     coherence_time_from_filter,
@@ -134,7 +132,7 @@ def test_criterion_5_verification_suite(capsys):
 
 
 def test_criterion_6_calibration_constants():
-    delay = quartz_group_delay(QuartzRod(RodAxis.VERTICAL, 20.0))
+    delay = quartz_group_delay(20.0)
     coherence = coherence_time_from_filter(20.0, 780.0)
     ok = delay == 630.0 and abs(coherence - 100.0) <= 2.0
     report(

@@ -237,6 +237,15 @@ class TestRun:
         assert "contract" in stderr
 
 
+def test_every_public_name_resolves():
+    # A stale __all__ entry would break `from biphoton import *`.
+    assert [name for name in biphoton.__all__ if not hasattr(biphoton, name)] == []
+    assert len(set(biphoton.__all__)) == len(biphoton.__all__)
+    namespace = {}
+    exec("from biphoton import *", namespace)
+    assert set(biphoton.__all__) <= namespace.keys()
+
+
 def test_ctrl_c_ends_a_command_without_traceback_or_output(tmp_path):
     # The 50-row full-band sweep at n = 8192 runs for seconds; SIGINT
     # reaches it a second after the command has started.

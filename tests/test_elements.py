@@ -9,7 +9,6 @@ from biphoton import (
     ConfigurationError,
     Polarization,
     Port,
-    QuartzRod,
     RodAxis,
     analyzer_projection,
     pbs_action,
@@ -23,48 +22,51 @@ V = Polarization.V
 
 class TestQuartzDelay:
     def test_reference_length_is_exact(self):
-        assert quartz_group_delay(QuartzRod(RodAxis.VERTICAL, 20.0)) == 630.0
+        assert quartz_group_delay(20.0) == 630.0
 
     def test_linearity(self):
-        assert quartz_group_delay(QuartzRod(RodAxis.VERTICAL, 10.0)) == 315.0
+        assert quartz_group_delay(10.0) == 315.0
 
     def test_zero_length_errors(self):
         with pytest.raises(ConfigurationError):
-            quartz_group_delay(QuartzRod(RodAxis.VERTICAL, 0.0))
+            quartz_group_delay(0.0)
 
-    def test_negative_length_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            QuartzRod(RodAxis.VERTICAL, -5.0)
+    def test_negative_length_rejected(self):
+        with pytest.raises(ConfigurationError, match="positive rod length"):
+            quartz_group_delay(-5.0)
+        for axis in RodAxis:
+            with pytest.raises(ConfigurationError, match="positive rod length"):
+                rod_delays(axis, -5.0)
 
     @pytest.mark.parametrize("axis", list(RodAxis))
     def test_overflowing_delay_is_refused(self, axis):
         # 1e308 mm times 31.5 fs/mm is inf; inf - inf would make the delay
         # differences nan and every rate of a scan nan.
         with pytest.raises(ConfigurationError, match="not finite"):
-            rod_delays(QuartzRod(axis, 1e308))
+            rod_delays(axis, 1e308)
 
 
 class TestRodDelays:
     def test_vertical_axis_delays_v(self):
-        assert rod_delays(QuartzRod(RodAxis.VERTICAL, 20.0)) == (0.0, 630.0)
+        assert rod_delays(RodAxis.VERTICAL, 20.0) == (0.0, 630.0)
 
     def test_horizontal_axis_delays_h(self):
-        assert rod_delays(QuartzRod(RodAxis.HORIZONTAL, 20.0)) == (630.0, 0.0)
+        assert rod_delays(RodAxis.HORIZONTAL, 20.0) == (630.0, 0.0)
 
     def test_axis_flip_swaps_tuple(self):
-        dv = rod_delays(QuartzRod(RodAxis.VERTICAL, 12.0))
-        dh = rod_delays(QuartzRod(RodAxis.HORIZONTAL, 12.0))
+        dv = rod_delays(RodAxis.VERTICAL, 12.0)
+        dh = rod_delays(RodAxis.HORIZONTAL, 12.0)
         assert dv == dh[::-1]
 
     def test_removed_rod(self):
-        assert rod_delays(QuartzRod(RodAxis.VERTICAL, 0.0)) == (0.0, 0.0)
+        assert rod_delays(RodAxis.VERTICAL, 0.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("axis", ["vertical", "horizontal", None])
     @pytest.mark.parametrize("length", [0.0, 20.0])
     def test_axis_outside_the_enum_rejected(self, axis, length):
         # "vertical" used to read as horizontal: only RodAxis.VERTICAL was named.
         with pytest.raises(ConfigurationError, match="RodAxis"):
-            rod_delays(QuartzRod(axis, length))
+            rod_delays(axis, length)
 
 
 class TestPolarizingBeamsplitter:

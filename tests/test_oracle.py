@@ -15,7 +15,6 @@ from biphoton import (
     enumerate_paths,
     jsa_swap_distance,
     oracle_rate,
-    oracle_terms,
     oracle_visibility,
     path_overlap,
     preset,
@@ -69,20 +68,23 @@ def test_oracle_matches_brute_quadrature(name, rho, tau_p, d):
 class TestClosedFormValues:
     def test_ideal_dip_is_zero(self, fig3a_dip):
         for config in (fig3a_dip, preset("fig3b_dip")):
-            terms = oracle_terms(config, 0.0)
-            assert terms.rr_weight == terms.tt_weight
+            assert oracle_visibility(config) == 1.0
             assert oracle_rate(config, 0.0) == 0.0
 
     def test_wings_reach_the_baseline(self, fig3a_dip):
-        terms = oracle_terms(fig3a_dip, 2000.0)
-        assert terms.rate == pytest.approx(terms.baseline, rel=1e-12)
+        # At 1e9 fs the cross factor is exactly 0, leaving the baseline.
+        baseline = oracle_rate(fig3a_dip, 1e9)
+        assert baseline == pytest.approx(0.25, rel=1e-15)
+        assert oracle_rate(fig3a_dip, 2000.0) == pytest.approx(baseline, rel=1e-12)
 
     def test_pump_clock_suppression(self):
         config = preset("fig4c")
         p = config.spectral
         s = 1.0 / (4.0 * p.sigma1**2) + 1.0 / (4.0 * p.sigma2**2)
         bound = math.exp(-(630.0**2) / (2.0 * (2.0 * p.pump_coherence_time**2 + s)))
-        overlap = oracle_terms(config, 0.0).overlap
+        # Balanced coefficients and an extremal delay of 0: the visibility
+        # is the cross factor at d = 0.
+        overlap = oracle_visibility(config)
         assert overlap == pytest.approx(bound, rel=1e-12)
         assert overlap < 0.02
 
@@ -90,7 +92,7 @@ class TestClosedFormValues:
         config = replace(
             preset("fig4c"), spectral=SpectralParams(pump_coherence_time=1e5)
         )
-        assert oracle_terms(config, 0.0).overlap >= 0.9
+        assert oracle_visibility(config) >= 0.9
 
     def test_rate_nonnegative_on_a_lattice(self):
         for name in ("fig3a_dip", "fig3a_peak", "fig4c"):
@@ -115,10 +117,11 @@ class TestOracleVisibility:
 
     def test_analyzer_at_zero_kills_reflected_path(self, fig3a_dip):
         config = replace(fig3a_dip, analyzer1=0.0, analyzer2=0.0)
-        terms = oracle_terms(config, 0.0)
-        assert terms.rr_weight == 0.0
-        assert terms.cross == 0.0
-        assert terms.tt_weight == pytest.approx(0.5, rel=1e-12)
+        # Only tt is left: no cross term, so the rate is its weight at every delay.
+        assert oracle_visibility(config) == 0.0
+        rates = oracle_rate(config, np.linspace(-1500.0, 1500.0, 31))
+        assert set(rates.tolist()) == {oracle_rate(config, 0.0)}
+        assert oracle_rate(config, 0.0) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_engine_matches_oracle_on_asymmetric_jsa():
@@ -126,7 +129,7 @@ def test_engine_matches_oracle_on_asymmetric_jsa():
     for d in (-300.0, 0.0, 90.0, 500.0):
         engine = coincidence_rate(config, d)
         reference = oracle_rate(config, d)
-        assert abs(engine - reference) < 1e-3 * oracle_terms(config, d).baseline
+        assert abs(engine - reference) < 1e-3 * oracle_rate(config, 1e9)
 
 
 def test_engine_matches_oracle_spot_checks():
@@ -144,9 +147,10 @@ def test_engine_matches_oracle_spot_checks():
 def test_huge_rod_delays_saturate_the_cross_factor(rod_length):
     # |Delta_a + Delta_b| is past 1e154, where squaring with ** overflows.
     config = replace(preset("fig4c"), rod_length=rod_length)
-    terms = oracle_terms(config, 0.0)
-    assert terms.overlap == 0.0
-    assert oracle_rate(config, 0.0) == terms.baseline
+    # The extremal delay of fig4c is 0, so the visibility is the cross
+    # factor there; the rate is the baseline of the preset's own rods.
+    assert oracle_visibility(config) == 0.0
+    assert oracle_rate(config, 0.0) == oracle_rate(preset("fig4c"), 1e9)
     assert math.isfinite(oracle_rate(config, 0.0))
 
 
@@ -161,7 +165,7 @@ def test_oracle_rates_equal_oracle_rate_exactly(name, rho):
     singles = [oracle_rate(config, float(d)) for d in delays]
     from_numpy = [oracle_rate(config, d) for d in delays]
     assert {type(rate) for rate in singles + from_numpy} == {float}
-    assert from_numpy == singles == [oracle_terms(config, d).rate for d in delays]
+    assert from_numpy == singles
     for given in (delays, delays.tolist(), tuple(delays.tolist())):
         rates = oracle_rate(config, given)
         assert isinstance(rates, np.ndarray)

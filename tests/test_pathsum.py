@@ -1,5 +1,6 @@
 """Path enumeration, the dense reference's amplitude assembly and path overlap."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,39 +9,61 @@ import pytest
 
 from biphoton import (
     ContractViolation,
-    PairState,
     PathAmplitude,
-    Polarization,
+    RodAxis,
     build_jsa,
     enumerate_paths,
     path_overlap,
     preset,
+    rod_delays,
 )
 from dense_reference import amplitude_rate, assemble_amplitude, dense_overlap
 
 HALF_OVER_ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
 
 
-class TestPairState:
-    def test_two_equal_weight_terms(self):
-        terms = PairState().terms
-        assert len(terms) == 2
-        assert sum(abs(t.amplitude) ** 2 for t in terms) == pytest.approx(1.0, abs=1e-15)
+class TestEnumeratePaths:
+    def test_two_equal_weight_terms(self, fig3a_dip):
+        # Analyzers along V pass only the rr term, along H only the tt term,
+        # each with the full weight of its source term.
+        (rr,) = enumerate_paths(replace(fig3a_dip, analyzer1=90.0, analyzer2=90.0))
+        (tt,) = enumerate_paths(replace(fig3a_dip, analyzer1=0.0, analyzer2=0.0))
+        assert (rr.label, tt.label) == ("rr", "tt")
+        assert abs(rr.coefficient) ** 2 == pytest.approx(0.5, rel=1e-15)
+        assert abs(tt.coefficient) ** 2 + abs(rr.coefficient) ** 2 == pytest.approx(1.0, abs=1e-15)
 
     def test_each_term_pairs_orthogonal_polarizations(self):
-        terms = PairState().terms
-        assert [(t.pol1, t.pol2) for t in terms] == [
-            (Polarization.H, Polarization.V),
-            (Polarization.V, Polarization.H),
-        ]
+        # rr comes from |H>|V>: the rod delays of H in arm 1 and V in arm 2;
+        # tt from |V>|H>: those of V in arm 1 and H in arm 2.
+        config = replace(preset("fig4c"), rod_length=10.0)
+        rr, tt = enumerate_paths(config, 1.0)
+        assert (rr.delay_a, rr.delay_b) == (1.0, 0.0)
+        assert (tt.delay_a, tt.delay_b) == (315.0, 315.0 + 1.0)
 
-    def test_relative_phase_enters_second_term(self):
-        terms = PairState(relative_phase=math.pi / 2).terms
-        assert terms[0].amplitude.imag == pytest.approx(0.0, abs=1e-15)
-        assert terms[1].amplitude.imag == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    def test_relative_phase_enters_second_term(self, fig3a_dip):
+        rr, tt = enumerate_paths(replace(fig3a_dip, pair_phase=math.pi / 2))
+        assert rr.coefficient.imag == 0.0
+        assert tt.coefficient.imag == pytest.approx(HALF_OVER_ROOT2, rel=1e-12)
+        assert tt.coefficient.real == pytest.approx(0.0, abs=1e-15)
 
+    def test_rr_is_unswapped_and_tt_swapped_for_every_rod_and_analyzer(self, fig3a_dip):
+        # The half-wave plate sends both photons of a source term to the
+        # same polarization, so they always leave by different ports: no
+        # term is lost at the beamsplitter and none takes a mixed path.
+        angles = (0.0, 45.0, 90.0, -45.0)
+        for axis1, axis2, angle1, angle2 in itertools.product(RodAxis, RodAxis, angles, angles):
+            config = replace(fig3a_dip, qr1_axis=axis1, qr2_axis=axis2,
+                             analyzer1=angle1, analyzer2=angle2)
+            rod1_h, rod1_v = rod_delays(axis1, config.rod_length)
+            rod2_h, rod2_v = rod_delays(axis2, config.rod_length)
+            expected = []
+            if angle1 != 0.0 and angle2 != 0.0:
+                expected.append(("rr", rod1_h + 50.0, rod2_v, False))
+            if angle1 != 90.0 and angle2 != 90.0:
+                expected.append(("tt", rod2_h, rod1_v + 50.0, True))
+            paths = enumerate_paths(config, 50.0)
+            assert [(p.label, p.delay_a, p.delay_b, p.swapped) for p in paths] == expected
 
-class TestEnumeratePaths:
     def test_fig3a_dip_structure(self, fig3a_dip):
         rr, tt = enumerate_paths(fig3a_dip)
         assert (rr.label, tt.label) == ("rr", "tt")

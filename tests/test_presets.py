@@ -1,6 +1,7 @@
 """Preset fidelity, sweep harness and pump-coherence behavior."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from biphoton import (
     GridSpec,
     RodAxis,
     SpectralParams,
-    SweepSpec,
     preset,
     run_sweep,
     scan_delay,
@@ -133,48 +133,58 @@ class TestConfigKeys:
 
 class TestRunSweep:
     def test_pump_coherence_recovers_fig4c_visibility(self):
-        spec = SweepSpec(base=preset("fig4c"), axis="pump_coherence_time",
-                         values=(60.0, 120.0, 630.0, 6300.0), steps=51)
-        visibilities = [row.visibility for row in run_sweep(spec)]
+        rows = run_sweep(preset("fig4c"), "pump_coherence_time", (60.0, 120.0, 630.0, 6300.0),
+                         steps=51)
+        visibilities = [row.visibility for row in rows]
         assert all(b >= a for a, b in zip(visibilities, visibilities[1:]))
         assert visibilities[1] <= 0.02
         assert visibilities[-1] >= 0.9
 
     def test_asymmetry_sweep_decreases_visibility(self):
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio",
-                         values=(1.0, 1.5, 2.0), steps=51)
-        rows = run_sweep(spec)
+        rows = run_sweep(preset("fig3a_dip"), "asymmetry_ratio", (1.0, 1.5, 2.0), steps=51)
         assert [row.value for row in rows] == [1.0, 1.5, 2.0]
         vis = [row.visibility for row in rows]
         assert vis[0] > vis[1] > vis[2]
 
     def test_rod_length_does_not_matter_for_matched_rods(self):
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="rod_length",
-                         values=(0.0, 10.0, 20.0), steps=51)
-        for row in run_sweep(spec):
+        for row in run_sweep(preset("fig3a_dip"), "rod_length", (0.0, 10.0, 20.0), steps=51):
             assert row.kind == "dip"
             assert row.visibility >= 0.99
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ConfigurationError, match="asymmetry_ratio"):
-            SweepSpec(base=preset("fig3a_dip"), axis="wavelength", values=(1.0,))
+            run_sweep(preset("fig3a_dip"), "wavelength", (1.0,))
 
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigurationError):
-            SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=())
+            run_sweep(preset("fig3a_dip"), "asymmetry_ratio", ())
 
-    def test_more_values_than_the_row_bound_rejected(self):
+    def test_more_values_than_the_row_bound_rejected(self, monkeypatch):
+        import biphoton.presets as presets_module
+
+        # A stand-in scan, so that the row bound itself runs in milliseconds.
+        scan = SimpleNamespace(visibility=1.0, kind="dip", extremum=0.0, baseline=0.25)
+        monkeypatch.setattr(presets_module, "scan_delay", lambda *args, **kwargs: scan)
         values = tuple(1.0 + i / MAX_SWEEP_ROWS for i in range(MAX_SWEEP_ROWS + 1))
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=values[:-1])
-        assert len(spec.values) == MAX_SWEEP_ROWS
+        rows = run_sweep(preset("fig3a_dip"), "asymmetry_ratio", values[:-1])
+        assert len(rows) == MAX_SWEEP_ROWS
         with pytest.raises(ConfigurationError, match=f"between 1 and {MAX_SWEEP_ROWS} values"):
-            SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=values)
+            run_sweep(preset("fig3a_dip"), "asymmetry_ratio", values)
 
     def test_row_errors_carry_the_index(self):
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio",
-                         values=(1.0, -2.0), steps=31)
         with pytest.raises(ConfigurationError, match="row 1"):
-            run_sweep(spec)
+            run_sweep(preset("fig3a_dip"), "asymmetry_ratio", (1.0, -2.0), steps=31)
+
+    @pytest.mark.parametrize("axis", ["analyzer2", "asymmetry_ratio"])
+    def test_a_step_count_that_is_not_an_integer_is_refused(self, axis):
+        # Both the shared-kernel sweep and the kernel-per-row one.
+        with pytest.raises(ConfigurationError, match="row 0 .*steps must be an integer"):
+            run_sweep(preset("fig3a_dip"), axis, (1.0, 2.0), steps=151.0)
+
+    @pytest.mark.parametrize("axis", ["analyzer2", "asymmetry_ratio"])
+    def test_edges_that_are_not_real_numbers_are_refused(self, axis):
+        with pytest.raises(ConfigurationError, match="row 0 .*edges must be real numbers"):
+            run_sweep(preset("fig3a_dip"), axis, (1.0, 2.0), d_min="-1500")
 
     def test_contract_violations_keep_their_type_and_row(self, monkeypatch):
         import biphoton.presets as presets_module
@@ -183,9 +193,8 @@ class TestRunSweep:
             raise ContractViolation("synthetic breakage")
 
         monkeypatch.setattr(presets_module, "scan_delay", broken)
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=(1.5,))
         with pytest.raises(ContractViolation, match=r"row 0 \(asymmetry_ratio=1.5\): synthetic"):
-            run_sweep(spec)
+            run_sweep(preset("fig3a_dip"), "asymmetry_ratio", (1.5,))
 
     def test_other_exceptions_propagate_unchanged(self, monkeypatch):
         import biphoton.presets as presets_module
@@ -198,9 +207,8 @@ class TestRunSweep:
             raise TwoArgumentError(7, "disk full")
 
         monkeypatch.setattr(presets_module, "scan_delay", broken)
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="asymmetry_ratio", values=(1.5,))
         with pytest.raises(TwoArgumentError) as info:
-            run_sweep(spec)
+            run_sweep(preset("fig3a_dip"), "asymmetry_ratio", (1.5,))
         assert info.value.args == (7, "disk full")
 
 
@@ -220,27 +228,25 @@ class TestKernelSharing:
 
     @pytest.mark.parametrize("axis", ["analyzer2", "pair_phase"])
     def test_a_reweighting_sweep_builds_one_kernel(self, kernels, axis):
-        run_sweep(SweepSpec(base=preset("fig3a_dip"), axis=axis, values=(0.0, 1.0, 45.0), steps=31))
+        run_sweep(preset("fig3a_dip"), axis, (0.0, 1.0, 45.0), steps=31)
         assert len(kernels) == 1
 
     @pytest.mark.parametrize(
         "axis, values", [("rod_length", (0.0, 10.0, 20.0)), ("pump_coherence_time", (60.0, 120.0))]
     )
     def test_other_axes_build_a_kernel_per_row(self, kernels, axis, values):
-        run_sweep(SweepSpec(base=preset("fig4c"), axis=axis, values=values, steps=31))
+        run_sweep(preset("fig4c"), axis, values, steps=31)
         assert len(kernels) == len(values)
 
     def test_a_shared_kernel_takes_the_finest_grid_a_row_needs(self, kernels):
         # Past 13244 fs the two paths of the 45 deg row alias at n = 256, but
         # the single path of the 0 and 90 deg rows does not; all three rows
         # share the n = 512 kernel and read what a scan of their own reads.
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="analyzer2", values=(0.0, 45.0, 90.0),
-                         d_max=15000.0)
-        rows = run_sweep(spec)
+        base = preset("fig3a_dip")
+        rows = run_sweep(base, "analyzer2", (0.0, 45.0, 90.0), d_max=15000.0)
         assert [kernel.grid.n for kernel in kernels] == [512]
         for row in rows:
-            config = with_value(spec.base, spec.axis, row.value)
-            own = scan_delay(config, spec.d_min, spec.d_max, spec.steps)
+            own = scan_delay(with_value(base, "analyzer2", row.value), d_max=15000.0)
             assert (row.kind, row.baseline) == (own.kind, pytest.approx(own.baseline, rel=1e-12))
             assert row.extremum == pytest.approx(own.extremum, rel=1e-12, abs=1e-15)
 
@@ -252,18 +258,16 @@ class TestKernelSharing:
 
         monkeypatch.setattr(presets_module, "build_jsa", unexpected)
         monkeypatch.setattr(ExperimentConfig, "frequency_grid", unexpected)
-        spec = SweepSpec(base=preset("fig3a_dip"), axis="analyzer2", values=(0.0, 45.0),
-                         d_min=-100.0, d_max=100.0)
         message = r"^sweep row 0 \(analyzer2=0.0\): scan range \[-100.0, 100.0\] fs has no points"
         with pytest.raises(ConfigurationError, match=message):
-            run_sweep(spec)
+            run_sweep(preset("fig3a_dip"), "analyzer2", (0.0, 45.0), d_min=-100.0, d_max=100.0)
 
     def test_a_shared_kernel_stops_growing_after_row_0(self, kernels):
         base = replace(preset("fig4c"), spectral=SpectralParams(asymmetry_ratio=2.0))
         values = (-45.0, 0.0, 22.5, 45.0, 67.5, 90.0, 30.0)
         cached = []
         for count in (1, 7):
-            run_sweep(SweepSpec(base=base, axis="analyzer2", values=values[:count], steps=31))
+            run_sweep(base, "analyzer2", values[:count], steps=31)
             cached.append(len(kernels[-1]._diagonals))
         assert len(kernels) == 2
         assert cached[0] == cached[1] > 0

@@ -220,6 +220,13 @@ class TestArrivalTimes:
         assert diff_rr == pytest.approx(diff_tt, abs=5.0)
         assert abs(pair_tt - pair_rr) == pytest.approx(630.0, abs=5.0)
 
+    def test_a_configuration_without_paths_is_refused(self):
+        # Analyzer 1 along V blocks tt, analyzer 2 along H blocks rr.
+        config = replace(preset("fig3a_peak"), analyzer1=90.0, analyzer2=0.0)
+        assert enumerate_paths(config) == ()
+        with pytest.raises(ConfigurationError, match="no coincidence paths"):
+            arrival_time_joint(config, 0.0)
+
     def test_the_smallest_grid_reads_the_rod_delay(self):
         # The window bound, not a floor on n, says when a grid is fine enough.
         for name, order in (("fig3a_peak", 1), ("fig3b_peak", -1), ("fig4c", 0)):
@@ -316,7 +323,7 @@ class TestArrivalTimes:
             amp = assemble_amplitude(paths, build_jsa(config.spectral, grid))
             if not amp.values.any():
                 # Without rods the two paths of fig4c cancel exactly.
-                with pytest.raises(ContractViolation, match="identically zero"):
+                with pytest.raises(ConfigurationError, match="identically zero"):
                     arrival_time_joint(config, 0.0)
                 continue
             density = arrival_time_joint(config, 0.0)
@@ -1199,6 +1206,20 @@ class TestScanBounds:
     def test_rejects_non_finite_edges(self, fig3a_dip, edges):
         with pytest.raises(ConfigurationError):
             scan_delay(fig3a_dip, *edges)
+
+    @pytest.mark.parametrize("steps", [151.0, True, "151", None])
+    def test_rejects_a_step_count_that_is_not_an_integer(self, fig3a_dip, steps):
+        with pytest.raises(ConfigurationError, match="steps must be an integer"):
+            scan_delay(fig3a_dip, steps=steps)
+
+    @pytest.mark.parametrize("edges", [("-1500", 1500.0), (-1500.0, None), (False, 1500.0)])
+    def test_rejects_edges_that_are_not_real_numbers(self, fig3a_dip, edges):
+        with pytest.raises(ConfigurationError, match="edges must be real numbers"):
+            scan_delay(fig3a_dip, *edges)
+
+    def test_numpy_numbers_are_accepted(self, fig3a_dip):
+        result = scan_delay(fig3a_dip, np.float32(-1500.0), np.float64(1500.0), np.int64(31))
+        assert result.rates.tobytes() == scan_delay(fig3a_dip, steps=31).rates.tobytes()
 
 
 class TestRateInvariants:
