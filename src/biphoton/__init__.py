@@ -7,15 +7,7 @@ the grid engine, and time-domain diagnostics expose when interference
 survives without the photons ever overlapping on the beamsplitter.
 """
 
-from .elements import (
-    Polarization,
-    Port,
-    RodAxis,
-    analyzer_projection,
-    pbs_action,
-    quartz_group_delay,
-    rod_delays,
-)
+from .elements import RodAxis, quartz_group_delay, rod_delays
 from .errors import ConfigurationError, ContractViolation
 from .oracle import oracle_rate, oracle_visibility
 from .pathsum import PathAmplitude, enumerate_paths
@@ -60,15 +52,12 @@ __all__ = [
     "JointSpectralAmplitude",
     "PRESET_NAMES",
     "PathAmplitude",
-    "Polarization",
-    "Port",
     "RateKernel",
     "RodAxis",
     "ScanResult",
     "SpectralParams",
     "SweepRow",
     "TimeJointDensity",
-    "analyzer_projection",
     "arrival_time_joint",
     "auto_grid",
     "build_jsa",
@@ -80,7 +69,6 @@ __all__ = [
     "oracle_rate",
     "oracle_visibility",
     "path_overlap",
-    "pbs_action",
     "preset",
     "quartz_group_delay",
     "refine_check",

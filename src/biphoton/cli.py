@@ -9,6 +9,7 @@ identical inputs give byte-identical CSV, SVG and reports.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from itertools import chain
@@ -183,11 +184,14 @@ def _load_config(args: argparse.Namespace) -> tuple[ExperimentConfig, str]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config, label = _load_config(args)
+    out = Path(args.out) if args.out else Path(f"{label}_scan.csv")
+    # The SVG would be written over the CSV.
+    if args.svg and os.path.realpath(args.svg) == os.path.realpath(out):
+        raise ConfigurationError(f"--svg {args.svg} names the CSV output {out}")
     result = scan_delay(config, args.d_min, args.d_max, args.steps)
     references = oracle_rate(config, result.delays)
     worst = np.max(np.abs(result.rates - references) / np.maximum(references, 1e-12))
 
-    out = Path(args.out) if args.out else Path(f"{label}_scan.csv")
     write_scan_csv(out, result)
     if args.svg:
         try:

@@ -1,12 +1,11 @@
-"""Optical elements as actions on one photon's polarization and timing.
+"""The quartz rods' group delays and the analyzers' degree-exact trig.
 
-Polarization is the {H, V} basis; each element either adds a
-polarization-dependent group delay (quartz rod, trombone) or routes or
-projects the basis states (polarizing beamsplitter, analyzer). The
-half-wave plate of arm 1 sits at 45 deg, where it swaps H and V with
-coefficient 1; ``pathsum`` applies that swap directly. Common-mode delays
-are gauged to zero throughout, only delay differences are observable in
-coincidence rates.
+A rod delays its slow polarization against its fast one, which is gauged
+to zero: common-mode delays are not observable in coincidence rates, only
+delay differences are. An analyzer at angle t passes cos(t) of H and
+sin(t) of V; ``cos_sin_deg`` gives that pair exactly at multiples of
+45 deg. ``pathsum`` applies the half-wave plate and the beamsplitter
+itself, and ``oracle`` reads the same rods and trig.
 """
 
 from __future__ import annotations
@@ -17,21 +16,9 @@ from enum import Enum
 from .errors import ConfigurationError
 
 
-class Polarization(Enum):
-    H = "H"
-    V = "V"
-
-
 class RodAxis(Enum):
     VERTICAL = "vertical"
     HORIZONTAL = "horizontal"
-
-
-class Port(Enum):
-    """Output ports of the polarizing beamsplitter."""
-
-    A = "A"
-    B = "B"
 
 
 # Calibration of the birefringent group delay: a 20 mm rod delays the slow
@@ -70,18 +57,6 @@ def rod_delays(axis: RodAxis, length: float) -> tuple[float, float]:
     raise ConfigurationError(f"rod axis must be a RodAxis, got {axis!r}")
 
 
-def pbs_action(input_arm: int, pol: Polarization) -> tuple[Port, complex]:
-    """Polarizing beamsplitter: H transmits (coefficient 1), V reflects with
-    an i phase shift. Arm 1 transmits to port B, arm 2 to port A."""
-    if input_arm not in (1, 2):
-        raise ConfigurationError(f"input_arm must be 1 or 2, got {input_arm}")
-    if pol is Polarization.H:
-        port = Port.B if input_arm == 1 else Port.A
-        return (port, 1.0 + 0.0j)
-    port = Port.A if input_arm == 1 else Port.B
-    return (port, 1j)
-
-
 # cos(k * 45 deg) for k = 0..7, each the float nearest the true value.
 _SQRT_HALF = math.sqrt(0.5)
 _COS_OCTANT = (1.0, _SQRT_HALF, 0.0, -_SQRT_HALF, -1.0, -_SQRT_HALF, 0.0, _SQRT_HALF)
@@ -101,14 +76,3 @@ def cos_sin_deg(theta_deg: float) -> tuple[float, float]:
         return _COS_OCTANT[k], _COS_OCTANT[(k - 2) % 8]
     t = math.radians(reduced)
     return math.cos(t), math.sin(t)
-
-
-def analyzer_projection(pol: Polarization, theta_deg: float) -> float:
-    """Projection of H or V onto the analyzer axis cos(t) H + sin(t) V.
-
-    Any finite angle is accepted; a polarizer is periodic in 180 deg. The
-    projection is exact at multiples of 45 deg (see ``cos_sin_deg``): H and
-    V project equally at 45 deg, and a crossed analyzer gives exactly 0.
-    """
-    cos_t, sin_t = cos_sin_deg(theta_deg)
-    return cos_t if pol is Polarization.H else sin_t

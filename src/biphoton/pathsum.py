@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .elements import Polarization, analyzer_projection, rod_delays
+from .elements import cos_sin_deg, rod_delays
 from .errors import ConfigurationError
 
 if TYPE_CHECKING:
@@ -58,25 +58,21 @@ def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmp
     The source state is (|H>|V> + e^{i pair_phase} |V>|H>) / sqrt(2), the
     arm-1 photon first. Each photon takes the rod delay of its source
     polarization, and the arm-1 photon the trombone delay too; the
-    half-wave plate then swaps its polarization. So the photons of the
-    first term are both V and reflect, with a factor i each, arm 1's to
-    port A (rr); those of the second are both H and transmit, arm 1's to
-    port B (tt, swapped).
+    half-wave plate then swaps its polarization. At the beamsplitter H
+    transmits with a factor 1 and V reflects with a factor i. So the
+    photons of the first term are both V and reflect, arm 1's to port A
+    (rr); those of the second are both H and transmit, arm 1's to port B
+    (tt, swapped). An analyzer at angle t passes cos t of H and sin t of V.
     """
     if not math.isfinite(d):
         raise ConfigurationError(f"trombone delay must be finite, got {d}")
     rod1_h, rod1_v = rod_delays(config.qr1_axis, config.rod_length)
     rod2_h, rod2_v = rod_delays(config.qr2_axis, config.rod_length)
-    a, b = config.analyzer_port_a, config.analyzer_port_b
-    h, v = Polarization.H, Polarization.V
+    cos_a, sin_a = cos_sin_deg(config.analyzer_port_a)
+    cos_b, sin_b = cos_sin_deg(config.analyzer_port_b)
     w = 1.0 / math.sqrt(2.0)
-    rr = complex(w) * 1j * 1j * analyzer_projection(v, a) * analyzer_projection(v, b)
-    tt = (
-        w
-        * complex(np.exp(1j * config.pair_phase))
-        * analyzer_projection(h, a)
-        * analyzer_projection(h, b)
-    )
+    rr = complex(w) * 1j * 1j * sin_a * sin_b
+    tt = w * complex(np.exp(1j * config.pair_phase)) * cos_a * cos_b
     paths = (
         PathAmplitude("rr", rr, rod1_h + d, rod2_v, swapped=False),
         PathAmplitude("tt", tt, rod2_h, rod1_v + d, swapped=True),

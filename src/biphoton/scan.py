@@ -667,9 +667,13 @@ class ScanResult:
 
     ``visibility`` is the larger deviation from the baseline over the
     baseline: (baseline - min) / baseline for a dip and (max - baseline) /
-    baseline for a peak, so an ideal dip and an ideal peak both read 1. It
-    lands in [0, 1] by construction; nothing is clipped. A zero baseline
-    reads flat with visibility 0.
+    baseline for a peak, so an ideal dip and an ideal peak both read 1.
+    Nothing is clipped: with a positive baseline it is never below 0, but
+    it exceeds 1 by as much as the rates round past 0 or past twice the
+    baseline. fig4c with 1e-10 mm rods, for one, reads its smallest rate
+    -5.6e-17 and its visibility 1 + 2^-52, as the cross pair's tiny delay
+    is read through the phased walk. A zero baseline reads flat with
+    visibility 0.
     """
 
     delays: np.ndarray = field(repr=False)
@@ -816,7 +820,8 @@ def _time_marginals(
     DFT is n sum_j |DFT_i A(i, j)|^2, so blocks of columns of A are built
     and transformed along i, and blocks of rows give port B alike. The
     amplitude is normalized by S = sum |F|^2 of its unnormalized product
-    F, which is sum_m |pump_m|^2 (|g1|^2 * |g2|^2)_m.
+    F, which is sum_m |pump_m|^2 (|g1|^2 * |g2|^2)_m. ``paths`` must not be
+    empty; ``arrival_time_joint`` refuses a configuration without paths.
     """
     grid = jsa.grid
     n, h, nu = grid.n, grid.weight, grid.points
@@ -825,8 +830,6 @@ def _time_marginals(
     norm = float(np.convolve(power[0], power[1]) @ power[2])
     if norm == 0.0 or not math.isfinite(norm):
         raise ContractViolation("cannot normalize a zero or non-finite amplitude")
-    if not paths:
-        raise ConfigurationError("time density is identically zero; no coincidence paths")
     terms = []
     for p in paths:
         g_a, g_b = (g2, g1) if p.swapped else (g1, g2)
@@ -893,6 +896,8 @@ def arrival_time_joint(config: "ExperimentConfig", d: float) -> TimeJointDensity
     coincidences, no path or two that cancel, is a ConfigurationError.
     """
     paths = enumerate_paths(config, d)
+    if not paths:
+        raise ConfigurationError("time density is identically zero; no coincidence paths")
     grid = _plan_grid(config, partial(_time_window, config, paths))
     return _time_marginals(paths, build_jsa(config.spectral, grid))
 

@@ -28,8 +28,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT_NM_PER_FS
 from .errors import ConfigurationError, ContractViolation
+
+SPEED_OF_LIGHT_NM_PER_FS = 299.792458
 
 _MIN_GRID_N = 64
 _MAX_GRID_N = 8192

@@ -160,6 +160,29 @@ class TestRun:
             # A command that exits 2 leaves none of its outputs behind.
             assert not (tmp_path / "scan.csv").exists()
 
+    @pytest.mark.parametrize("outputs", [
+        ("--out", "o2.csv", "--svg", "./o2.csv"),
+        ("--svg", "fig3a_dip_scan.csv"),
+        ("--out", "o2.csv", "--svg", "link.svg"),
+    ])
+    def test_svg_over_the_csv_exits_2_before_any_scan(self, tmp_path, capsys, monkeypatch,
+                                                      outputs):
+        # The second line's CSV is the default, <label>_scan.csv; the
+        # third's SVG is a link to the CSV, which does not exist yet.
+        import biphoton.cli as cli_module
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("a refused run ran a scan")
+
+        monkeypatch.setattr(cli_module, "scan_delay", no_scan)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.svg").symlink_to("o2.csv")
+        code, stdout, stderr = run_cli(capsys, "run", "fig3a_dip", *outputs)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: --svg ")
+        assert [path.name for path in tmp_path.iterdir()] == ["link.svg"]
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_printed_oracle_delta_is_the_worst_over_the_scan(self, tmp_path, capsys, name):
         # The worst relative delta over the default scan, from one

@@ -1,23 +1,29 @@
 """Element actions: rod delays, beamsplitter, analyzers."""
 
 import math
+from dataclasses import replace
+from enum import Enum
 
 import numpy as np
 import pytest
 
 from biphoton import (
     ConfigurationError,
-    Polarization,
-    Port,
     RodAxis,
-    analyzer_projection,
-    pbs_action,
+    enumerate_paths,
+    preset,
     quartz_group_delay,
     rod_delays,
 )
+from biphoton.elements import cos_sin_deg
 
-H = Polarization.H
-V = Polarization.V
+
+class Polarization(Enum):
+    """The index of a polarization's analyzer projection in ``cos_sin_deg``:
+    an analyzer at angle t passes cos t of H and sin t of V."""
+
+    H = 0
+    V = 1
 
 
 class TestQuartzDelay:
@@ -70,42 +76,43 @@ class TestRodDelays:
 
 
 class TestPolarizingBeamsplitter:
+    # The beamsplitter acts inside enumerate_paths: analyzers along V pass
+    # only the term whose photons both reflect, along H only the one whose
+    # photons both transmit, so each coefficient shows the two factors bare.
     def test_reflection_phase(self):
-        assert pbs_action(1, V) == (Port.A, 1j)
-        assert pbs_action(2, V) == (Port.B, 1j)
+        # V reflects with i: rr carries i * i, and arm 1's photon goes to A.
+        config = replace(preset("fig3a_dip"), analyzer1=90.0, analyzer2=90.0)
+        (rr,) = enumerate_paths(config)
+        assert (rr.label, rr.swapped) == ("rr", False)
+        assert rr.coefficient == complex(-1.0 / math.sqrt(2.0))
 
     def test_transmission(self):
-        assert pbs_action(1, H) == (Port.B, 1.0 + 0.0j)
-        assert pbs_action(2, H) == (Port.A, 1.0 + 0.0j)
-
-    @pytest.mark.parametrize("arm", [1, 2])
-    @pytest.mark.parametrize("pol", [H, V])
-    def test_unitary_per_input(self, arm, pol):
-        _, coeff = pbs_action(arm, pol)
-        assert abs(coeff) ** 2 == pytest.approx(1.0, abs=1e-15)
-
-    def test_invalid_arm(self):
-        with pytest.raises(ConfigurationError):
-            pbs_action(3, H)
+        # H transmits with 1: tt carries 1 * 1, and arm 1's photon goes to B.
+        config = replace(preset("fig3a_dip"), analyzer1=0.0, analyzer2=0.0, pair_phase=0.0)
+        (tt,) = enumerate_paths(config)
+        assert (tt.label, tt.swapped) == ("tt", True)
+        assert tt.coefficient == complex(1.0 / math.sqrt(2.0))
 
 
 class TestAnalyzer:
     def test_diagonal_projections(self):
-        assert analyzer_projection(V, 45.0) == pytest.approx(1.0 / math.sqrt(2.0))
-        assert analyzer_projection(V, -45.0) == pytest.approx(-1.0 / math.sqrt(2.0))
-        assert analyzer_projection(H, 0.0) == 1.0
+        assert cos_sin_deg(45.0)[1] == pytest.approx(1.0 / math.sqrt(2.0))
+        assert cos_sin_deg(-45.0)[1] == pytest.approx(-1.0 / math.sqrt(2.0))
+        assert cos_sin_deg(0.0)[0] == 1.0
 
     def test_exact_at_multiples_of_45(self):
-        assert analyzer_projection(H, 90.0) == 0.0
-        assert analyzer_projection(V, 180.0) == 0.0
-        assert analyzer_projection(H, 45.0) == analyzer_projection(V, 45.0)
-        assert analyzer_projection(H, -45.0) == -analyzer_projection(V, -45.0)
-        assert analyzer_projection(V, 270.0) == -1.0
-        assert analyzer_projection(V, 405.0) == analyzer_projection(V, -315.0)
+        assert cos_sin_deg(90.0)[0] == 0.0
+        assert cos_sin_deg(180.0)[1] == 0.0
+        cos_45, sin_45 = cos_sin_deg(45.0)
+        assert cos_45 == sin_45
+        cos_m45, sin_m45 = cos_sin_deg(-45.0)
+        assert cos_m45 == -sin_m45
+        assert cos_sin_deg(270.0)[1] == -1.0
+        assert cos_sin_deg(405.0)[1] == cos_sin_deg(-315.0)[1]
 
     @pytest.mark.parametrize("theta", np.linspace(-90.0, 90.0, 13))
-    @pytest.mark.parametrize("pol", [H, V])
+    @pytest.mark.parametrize("pol", list(Polarization))
     def test_completeness(self, pol, theta):
-        p0 = analyzer_projection(pol, theta)
-        p90 = analyzer_projection(pol, theta + 90.0)
+        p0 = cos_sin_deg(theta)[pol.value]
+        p90 = cos_sin_deg(theta + 90.0)[pol.value]
         assert p0**2 + p90**2 == pytest.approx(1.0, abs=1e-12)

@@ -172,6 +172,15 @@ class TestVisibility:
         assert result.visibility == pytest.approx(1.0, abs=1e-6)
         assert 0.0 <= result.visibility <= 1.0
 
+    @pytest.mark.parametrize("rod_length", [1e-10, 1e-320])
+    def test_rods_far_below_the_resolution_read_one_up_to_rounding(self, rod_length):
+        # The cross pair's tiny delay goes through the phased walk, whose
+        # rounding can put the smallest rate below 0 and the visibility
+        # above 1; it stays within 4 ulps of 1.
+        result = scan_delay(replace(preset("fig4c"), rod_length=rod_length))
+        assert result.kind == "dip"
+        assert abs(result.visibility - 1.0) <= 4 * np.spacing(1.0)
+
     def test_flat_scan_reads_near_zero(self):
         assert scan_delay(preset("fig4c")).visibility < 0.02
 
@@ -220,12 +229,22 @@ class TestArrivalTimes:
         assert diff_rr == pytest.approx(diff_tt, abs=5.0)
         assert abs(pair_tt - pair_rr) == pytest.approx(630.0, abs=5.0)
 
-    def test_a_configuration_without_paths_is_refused(self):
-        # Analyzer 1 along V blocks tt, analyzer 2 along H blocks rr.
+    def test_a_configuration_without_paths_is_refused(self, monkeypatch):
+        # Analyzer 1 along V blocks tt, analyzer 2 along H blocks rr. The
+        # refusal comes before a grid is planned or a JSA built.
+        built = []
+        build = scan.build_jsa
+
+        def recorded(params, grid):
+            built.append(grid.n)
+            return build(params, grid)
+
+        monkeypatch.setattr(scan, "build_jsa", recorded)
         config = replace(preset("fig3a_peak"), analyzer1=90.0, analyzer2=0.0)
         assert enumerate_paths(config) == ()
         with pytest.raises(ConfigurationError, match="no coincidence paths"):
             arrival_time_joint(config, 0.0)
+        assert built == []
 
     def test_the_smallest_grid_reads_the_rod_delay(self):
         # The window bound, not a floor on n, says when a grid is fine enough.
