@@ -30,6 +30,7 @@ import numpy as np
 
 from .elements import cos_sin_deg, rod_delays
 from .errors import ConfigurationError
+from .spectral import _is_real
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -50,6 +51,47 @@ class PathAmplitude:
     swapped: bool
 
 
+def _checked_delays(d) -> np.ndarray:
+    """``d``, one trombone delay (fs) or a 1-D sequence of at least one, as
+    a float64 array of its shape, once each delay is checked as config
+    values are: a real number, numpy scalars included but not a bool, and
+    finite."""
+    if isinstance(d, np.ndarray) and d.dtype.kind in "iuf":
+        delays = d.astype(float, copy=False)
+    else:
+        delays = np.asarray(d, dtype=object)
+    if delays.ndim > 1:
+        raise ConfigurationError(f"need one delay or a 1-D sequence, got shape {delays.shape}")
+    if delays.size == 0:
+        raise ConfigurationError("need at least one delay, got an empty sequence")
+    if delays.dtype == object:
+        for index, value in enumerate(delays.flat):
+            if not _is_real(value):
+                at = f" at index {index}" if delays.ndim else ""
+                raise ConfigurationError(f"trombone delays must be real numbers, got {value!r}{at}")
+        delays = delays.astype(float)
+    if delays.ndim == 0:
+        if not math.isfinite(delays):
+            raise ConfigurationError(f"trombone delay must be finite, got {float(delays)}")
+        return delays
+    bad = ~np.isfinite(delays)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ConfigurationError(
+            f"trombone delays must be finite, got {delays[index]:g} at index {index}; "
+            f"{bad.sum()} of {bad.size} delays are not finite"
+        )
+    return delays
+
+
+def _checked_delay(d) -> float:
+    """``d`` as a float, once ``_checked_delays`` has checked it as one delay."""
+    delay = _checked_delays(d)
+    if delay.ndim:
+        raise ConfigurationError(f"need one trombone delay, got shape {delay.shape}")
+    return float(delay)
+
+
 def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmplitude, ...]:
     """The coincidence paths of a configuration at finite trombone delay d
     (fs): rr, then tt, each left out where an analyzer projection kills its
@@ -64,8 +106,7 @@ def enumerate_paths(config: "ExperimentConfig", d: float = 0.0) -> tuple[PathAmp
     (rr); those of the second are both H and transmit, arm 1's to port B
     (tt, swapped). An analyzer at angle t passes cos t of H and sin t of V.
     """
-    if not math.isfinite(d):
-        raise ConfigurationError(f"trombone delay must be finite, got {d}")
+    d = _checked_delay(d)
     rod1_h, rod1_v = rod_delays(config.qr1_axis, config.rod_length)
     rod2_h, rod2_v = rod_delays(config.qr2_axis, config.rod_length)
     cos_a, sin_a = cos_sin_deg(config.analyzer_port_a)

@@ -13,6 +13,7 @@ generous wings for baseline estimation; it is not a measured quantity.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import Iterable
 
 from .elements import RodAxis
 from .errors import ConfigurationError, ContractViolation
@@ -170,14 +171,15 @@ class SweepRow:
 def run_sweep(
     base: ExperimentConfig,
     axis: str,
-    values: tuple[float, ...],
+    values: Iterable[float],
     d_min: float = DEFAULT_SCAN_MIN,
     d_max: float = DEFAULT_SCAN_MAX,
     steps: int = DEFAULT_SCAN_STEPS,
 ) -> list[SweepRow]:
     """One delay scan of ``base`` per value of the config key ``axis``, the
-    axis, row count and values checked first, rows in input order; a sweep
-    over ``REWEIGHTING_AXES`` shares one kernel on the finest grid a row needs.
+    values read once from any iterable and the axis, row count and values
+    checked first, rows in input order; a sweep over ``REWEIGHTING_AXES``
+    shares one kernel on the finest grid a row needs.
 
     The package's own errors name the row they came from; any other
     exception propagates unchanged.
@@ -186,6 +188,7 @@ def run_sweep(
         raise ConfigurationError(
             f"unknown sweep axis {axis!r}; valid axes: {', '.join(sorted(SWEEP_AXES))}"
         )
+    values = tuple(values)
     if not 1 <= len(values) <= MAX_SWEEP_ROWS:
         raise ConfigurationError(
             f"sweep needs between 1 and {MAX_SWEEP_ROWS} values, got {len(values)}"

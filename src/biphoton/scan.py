@@ -100,16 +100,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ContractViolation
-from .pathsum import PathAmplitude, enumerate_paths
-from .spectral import _MAX_GRID_N, FrequencyGrid, JointSpectralAmplitude, SpectralParams
-from .spectral import _is_real, build_jsa, interference_width
+from .pathsum import PathAmplitude, _checked_delay, _checked_delays, enumerate_paths
+from .spectral import _MAX_GRID_N, _MIN_GRID_N, FrequencyGrid, JointSpectralAmplitude
+from .spectral import SpectralParams, _is_real, build_jsa, interference_width
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -521,7 +521,9 @@ def path_overlap(
 
     Its magnitude is the degree of indistinguishability of the paths and
     bounds the achievable interference visibility. It is read off the
-    pair sums at d = 0, as the module docstring sets out.
+    pair sums at d = 0, as the module docstring sets out, and refused, as
+    a rate is, where they alias on the grid of an amplitude that knows its
+    ``spectral`` model.
     """
     if len(paths) != 2:
         raise ContractViolation(f"path_overlap needs exactly two paths, got {len(paths)}")
@@ -531,6 +533,8 @@ def path_overlap(
         return complex(1.0)
     if p.coefficient == 0 or q.coefficient == 0:
         raise ContractViolation("path overlap is undefined for a zero-norm path")
+    if jsa.spectral is not None and (reason := _alias(jsa.spectral, paths, 0.0, 0.0, jsa.grid)):
+        raise ConfigurationError(f"path overlap at zero delay: {reason}; shorten the rods")
     # Unit phases, so that tiny coefficients do not underflow to 0 / 0.
     phase = (p.coefficient / abs(p.coefficient)).conjugate() * (q.coefficient / abs(q.coefficient))
     return complex(phase * RateKernel(jsa).at_rest(q, p))
@@ -555,7 +559,7 @@ def jsa_swap_distance(jsa: JointSpectralAmplitude) -> float:
 
 
 def _alias(
-    config: "ExperimentConfig",
+    spectral: SpectralParams,
     paths: Sequence[PathAmplitude],
     d_min: float,
     d_max: float,
@@ -578,7 +582,6 @@ def _alias(
     interference width; along u the pump width sets it instead.
     """
     period = 2.0 * math.pi / grid.weight
-    spectral = config.spectral
     scale_v = 4.0 * interference_width(spectral) ** 2
     scale_u = 16.0 * spectral.pump_coherence_time**2 + scale_v
     floor = DEFAULT_WING_FACTOR**2
@@ -609,24 +612,21 @@ def _alias(
 
 
 def _plan_grid(config: "ExperimentConfig", bound) -> FrequencyGrid:
-    """The grid of the smallest power-of-two request, config.grid.n or up,
-    that passes ``bound``, which returns why a grid breaks it or None. The
-    request is doubled, not the grid, so ``auto_grid`` stays the one ridge
-    rule; past the largest grid the bound that needs more is named and
-    refused."""
-    while True:
-        grid = config.frequency_grid()
-        reason = bound(grid)
-        if reason is None:
-            return grid
-        if config.grid.n >= _MAX_GRID_N:
+    """The ridge rule's grid for the request of ``config``, doubled until
+    ``bound``, which says why a grid breaks it, returns None; past the
+    largest grid the bound that needs more is named and refused."""
+    grid = config.frequency_grid()
+    while reason := bound(grid):
+        if grid.n == _MAX_GRID_N:
             raise ConfigurationError(f"{reason}, the largest grid; shorten the delays or rods")
-        config = replace(config, grid=replace(config.grid, n=2 * config.grid.n))
+        grid = FrequencyGrid(2 * grid.n, grid.half_width)
+    return grid
 
 
 def _rate_grid(config: "ExperimentConfig", d_min: float, d_max: float) -> FrequencyGrid:
     """The grid on which no rate of ``config`` in [d_min, d_max] reads an alias."""
-    return _plan_grid(config, partial(_alias, config, enumerate_paths(config), d_min, d_max))
+    paths = enumerate_paths(config)
+    return _plan_grid(config, partial(_alias, config.spectral, paths, d_min, d_max))
 
 
 def coincidence_rate(config: "ExperimentConfig", d, kernel: RateKernel | None = None):
@@ -639,20 +639,9 @@ def coincidence_rate(config: "ExperimentConfig", d, kernel: RateKernel | None = 
     so configs that differ only in analyzers or pair phase share them, and
     its grid, on which aliasing delays are refused before anything is built.
     """
-    delays = np.asarray(d, dtype=float)
-    if delays.ndim > 1:
-        raise ConfigurationError(f"need one delay or a 1-D sequence, got shape {delays.shape}")
-    if delays.size == 0:
-        raise ConfigurationError("need at least one delay, got an empty sequence")
-    bad = ~np.isfinite(delays)
-    if bad.any():
-        index = int(np.argmax(bad))
-        raise ConfigurationError(
-            f"trombone delays must be finite, got {delays.flat[index]:g} at index {index}; "
-            f"{bad.sum()} of {bad.size} delays are not finite"
-        )
+    delays = _checked_delays(d)
     paths = enumerate_paths(config)
-    bound = partial(_alias, config, paths, delays.min(), delays.max())
+    bound = partial(_alias, config.spectral, paths, delays.min(), delays.max())
     if kernel is None:
         kernel = RateKernel(build_jsa(config.spectral, _plan_grid(config, bound)))
     elif reason := bound(kernel.grid):
@@ -909,11 +898,15 @@ def refine_check(config: "ExperimentConfig", d: float) -> float:
     above ~1e-6 at the default resolution signals an undersampled grid.
     The denominator is floored at 1e-6 of the non-interfering level so
     that a perfectly cancelled dip point does not turn rounding noise
-    into a spurious ratio. The double of the rate's ``_rate_grid`` is a
-    ``GridSpec`` like any other, so one past the size ceiling is refused.
+    into a spurious ratio. The rate at d is read on its planned grid and
+    on its double, refused before any JSA is built outside n = 64 to 8192.
     """
-    scale = sum(abs(p.coefficient) ** 2 for p in enumerate_paths(config, d))
-    fine = replace(config, grid=replace(config.grid, n=2 * _rate_grid(config, d, d).n))
-    coarse_rate = coincidence_rate(config, d)
-    fine_rate = coincidence_rate(fine, d)
+    d = _checked_delay(d)
+    paths = enumerate_paths(config)
+    grid = _plan_grid(config, partial(_alias, config.spectral, paths, d, d))
+    if not _MIN_GRID_N <= (fine := 2 * grid.n) <= _MAX_GRID_N:
+        raise ConfigurationError(f"refining the rate at d = {d:g} fs needs a grid of n = {fine}")
+    jsas = (build_jsa(config.spectral, g) for g in (grid, FrequencyGrid(fine, grid.half_width)))
+    coarse_rate, fine_rate = (float(RateKernel(jsa).rate(paths, [d])[0]) for jsa in jsas)
+    scale = sum(abs(p.coefficient) ** 2 for p in paths)
     return abs(coarse_rate - fine_rate) / max(fine_rate, 1e-6 * scale, 1e-30)

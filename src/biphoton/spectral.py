@@ -242,6 +242,8 @@ class JointSpectralAmplitude:
     tells whether swapping the two arguments is the identity bit for bit.
     """
 
+    _spectral: SpectralParams | None = None
+
     def __init__(self, grid: FrequencyGrid, factors: tuple[np.ndarray, np.ndarray, np.ndarray]):
         # Integer squares wrap and bool arrays read as 0 and 1, so neither
         # has a meaningful norm.
@@ -270,6 +272,12 @@ class JointSpectralAmplitude:
         self.grid = grid
         self.factors = factors
 
+    @property
+    def spectral(self) -> SpectralParams | None:
+        """The spectral model ``build_jsa`` drew the factors from, or None
+        for factors built by hand."""
+        return self._spectral
+
     @cached_property
     def symmetric(self) -> bool:
         """Whether f(nu1, nu2) == f(nu2, nu1) bit for bit, which g1 == g2
@@ -291,7 +299,8 @@ def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> Join
 
     With asymmetry_ratio = 1 the two filter factors are equal bit for bit,
     so the amplitude is exactly exchange symmetric, down to the
-    floating-point representation.
+    floating-point representation. The amplitude keeps ``params`` as its
+    ``spectral`` model.
     """
     if grid is None:
         grid = auto_grid(params)
@@ -305,7 +314,9 @@ def build_jsa(params: SpectralParams, grid: FrequencyGrid | None = None) -> Join
     g2 = np.exp(-(nu**2) / (4.0 * params.sigma2**2))
     sums = np.concatenate((nu + nu[0], nu[1:] + nu[-1]))
     pump = np.exp(-0.5 * (params.pump_coherence_time * sums) ** 2)
-    return JointSpectralAmplitude(grid, (g1, g2, pump))
+    jsa = JointSpectralAmplitude(grid, (g1, g2, pump))
+    jsa._spectral = params
+    return jsa
 
 
 def interference_width(params: SpectralParams) -> float:

@@ -8,15 +8,18 @@ import numpy as np
 import pytest
 
 from biphoton import (
+    ConfigurationError,
     ContractViolation,
     PathAmplitude,
     RodAxis,
     build_jsa,
+    coincidence_rate,
     enumerate_paths,
     path_overlap,
     preset,
     rod_delays,
 )
+from biphoton.scan import RateKernel
 from dense_reference import amplitude_rate, assemble_amplitude, dense_overlap
 
 HALF_OVER_ROOT2 = 1.0 / (2.0 * math.sqrt(2.0))
@@ -163,6 +166,20 @@ class TestPathOverlap:
         config = preset("fig4c")
         overlap = path_overlap(enumerate_paths(config), build_jsa(config.spectral))
         assert abs(overlap) < 0.02
+
+    @pytest.mark.parametrize("rod_length, reach", [(430.0, "13545"), (860.0, "27090")])
+    def test_paths_that_alias_on_the_amplitude_grid_are_refused(self, rod_length, reach):
+        # The closed form reads no overlap; on the default grid, whose alias
+        # period is 13548.1 fs, the images of the pair sums would read
+        # |overlap| = 0.99986 and 0.99945, as a rate on that kernel would.
+        config = replace(preset("fig4c"), rod_length=rod_length)
+        jsa = build_jsa(config.spectral)
+        assert jsa.grid.n == 256
+        message = f"differences of {reach} fs.*every 13548.1 fs"
+        with pytest.raises(ConfigurationError, match=message):
+            path_overlap(enumerate_paths(config), jsa)
+        with pytest.raises(ConfigurationError, match="alias"):
+            coincidence_rate(config, 0.0, RateKernel(jsa))
 
     def test_identical_paths_overlap_exactly_one(self, default_jsa):
         path = PathAmplitude("rr", -0.2 + 0.0j, 0.0, 630.0, False)

@@ -155,6 +155,12 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError, match="asymmetry_ratio"):
             run_sweep(preset("fig3a_dip"), "wavelength", (1.0,))
 
+    def test_values_are_read_once_from_any_iterable(self):
+        values = (ratio for ratio in (1.0, 1.5, 2.0))
+        rows = run_sweep(preset("fig3a_dip"), "asymmetry_ratio", values, steps=51)
+        expected = run_sweep(preset("fig3a_dip"), "asymmetry_ratio", (1.0, 1.5, 2.0), steps=51)
+        assert rows == expected
+
     def test_empty_values_rejected(self):
         with pytest.raises(ConfigurationError):
             run_sweep(preset("fig3a_dip"), "asymmetry_ratio", ())

@@ -162,10 +162,10 @@ def assert_smallest_grid(config, ds, grid):
     """``grid`` passes the alias bound of the delays ``ds``, and when it is
     finer than both the request and the ridge rule ask, half of it does not."""
     paths = enumerate_paths(config)
-    assert scan._alias(config, paths, min(ds), max(ds), grid) is None
+    assert scan._alias(config.spectral, paths, min(ds), max(ds), grid) is None
     if grid.n > max(config.grid.n, config.frequency_grid().n):
         half = replace(config, grid=GridSpec(n=grid.n // 2)).frequency_grid()
-        assert scan._alias(config, paths, min(ds), max(ds), half) is not None
+        assert scan._alias(config.spectral, paths, min(ds), max(ds), half) is not None
 
 
 @settings(PROPERTY_SETTINGS, max_examples=300)

@@ -1,6 +1,7 @@
 """Rates, delay scans, visibility and time-domain diagnostics."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -93,6 +94,10 @@ class TestCoincidenceRate:
             ([0.0, math.nan], "must be finite, got nan at index 1; 1 of 2 delays"),
             ([], "at least one delay"),
             (np.zeros((2, 3)), r"1-D sequence, got shape \(2, 3\)"),
+            ([0.0, "1"], "must be real numbers, got '1' at index 1"),
+            ([0.0, True], "must be real numbers, got True at index 1"),
+            (np.array([1.0j]), r"must be real numbers, got 1j at index 0"),
+            ([[0.0], []], r"must be real numbers, got \[0.0\] at index 0"),
         ],
     )
     def test_bad_delays_are_refused_before_any_grid(self, monkeypatch, delays, message):
@@ -114,6 +119,30 @@ class TestCoincidenceRate:
         monkeypatch.setattr(ExperimentConfig, "frequency_grid", unexpected)
         monkeypatch.setattr(scan, "build_jsa", unexpected)
         with pytest.raises(ConfigurationError, match=f"trombone delay must be finite, got {d}"):
+            call(preset("fig3a_peak"), d)
+
+
+    BAD_DELAYS = {"complex": 1 + 1j, "bool": True, "None": None, "text": "0"}
+    DELAY_CALLS = {
+        "coincidence_rate": coincidence_rate,
+        "enumerate_paths": enumerate_paths,
+        "refine_check": refine_check,
+        "arrival_time_joint": arrival_time_joint,
+    }
+
+    @pytest.mark.parametrize("d", BAD_DELAYS.values(), ids=BAD_DELAYS)
+    @pytest.mark.parametrize("call", DELAY_CALLS.values(), ids=DELAY_CALLS)
+    def test_delays_that_are_not_real_numbers_are_refused_before_any_grid(
+        self, monkeypatch, call, d
+    ):
+        # Checked as config values are: "0" is not read as 0 fs, nor True as 1 fs.
+        def unexpected(*args, **kwargs):
+            raise AssertionError("a grid was planned or a JSA built")
+
+        monkeypatch.setattr(ExperimentConfig, "frequency_grid", unexpected)
+        monkeypatch.setattr(scan, "build_jsa", unexpected)
+        message = f"trombone delays must be real numbers, got {re.escape(repr(d))}$"
+        with pytest.raises(ConfigurationError, match=message):
             call(preset("fig3a_peak"), d)
 
 
@@ -404,7 +433,8 @@ class TestRefinement:
             raise AssertionError("the doubled grid must be checked first")
 
         monkeypatch.setattr(scan, "build_jsa", unexpected)
-        with pytest.raises(ConfigurationError, match="8192"):
+        message = "refining the rate at d = 0 fs needs a grid of n = 16384"
+        with pytest.raises(ConfigurationError, match=message):
             refine_check(replace(fig3a_dip, grid=GridSpec(n=8192)), 0.0)
 
 
@@ -1073,6 +1103,22 @@ class TestAliasBound:
             with pytest.raises(ConfigurationError, match="alias"):
                 coincidence_rate(fig3a_dip, d, kernel)
         self.assert_matches_oracle(fig3a_dip, past)
+
+    def test_the_planner_doubles_the_grid_it_holds(self, monkeypatch):
+        # The ridge rule raises fig4c at a 6300 fs pump to n = 1024, the grid
+        # of the requests 256, 512 and 1024 alike; each grid is checked once.
+        config = replace(preset("fig4c"), spectral=SpectralParams(pump_coherence_time=6300.0))
+        assert config.frequency_grid().n == 1024
+        checked = []
+        alias = scan._alias
+
+        def recorded(spectral, paths, d_min, d_max, grid):
+            checked.append(grid.n)
+            return alias(spectral, paths, d_min, d_max, grid)
+
+        monkeypatch.setattr(scan, "_alias", recorded)
+        assert scan._rate_grid(config, -1500.0, 60000.0).n == 2048
+        assert checked == [1024, 2048]
 
     def test_scan_is_refused_before_building_anything(self, fig3a_dip, monkeypatch):
         import biphoton.scan as scan_module
