@@ -30,7 +30,7 @@ import numpy as np
 
 from .elements import cos_sin_deg, rod_delays
 from .errors import ConfigurationError
-from .spectral import _is_real
+from .spectral import _as_float, _is_real
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -55,8 +55,9 @@ def _checked_delays(d) -> np.ndarray:
     """``d``, one trombone delay (fs) or a 1-D sequence of at least one, as
     a float64 array of its shape, once each delay is checked as config
     values are: a real number, numpy scalars included but not a bool, and
-    finite."""
-    if isinstance(d, np.ndarray) and d.dtype.kind in "iuf":
+    finite as a float."""
+    # A long double is read value by value: numpy warns casting one past the float range.
+    if isinstance(d, np.ndarray) and d.dtype.kind in "iuf" and d.dtype.itemsize <= 8:
         delays = d.astype(float, copy=False)
     else:
         delays = np.asarray(d, dtype=object)
@@ -69,7 +70,7 @@ def _checked_delays(d) -> np.ndarray:
             if not _is_real(value):
                 at = f" at index {index}" if delays.ndim else ""
                 raise ConfigurationError(f"trombone delays must be real numbers, got {value!r}{at}")
-        delays = delays.astype(float)
+        delays = np.array([_as_float(value) for value in delays.flat]).reshape(delays.shape)
     if delays.ndim == 0:
         if not math.isfinite(delays):
             raise ConfigurationError(f"trombone delay must be finite, got {float(delays)}")

@@ -27,9 +27,8 @@ from .scan import (
     _scan_delays,
     scan_delay,
 )
-from .spectral import (
-    FrequencyGrid, SpectralParams, _check_field_types, _check_grid_request, auto_grid, build_jsa
-)
+from .spectral import FrequencyGrid, SpectralParams, _check_field_types, _check_grid_request
+from .spectral import _shown, auto_grid, build_jsa
 
 
 @dataclass(frozen=True)
@@ -198,7 +197,7 @@ def run_sweep(
         try:
             return call(*args, **kwargs)
         except (ConfigurationError, ContractViolation) as exc:
-            raise type(exc)(f"sweep row {i} ({axis}={values[i]}): {exc}") from exc
+            raise type(exc)(f"sweep row {i} ({axis}={_shown(values[i])}): {exc}") from exc
 
     configs = [in_row(i, with_value, base, axis, v) for i, v in enumerate(values)]
     kernel = None

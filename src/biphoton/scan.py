@@ -21,8 +21,8 @@ is crossed, exactly one path swapped. A swapped p transposes the summand,
 which exchanges the ports, so its pair reads the same P_k at D = D_b: D(d)
 is the delay difference at the port that p's arm-1 photon reaches,
 D_a0 + s d or D_b0 - s d. Each pair sum is thus keyed by (crossed, U)
-alone. Uncrossed kernels are real, |F|^2 however complex F, and so are
-their P_k at U = 0, every self pair's among them.
+alone. F is real, and so are its kernels and their P_k at U = 0, every
+self pair's among them.
 
 A rate reads only Re[c T] of each pair, c = c_p conj(c_q), and a lag -k
 reads as the conjugate of lag k, Re[z e^{-i x}] = Re[conj(z) e^{i x}], so
@@ -49,28 +49,28 @@ anyway.
 
 The reduction never holds the kernel K = F conj(F_c) whole; it reads the
 amplitude's 1-D factors, F(i, j) = g1[i] g2[j] P[i + j], in O(n) working
-memory. Every kernel of F is a(i) b(j) Q[i + j], where Q = |P|^2, so a
-pump phase cancels, and a = g1 conj(g1 or g2), b = g2 conj(g2 or g1) are
-products of the filter factors, which trade places in F_c. The reduction
-walks it by grid sum: with i + j = 2u + p and i - j = 2t + p of one
-parity p, P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) e^{i nu_{u-t} U}, so
-t indexes the sums and a block of a few u, both parities at once, is
-reduced against its Q in one matrix product. On the uniform grid
+memory. Every kernel of F is a(i) b(j) Q[i + j], where Q = P^2, and
+a = g1 (g1 or g2), b = g2 (g2 or g1) are products of the filter factors,
+which trade places in F_c. The reduction walks it by grid sum: with
+i + j = 2u + p and i - j = 2t + p of one parity p,
+P_{2t+p} = sum_u Q[2u+p] a(u+t+p) b(u-t) e^{i nu_{u-t} U}, so t indexes
+the sums and a block of a few u, both parities at once, is reduced
+against its Q in one matrix product. On the uniform grid
 nu_{u-t} = nu_0 + (u - t) h, so the column phase splits into
 e^{i (u - n/2) h U}, which goes on the weights Q[2u+p], and
 e^{i (nu_0 + (n/2 - t) h) U}, which multiplies the reduced sums. Both
 come from e^{i m h U} = e^{i K B h U} e^{i j h U}, m = K B + j, the split
 of a delay point's phases, taken with one exp per fine and coarse step,
 so a walk makes O(sqrt n) angles and exps per U. The blocks of a b then
-carry no phase, real for real factors, and each is formed once and
-reduced against Q for U = 0 and against the real and imaginary rows of
-the weights of every other U. Blocks that meet no grid sum on which Q is
+carry no phase and are real, and each is formed once and reduced
+against Q for U = 0 and against the real and imaginary rows of the
+weights of every other U. Blocks that meet no grid sum on which Q is
 non-zero hold exact zeros and are skipped, so the reduction costs
 O(n W), W the number of such grid sums, with the same bits as the full
 O(n^2) pass. When a == b bit for bit, as for equal filter factors
-uncrossed and for real ones crossed, the kernel is symmetric and
-P_-k = e^{i k h U} P_k, so the walk reduces k >= 0 only, half the
-blocks' products, and fills k < 0 from them.
+uncrossed and always crossed, g1 g2 being g2 g1, the kernel is
+symmetric and P_-k = e^{i k h U} P_k, so the walk reduces k >= 0 only,
+half the blocks' products, and fills k < 0 from them.
 
 The path overlaps read the same pair sums at d = 0: two paths overlap
 by conj(c_p) c_q T(q, p) / (|c_p| |c_q|), the self pairs summing to 1,
@@ -109,7 +109,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractViolation
 from .pathsum import PathAmplitude, _checked_delay, _checked_delays, enumerate_paths
 from .spectral import _MAX_GRID_N, _MIN_GRID_N, FrequencyGrid, JointSpectralAmplitude
-from .spectral import SpectralParams, _is_real, build_jsa, interference_width
+from .spectral import SpectralParams, _as_float, _is_real, _shown, build_jsa, interference_width
 
 if TYPE_CHECKING:
     from .presets import ExperimentConfig
@@ -143,11 +143,6 @@ def _lattice(flat: np.ndarray, start: int, strides: tuple[int, ...], shape) -> n
     return np.ndarray(
         shape, flat.dtype, flat, offset=size * start, strides=[size * s for s in strides]
     )
-
-
-def _times_conj(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x conj(y), with no conjugate taken of a real y."""
-    return x * np.conj(y) if np.iscomplexobj(y) else x * y
 
 
 def _support(values: np.ndarray) -> tuple[int, int] | None:
@@ -307,7 +302,7 @@ class RateKernel:
         the sums sum_{i-j=k} F(i,j) conj(F_c(i,j)) e^{i nu_j U} of the kernel
         a(i) b(j) Q[i + j] times its column phase. F(i, j) is g1[i] g2[j]
         pump[i + j], with g1 and g2 trading places in F_c when ``crossed``,
-        so a = g1 conj(g1 or g2), b = g2 conj(g2 or g1) and Q = |pump|^2.
+        so a = g1 (g1 or g2), b = g2 (g2 or g1) and Q = pump^2.
 
         One walk reduces every U. With nu_j = nu_0 + j h and j = u - t, the
         column phase splits into e^{i (u - n/2) h U}, which ``_walk`` puts
@@ -373,11 +368,11 @@ class RateKernel:
         the weight phase e^{i (u - n/2) h U} for each U in ``phased``.
         Returns the sums at rest, sums[p, t + n // 2], or None; the phased
         ones, reduced[p, 2 m + (0 for real, 1 for imaginary), t + n // 2] for
-        the m-th U, all of the dtype of a; the phases of the sums as a pair
-        (fine, coarse) of O(sqrt n) phases per U, whose ``_outer_phases``
-        at row m is e^{i (nu_0 + (n/2 - t) h) U} at t + n // 2; and whether
-        a == b, in which case only the sums of t >= 0 are reduced and the
-        rest are zeros. A walk with no phased U forms no phases at all, and
+        the m-th U; the phases of the sums as a pair (fine, coarse) of
+        O(sqrt n) phases per U, whose ``_outer_phases`` at row m is
+        e^{i (nu_0 + (n/2 - t) h) U} at t + n // 2; and whether a == b, in
+        which case only the sums of t >= 0 are reduced and the rest are
+        zeros. A walk with no phased U forms no phases at all, and
         returns None for the phased sums and for their phases.
 
         The weight phases of all n values of u are formed from
@@ -385,33 +380,28 @@ class RateKernel:
         outlive it. A block of ``rows`` values of u, both parities at once,
         is formed once. It is reduced in one matrix product against Q, the
         same call whatever else the walk reduces, and in one more against
-        the stacked real and imaginary rows of every phased U, on a real
-        view even when a is complex. Blocks start at multiples of ``rows``,
-        and only those that meet a grid sum 2u + p on which Q is non-zero
-        are walked. Any other block holds products with Q = 0, zeros of
-        either sign since the products of factors are finite
-        (``JointSpectralAmplitude`` checks), and would add them to sums that
-        start at +0 and never turn -0; so a narrower support gives the same
-        bits. A block spans the t at which some (u + t + p, u - t) lies on
-        the grid, and reads the zeros padding a and b for the rest.
+        the stacked real and imaginary rows of every phased U. Blocks start
+        at multiples of ``rows``, and only those that meet a grid sum
+        2u + p on which Q is non-zero are walked. Any other block holds
+        products with Q = 0, zeros of either sign since the products of
+        factors are finite (``JointSpectralAmplitude`` checks), and would
+        add them to sums that start at +0 and never turn -0; so a narrower
+        support gives the same bits. A block spans the t at which some
+        (u + t + p, u - t) lies on the grid, and reads the zeros padding a
+        and b for the rest.
         """
         g1, g2, pump = self.jsa.factors
         n = self.grid.n
         rows = min(n, _BLOCK // n)
-        # |g1|^2 and |g2|^2 are real however complex the factors.
-        dtype = np.result_type(g1, g2) if crossed else np.dtype(np.float64)
-        padded_a = np.zeros(n + 2 * rows, dtype)
-        reversed_b = np.zeros(n + 2 * rows, dtype)
-        if crossed:
-            padded_a[rows : rows + n] = _times_conj(g1, g2)
-            reversed_b[rows : rows + n] = _times_conj(g2, g1)[::-1]
-        else:
-            padded_a[rows : rows + n] = _times_conj(g1, g1).real
-            reversed_b[rows : rows + n] = _times_conj(g2, g2).real[::-1]
-        mirrored = np.array_equal(padded_a, reversed_b[::-1])
+        # g1 g2 is g2 g1 bit for bit, so a crossed walk is always mirrored.
+        a = g1 * g2 if crossed else g1 * g1
+        b = a if crossed else g2 * g2
+        mirrored = np.array_equal(a, b)
+        padding = np.zeros(rows)
+        padded_a = np.concatenate((padding, a, padding))
+        reversed_b = np.concatenate((padding, b[::-1], padding))
         # pairs[p, u] is Q[2u + p], with Q = 0 at the grid sum 2n - 1.
-        pairs = np.zeros(2 * n)
-        pairs[:-1] = _times_conj(pump, pump).real
+        pairs = np.append(pump * pump, 0.0)
         support = _support(pairs)
         pairs = pairs.reshape(n, 2).T.copy()
         reduced = sum_phases = None
@@ -426,12 +416,9 @@ class RateKernel:
             # Only the O(sqrt n) phases of the sums are kept through the walk.
             del table
             sum_phases = np.conj(fine), np.conj(coarse) * total
-            # A complex block is reduced against the phased weights as its
-            # interleaved real and imaginary parts.
-            parts = dtype.itemsize // 8
-            reduced = np.zeros((2, 2 * len(phased), parts * n))
-        sums = np.zeros((2, n), dtype) if at_rest else None
-        buffer = np.empty(2 * rows * n, dtype)
+            reduced = np.zeros((2, 2 * len(phased), n))
+        sums = np.zeros((2, n)) if at_rest else None
+        buffer = np.empty(2 * rows * n)
         first, last = (support[0] // 2, support[1] // 2) if support else (0, -1)
         lowest = 0 if mirrored else -(n // 2)
         for u0 in range(first - first % rows, last + 1, rows):
@@ -448,9 +435,8 @@ class RateKernel:
             if at_rest:
                 sums[:, t0 + n // 2 : t1 + n // 2] += np.matmul(pairs[:, None, u0:u1], block)[:, 0]
             if phased:
-                columns = slice(parts * (t0 + n // 2), parts * (t1 + n // 2))
-                reduced[:, :, columns] += np.matmul(weights[:, :, u0:u1], block.view(np.float64))
-        return sums, None if reduced is None else reduced.view(dtype), sum_phases, mirrored
+                reduced[:, :, t0 + n // 2 : t1 + n // 2] += np.matmul(weights[:, :, u0:u1], block)
+        return sums, reduced, sum_phases, mirrored
 
     def _at(self, lags: np.ndarray, slopes: np.ndarray) -> np.ndarray:
         """Re sum_{k>=0} R_k e^{i x k h} for each slope x = D(d), from the
@@ -684,15 +670,16 @@ def _scan_delays(spectral: SpectralParams, d_min: float, d_max: float, steps: in
         raise ConfigurationError(f"scan edges must be real numbers, got {d_min!r}, {d_max!r}")
     if not (_is_real(steps) and isinstance(steps, numbers.Integral)):
         raise ConfigurationError(f"delay steps must be an integer, got {steps!r}")
-    # Edges that are not finite, or a span past the largest float, would
-    # space the delays by inf or nan.
-    if not math.isfinite(d_max - d_min):
-        raise ConfigurationError(f"scan edges and span must be finite, got {d_min}, {d_max}")
-    if not d_min < d_max:
-        raise ConfigurationError(f"need d_min < d_max, got {d_min} >= {d_max}")
+    # Edges that are not finite as floats, or a span past the largest
+    # float, would space the delays by inf or nan.
+    lo, hi = _as_float(d_min), _as_float(d_max)
+    if not math.isfinite(hi - lo):
+        raise ConfigurationError(f"scan edges and span must be finite, got {lo}, {hi}")
+    if not lo < hi:
+        raise ConfigurationError(f"need d_min < d_max, got {lo} >= {hi}")
     if not 3 <= steps <= MAX_SCAN_STEPS:
         raise ConfigurationError(
-            f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {steps}"
+            f"need between 3 and {MAX_SCAN_STEPS} delay steps, got {_shown(steps)}"
         )
     delays = np.linspace(d_min, d_max, steps)
     wing = DEFAULT_WING_FACTOR * interference_width(spectral)
@@ -815,8 +802,7 @@ def _time_marginals(
     grid = jsa.grid
     n, h, nu = grid.n, grid.weight, grid.points
     g1, g2, pump = jsa.factors
-    power = [f.real**2 + f.imag**2 for f in jsa.factors]
-    norm = float(np.convolve(power[0], power[1]) @ power[2])
+    norm = float(np.convolve(g1 * g1, g2 * g2) @ (pump * pump))
     if norm == 0.0 or not math.isfinite(norm):
         raise ContractViolation("cannot normalize a zero or non-finite amplitude")
     terms = []

@@ -46,13 +46,27 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _as_float(value) -> float:
+    """A real number as a float, +-inf past the float range."""
+    try:
+        return float(value)
+    except OverflowError:  # from an int or a Fraction; a long double gives inf
+        return math.inf if value > 0 else -math.inf
+
+
+def _shown(value) -> str:
+    """``value`` for an error message; a huge integer, which Python may not format, by its size."""
+    huge = isinstance(value, numbers.Integral) and abs(value) >= 10**20
+    return f"an integer of {int(abs(value)).bit_length()} bits" if huge else f"{value}"
+
+
 def _check_field_types(config) -> None:
     """Refuse a field value that is not of the type of the field's default.
 
-    A float field takes any real number and an int field any integer,
-    numpy scalars included but bool in neither, and a real must be
-    finite; any other field takes instances of its default's class, so
-    a rod axis must be a RodAxis, not its name.
+    A float field takes any real number that is finite as a float and an
+    int field any integer, numpy scalars included but bool in neither;
+    any other field takes instances of its default's class, so a rod axis
+    must be a RodAxis, not its name.
     """
     for f in fields(config):
         value = getattr(config, f.name)
@@ -61,8 +75,8 @@ def _check_field_types(config) -> None:
             if not _is_real(value) or (kind is int and not isinstance(value, numbers.Integral)):
                 noun = "an integer" if kind is int else "a real number"
                 raise ConfigurationError(f"{f.name} must be {noun}, got {value!r}")
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+            if kind is float and not math.isfinite(x := _as_float(value)):
+                raise ConfigurationError(f"{f.name} must be finite, got {x}")
         elif not isinstance(value, kind):
             raise ConfigurationError(f"{f.name} must be a {kind.__name__}, got {value!r}")
 
@@ -173,7 +187,7 @@ class FrequencyGrid:
         if not (isinstance(n, numbers.Integral) and 2 <= n <= _MAX_GRID_N and n & (n - 1) == 0):
             raise ContractViolation(f"grid n = {n} is not a power of two from 2 to {_MAX_GRID_N}")
         object.__setattr__(self, "n", int(n))
-        weight = 2.0 * half / (self.n - 1) if _is_real(half) else math.nan
+        weight = 2.0 * _as_float(half) / (self.n - 1) if _is_real(half) else math.nan
         if not 0.0 < weight < math.inf:
             raise ContractViolation(f"grid half-width {half} gives no finite, non-zero spacing")
         object.__setattr__(self, "weight", weight)
@@ -184,9 +198,9 @@ class FrequencyGrid:
 def _check_grid_request(n: int, span_sigma: float) -> None:
     if not _MIN_GRID_N <= n <= _MAX_GRID_N or (n & (n - 1)) != 0:
         raise ConfigurationError(
-            f"grid n must be a power of two from {_MIN_GRID_N} to {_MAX_GRID_N}, got {n}"
+            f"grid n must be a power of two from {_MIN_GRID_N} to {_MAX_GRID_N}, got {_shown(n)}"
         )
-    if not (span_sigma >= _MIN_SPAN_SIGMA and math.isfinite(span_sigma)):
+    if not (span_sigma >= _MIN_SPAN_SIGMA and math.isfinite(_as_float(span_sigma))):
         raise ConfigurationError(
             f"grid span must be finite and cover at least +-{_MIN_SPAN_SIGMA} sigma, "
             f"got {span_sigma}"
@@ -231,38 +245,35 @@ def auto_grid(params: SpectralParams, n: int = 256, span_sigma: float = 6.0) -> 
 
 class JointSpectralAmplitude:
     """Pair amplitude f(nu_i, nu_j) = g1[i] g2[j] pump[i + j] / N on a
-    shared grid, given by its 1-D ``factors`` (g1, g2, pump), real or
-    complex.
+    shared grid, given by its real 1-D ``factors`` (g1, g2, pump).
 
     Axis 0 is the photon sent into arm 1, axis 1 the photon in arm 2; pump
-    lives on the 2n - 1 grid sums and N is the L2 norm of the product. A
-    spectral phase on either photon, from dispersion or a birefringent
-    element, is a complex g1 or g2. The factors are kept read-only, as
-    float64 or complex128; nothing forms the n x n array. ``symmetric``
-    tells whether swapping the two arguments is the identity bit for bit.
+    lives on the 2n - 1 grid sums and N is the L2 norm of the product. The
+    factors are kept read-only as float64; nothing forms the n x n array.
+    ``symmetric`` tells whether swapping the two arguments is the identity
+    bit for bit.
     """
 
     _spectral: SpectralParams | None = None
 
     def __init__(self, grid: FrequencyGrid, factors: tuple[np.ndarray, np.ndarray, np.ndarray]):
         # Integer squares wrap and bool arrays read as 0 and 1, so neither
-        # has a meaningful norm.
+        # has a meaningful norm; the rate engine walks real factors only.
         for array in factors:
-            if not np.issubdtype(array.dtype, np.inexact):
+            if not np.issubdtype(array.dtype, np.floating):
                 raise ContractViolation(
-                    f"amplitude arrays must be float or complex, got dtype {array.dtype}"
+                    f"amplitude arrays must be real floats, got dtype {array.dtype}"
                 )
         n = grid.n
         if [f.shape for f in factors] != [(n,), (n,), (2 * n - 1,)]:
             raise ContractViolation(f"factors must have lengths n, n and 2n - 1 for n = {n}")
-        factors = tuple(f.astype(np.result_type(f, np.float64), copy=False) for f in factors)
-        # The rate engine skips kernel entries where |pump|^2 is zero; they
-        # are exact zeros only while the products of four filter factors
-        # are finite, which finite fourth powers guarantee.
+        # The rate engine skips kernel entries where pump^2 is zero, exact
+        # zeros only while the products of four filter factors are finite;
+        # a long double past the float range is cast to inf, refused too.
         with np.errstate(over="ignore", invalid="ignore"):
+            factors = tuple(f.astype(np.float64, copy=False) for f in factors)
             peaks = [np.abs(f).max() for f in factors]
-            finite = all(np.isfinite(peak * peak) for peak in peaks)
-            finite = finite and all(np.isfinite(peak**4) for peak in peaks[:2])
+            finite = np.isfinite([peaks[0] ** 4, peaks[1] ** 4, peaks[2] * peaks[2]]).all()
         if not finite:
             raise ContractViolation(
                 "factors must have finite squares, and the filter factors finite fourth powers"

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -21,6 +22,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import biphoton
+from biphoton import verify
 from biphoton.cli import (
     build_parser,
     main,
@@ -584,7 +586,10 @@ class TestConfigFile:
         assert code == 2
         assert "axis" in stderr
 
-    @pytest.mark.parametrize("grid_n", ["16384", "100", "32"])
+    # 10**400 is past the float range, and the refusal does not spell it out.
+    @pytest.mark.parametrize(
+        "grid_n", ["16384", "100", "32", pytest.param("1" + 400 * "0", id="10**400")]
+    )
     def test_grid_outside_the_accepted_range_names_the_line(self, tmp_path, capsys, grid_n):
         # fig3a_dip needs only n = 256, so the pump is not to blame.
         path = self.write(tmp_path, f"preset = fig3a_dip\ngrid_n = {grid_n}\n")
@@ -593,6 +598,7 @@ class TestConfigFile:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith(f"error: {path}:2: grid n must be a power of two from 64 to 8192")
+        assert len(stderr) < 300
         assert "pump" not in stderr
         assert not (tmp_path / "scan.csv").exists()
 
@@ -740,6 +746,62 @@ class TestVerify:
         assert code == 1
         assert "check=grid_refinement status=FAIL" in stdout
         assert "first_failed=grid_refinement" in stdout
+
+
+def tilted(rate, applies):
+    """``rate`` with the rates of each config for which ``applies`` holds
+    tilted by 1e-5 per 1500 fs of delay: unchanged at d = 0, where parseval
+    reads the -45 deg peak configuration."""
+
+    def planted(config, d, kernel=None):
+        rates = rate(config, d, kernel)
+        return rates * (1.0 + 1e-5 * np.asarray(d) / 1500.0) if applies(config) else rates
+
+    return planted
+
+
+def off_total(joint):
+    """``arrival_time_joint`` with its marginals' total off by 1e-5."""
+
+    def planted(config, d):
+        density = joint(config, d)
+        return dataclasses.replace(density, total=density.total * (1.0 + 1e-5))
+
+    return planted
+
+
+# One defect per check, each planted on a name that biphoton.verify reads:
+# the check, the name and the function that wraps the original.
+PLANTS = {
+    "engine_oracle_lattice": (
+        "oracle_rate", lambda oracle: lambda config, d: oracle(config, d) * (1.0 + 2e-3)
+    ),
+    "parseval": ("arrival_time_joint", off_total),
+    "dip_peak_complementarity": (
+        "coincidence_rate", lambda rate: tilted(rate, lambda c: c.analyzer2 == -45.0)
+    ),
+    "outcome_completeness": (
+        "coincidence_rate", lambda rate: tilted(rate, lambda c: c.analyzer1 == 120.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("check", PLANTS)
+def test_a_planted_defect_fails_its_check_alone(capsys, monkeypatch, check):
+    # The check fails by value, past its threshold, not by an exception
+    # that run_all_checks reports as a failure with value nan.
+    name, plant = PLANTS[check]
+    monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
+    code, stdout, _ = run_cli(capsys, "verify")
+    *lines, verdict = stdout.splitlines()
+    reports = [dict(field.split("=", 1) for field in line.split()) for line in lines]
+    failed = [report for report in reports if report["status"] == "FAIL"]
+    assert [report["check"] for report in failed] == [check]
+    value, threshold = float(failed[0]["value"]), float(failed[0]["threshold"])
+    assert math.isfinite(value) and value > threshold
+    assert "detail" not in failed[0]
+    assert code == 1
+    assert verdict.endswith(f"failed=1 first_failed={check}")
 
 
 # Text that parses as a number, that almost does, or that sits at an edge

@@ -1,6 +1,6 @@
 """Preset fidelity, sweep harness and pump-coherence behavior."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +13,10 @@ from biphoton import (
     GridSpec,
     RodAxis,
     SpectralParams,
+    arrival_time_joint,
+    coincidence_rate,
     preset,
+    refine_check,
     run_sweep,
     scan_delay,
 )
@@ -286,3 +289,46 @@ def test_auto_resolution_handles_long_pump_coherence():
     )
     result = scan_delay(config, steps=51)
     assert result.visibility >= 0.9
+
+
+def _replace_field(owner, name):
+    """A call that replaces the field ``name`` of ``owner`` in fig3a_dip."""
+    if owner is ExperimentConfig:
+        return lambda value: replace(preset("fig3a_dip"), **{name: value})
+    group = "spectral" if owner is SpectralParams else "grid"
+    return lambda value: replace(getattr(preset("fig3a_dip"), group), **{name: value})
+
+
+# Each entry point that takes a number, the call that passes it the value,
+# and the name that its refusal gives it.
+NUMERIC_ENTRY_POINTS = {
+    "coincidence_rate": (lambda x: coincidence_rate(preset("fig3a_dip"), x), "trombone delay"),
+    "coincidence_rate-sequence": (
+        lambda x: coincidence_rate(preset("fig3a_dip"), [0.0, -x]), "trombone delays"
+    ),
+    "arrival_time_joint": (lambda x: arrival_time_joint(preset("fig3a_dip"), x), "trombone delay"),
+    "refine_check": (lambda x: refine_check(preset("fig3a_dip"), x), "trombone delay"),
+    "scan_delay-d_min": (lambda x: scan_delay(preset("fig3a_dip"), d_min=-x), "scan edges"),
+    "scan_delay-d_max": (lambda x: scan_delay(preset("fig3a_dip"), d_max=x), "scan edges"),
+    "scan_delay-steps": (lambda x: scan_delay(preset("fig3a_dip"), steps=x), "delay steps"),
+    **{
+        f"replace-{f.name}": (_replace_field(owner, f.name), f.name)
+        for owner in (ExperimentConfig, SpectralParams, GridSpec)
+        for f in fields(owner)
+        if type(f.default) is float
+    },
+    "GridSpec-n": (lambda x: GridSpec(n=x), "grid n"),
+    "run_sweep": (lambda x: run_sweep(preset("fig3a_dip"), "rod_length", [x]), "rod_length"),
+}
+
+
+@pytest.mark.parametrize("exponent", [400, 5000])
+@pytest.mark.parametrize("entry", NUMERIC_ENTRY_POINTS.values(), ids=NUMERIC_ENTRY_POINTS)
+def test_an_integer_past_the_float_range_is_refused_by_name(entry, exponent):
+    # float() raises OverflowError for 10**400, and Python refuses to format
+    # 10**5000 in full; the refusal names the value and formats neither.
+    call, name = entry
+    with pytest.raises(ConfigurationError) as refused:
+        call(10**exponent)
+    message = str(refused.value)
+    assert name in message and len(message) < 200

@@ -208,9 +208,9 @@ INEXACT_DTYPES = [np.float16, np.float32, np.float64, np.complex64, np.complex12
 @st.composite
 def factor_tuples(draw):
     """The factors of a Gaussian amplitude on 64 points, each chirped or
-    not and of a drawn float or complex dtype; one of them may instead be
-    of an integer or bool dtype, one off in length, or hold a non-finite
-    or huge entry."""
+    not and of a drawn float or complex dtype, a complex one refused; one
+    of them may instead be of an integer or bool dtype, one off in length,
+    or hold a non-finite or huge entry."""
     params = SpectralParams(asymmetry_ratio=draw(st.sampled_from([0.5, 1.0, 2.0])))
     grid = FrequencyGrid(64, 6.0 * params.sigma_max)
     factors = []
@@ -237,13 +237,14 @@ def factor_tuples(draw):
 @settings(PROPERTY_SETTINGS, max_examples=100)
 @given(factor_tuples())
 def test_factors_are_accepted_or_refused_with_a_contract_violation(drawn):
-    # An accepted amplitude normalizes; any other exception, a warning from
-    # the suite's filters included, fails the property.
+    # An accepted amplitude is real and normalizes; any other exception, a
+    # warning from the suite's filters included, fails the property.
     grid, factors = drawn
     try:
         total = RateKernel(JointSpectralAmplitude(grid, factors=factors))._total
     except ContractViolation:
         return
+    assert not any(np.iscomplexobj(f) for f in factors)
     assert total > 0.0 and math.isfinite(total)
 
 
